@@ -2,20 +2,16 @@
 
 The package is fully functional without the extension (a pure-Python
 kernel is selected at import time); the extension only makes exhaustive
-enumeration over S_n fast.  If Cython is unavailable the extension is
-simply skipped.
+enumeration over S_n fast.  It is one hand-written C file against the
+CPython API, so building it needs nothing but a C compiler, and
+``optional=True`` lets the install go on without it when the compile
+fails.  Build it in place with ``python setup.py build_ext --inplace``.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("permdyck._fastcount", ["src/permdyck/_fastcount.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension("permdyck._fastcount", ["src/permdyck/_fastcount.c"], optional=True)
+    ]
+)

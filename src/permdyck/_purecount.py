@@ -41,8 +41,13 @@ def count_pair(values: Sequence[int]) -> tuple[int, int]:
 def histogram_pair(n: int, prefix: tuple[int, ...] = ()) -> tuple[list[int], list[int]]:
     """Occurrence-count histograms over all permutations of 1..n whose first
     ``len(prefix)`` entries equal ``prefix``: (hist for (3,1,2), hist for
-    (3,2,1)), each indexed by occurrence count up to binom(n, 3).
+    (3,2,1)), each indexed by occurrence count up to binom(n, 3).  A negative
+    n, or a prefix with a repeated or out-of-range value, raises ValueError.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if len(set(prefix)) != len(prefix) or not all(1 <= v <= n for v in prefix):
+        raise ValueError(f"bad prefix {prefix!r} for n={n}")
     rest = [v for v in range(1, n + 1) if v not in prefix]
     size = n * (n - 1) * (n - 2) // 6 + 1 if n >= 3 else 1
     h312 = [0] * size

@@ -8,8 +8,10 @@ few positions, each shard yields an independent histogram, and the merge
 is component-wise addition, so results are identical for any worker count.
 
 Computed tables can be cached as human-readable JSON files under
-``<cache>/<tau>/<n>.json`` with a content checksum; a file whose checksum
-does not match its payload is refused.
+``<cache>/<tau>/<n>.json`` with a content checksum.  Files are written to
+a temporary name and renamed into place, so a reader never sees a partial
+file; a file that does not parse, has the wrong shape or whose checksum
+does not match its payload is refused with ``CacheError``.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class ResourceGuardError(RuntimeError):
 
 
 class CacheError(RuntimeError):
-    """Raised when a cache file fails its checksum."""
+    """Raised when a cache file does not parse, has the wrong shape or
+    fails its checksum."""
 
 
 def _pattern_key(tau) -> str:
@@ -134,6 +137,8 @@ def _shard_histograms(args: tuple[int, tuple[int, ...]]) -> tuple[list[int], lis
 
 
 def _sweep(n: int, workers: int) -> tuple[list[int], list[int]]:
+    # more processes than CPUs only adds start-up and shard overhead
+    workers = min(workers, os.cpu_count() or 1)
     prefixes = _shard_prefixes(n, workers)
     if len(prefixes) == 1:
         return kernels.histogram_pair(n, prefixes[0])
@@ -172,7 +177,12 @@ def _cache_load(cache_dir: str | Path, key: str, n: int) -> Optional[tuple[tuple
     path = _cache_path(cache_dir, key, n)
     if not path.is_file():
         return None
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise CacheError(f"unreadable cache file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CacheError(f"malformed cache file {path}: not a JSON object")
     if data.get("version") != CODE_VERSION:
         return None
     payload = {"n": data.get("n"), "tau": data.get("tau"), "counts": data.get("counts")}
@@ -180,7 +190,10 @@ def _cache_load(cache_dir: str | Path, key: str, n: int) -> Optional[tuple[tuple
         raise CacheError(f"checksum mismatch in {path}")
     if data.get("n") != n or data.get("tau") != key:
         return None
-    return tuple(sorted((int(r), int(c)) for r, c in data["counts"].items()))
+    try:
+        return tuple(sorted((int(r), int(c)) for r, c in data["counts"].items()))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CacheError(f"malformed counts in cache file {path}: {exc}") from exc
 
 
 def _cache_store(cache_dir: str | Path, key: str, n: int, counts: tuple[tuple[int, int], ...]) -> None:
@@ -190,7 +203,12 @@ def _cache_store(cache_dir: str | Path, key: str, n: int, counts: tuple[tuple[in
     record = dict(payload)
     record["checksum"] = _checksum(payload)
     record["version"] = CODE_VERSION
-    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def brute_distribution(

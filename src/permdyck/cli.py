@@ -7,7 +7,8 @@ Subcommands: ``table`` (occurrence-count distributions), ``verify``
 path pictures).
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 resource
-guard tripped.
+guard tripped, 4 corrupt distribution cache file (one that does not parse,
+has the wrong shape or fails its checksum; delete it to recompute).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_CACHE = 4
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -36,6 +38,16 @@ def _parse_n_range(text: str) -> list[int]:
             raise ValueError(f"empty range {text!r}")
         return list(range(start, stop + 1))
     return [int(text)]
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(args, payload: str) -> None:
@@ -265,7 +277,12 @@ def _add_common(p: argparse.ArgumentParser, *, cache: bool = False) -> None:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--output", help="write output to a file instead of stdout")
     if cache:
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument(
+            "--workers",
+            type=_positive_int,
+            default=1,
+            help="processes for the sweep (at least 1; capped at the CPU count)",
+        )
         p.add_argument(
             "--cache-dir",
             default=os.environ.get(census.ENV_CACHE_DIR),
@@ -345,6 +362,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except census.ResourceGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except census.CacheError as exc:
+        print(f"error: {exc} (delete the file to recompute it)", file=sys.stderr)
+        return EXIT_CACHE
     except (PatternError, PathError, bijections.NotInImageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

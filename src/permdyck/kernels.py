@@ -1,7 +1,11 @@
 """Backend selection for the occurrence-counting kernels.
 
-The compiled extension is preferred when importable; the pure-Python
-fallback is bit-for-bit equivalent (tested).  Set ``PERMDYCK_NO_EXT=1`` to
+The compiled extension ``permdyck._fastcount`` (one hand-written C file,
+built by ``python setup.py build_ext --inplace`` or on install when a C
+compiler is present) is preferred when importable; ``BACKEND`` is then
+``"c"``.  The pure-Python fallback ``permdyck._purecount`` is bit-for-bit
+equivalent (tested) and is the reference the extension is checked
+against; ``BACKEND`` is then ``"python"``.  Set ``PERMDYCK_NO_EXT=1`` to
 force the pure backend.
 """
 
@@ -19,7 +23,7 @@ else:
     try:
         from permdyck import _fastcount as _impl  # type: ignore[no-redef]
 
-        BACKEND = "cython"
+        BACKEND = "c"
     except ImportError:
         _impl = _purecount
         BACKEND = "python"

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from permdyck import census
+from permdyck import census, kernels
 from permdyck.census import CacheError, ResourceGuardError
 from permdyck.perms import (
     PATTERN_312,
@@ -78,6 +78,37 @@ class TestDistribution:
             census.brute_distribution(7, "312", limit=5)
         with pytest.raises(ValueError):
             census.brute_distribution(-1, "312")
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                pools.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, items, chunksize):
+                return map(fn, items)
+
+        class SerialContext:
+            Pool = SerialPool
+
+        monkeypatch.setattr(census, "get_context", lambda: SerialContext)
+        expect = kernels.histogram_pair(6)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
+        assert census._sweep(6, 64) == expect and pools == []
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        assert census._sweep(6, 64) == expect and pools == [2]
+        assert len(census._shard_prefixes(6, 2)) == 6
+        # two-position shards, which a real pool on a small host no longer reaches
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+        assert census._sweep(6, 4) == expect and pools == [2, 4]
+        assert len(census._shard_prefixes(6, 4)) == 30
 
     def test_worker_determinism(self):
         results = []

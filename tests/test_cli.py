@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from permdyck.cli import main
+from permdyck import census
+from permdyck.cli import EXIT_CACHE, build_parser, main
 
 
 def run(capsys, *argv):
@@ -47,6 +48,60 @@ class TestTable:
     def test_force_lifts_guard_for_small_n(self, capsys):
         code, out, _ = run(capsys, "table", "--tau", "312", "--n", "5", "--limit", "3", "--force")
         assert code == 0
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_workers_below_one_usage_error(self, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["table", "--tau", "312", "--n", "5", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_workers_accepted(self):
+        args = build_parser().parse_args(["verify", "--formulas", "--workers", "2"])
+        assert args.workers == 2
+
+
+class TestCorruptCache:
+    def _cached(self, capsys, tmp_path):
+        census._memo.pop(5, None)
+        code, _, _ = run(capsys, "table", "--tau", "312", "--n", "5", "--cache-dir", str(tmp_path))
+        assert code == 0
+        census._memo.pop(5, None)
+        return tmp_path / "312" / "5.json"
+
+    def _assert_cache_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "table", "--tau", "312", "--n", "5", "--cache-dir", str(tmp_path))
+        census._memo.pop(5, None)
+        assert code == EXIT_CACHE == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "5.json" in err
+
+    def test_truncated_file(self, capsys, tmp_path):
+        path = self._cached(capsys, tmp_path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        self._assert_cache_error(capsys, tmp_path)
+
+    def test_checksum_mismatch(self, capsys, tmp_path):
+        path = self._cached(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        data["counts"]["0"] = "41"
+        path.write_text(json.dumps(data))
+        self._assert_cache_error(capsys, tmp_path)
+
+    @pytest.mark.parametrize(
+        "text", ["[]", json.dumps({"version": census.CODE_VERSION, "checksum": "x"})]
+    )
+    def test_wrong_shape(self, capsys, tmp_path, text):
+        path = self._cached(capsys, tmp_path)
+        path.write_text(text)
+        self._assert_cache_error(capsys, tmp_path)
+
+    def test_store_leaves_no_temporary_files(self, capsys, tmp_path):
+        self._cached(capsys, tmp_path)
+        names = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
+        assert names == ["5.json", "5.json"]
 
 
 class TestMapDecode:

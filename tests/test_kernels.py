@@ -1,20 +1,99 @@
 """Equivalence of the compiled and pure-Python counting kernels."""
 
+import importlib.util
 import itertools
+import os
+import shutil
+import sysconfig
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permdyck import _purecount, kernels
 from permdyck.perms import Permutation, all_permutations, find_occurrences
 
-rand_perm = st.integers(min_value=0, max_value=12).flatmap(
-    lambda n: st.permutations(list(range(1, n + 1)))
-)
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "permdyck" / "_fastcount.c"
+
+
+def _perms_up_to(max_n):
+    return st.integers(min_value=0, max_value=max_n).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1)))
+    )
+
+
+rand_perm = _perms_up_to(12)
+
+
+@pytest.fixture(scope="module")
+def fastcount(tmp_path_factory):
+    """The compiled kernel, whichever backend ``kernels`` selected: the
+    in-place build when importable, else the C source compiled into a
+    temporary directory and loaded from there."""
+    try:
+        from permdyck import _fastcount
+
+        return _fastcount
+    except ImportError:
+        pass
+    # the compiler setuptools would run: $CC, else the one Python was built with
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc!r} not found) to build permdyck._fastcount")
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+
+    out = tmp_path_factory.mktemp("fastcount")
+    cmd = build_ext(
+        Distribution({"ext_modules": [Extension("permdyck._fastcount", [str(SOURCE)])]})
+    )
+    cmd.build_lib = str(out)
+    cmd.build_temp = str(out / "tmp")
+    cmd.ensure_finalized()
+    cmd.run()
+    spec = importlib.util.spec_from_file_location(
+        "permdyck._fastcount", cmd.get_ext_fullpath("permdyck._fastcount")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_backend_reported():
-    assert kernels.BACKEND in ("cython", "python")
+    assert kernels.BACKEND in ("c", "python")
+
+
+def test_compiled_histograms_match_pure(fastcount):
+    for n in range(9):
+        assert fastcount.histogram_pair(n) == _purecount.histogram_pair(n)
+
+
+def test_compiled_prefix_histograms_match_pure(fastcount):
+    for prefix in itertools.permutations(range(1, 8), 2):
+        assert fastcount.histogram_pair(7, prefix) == _purecount.histogram_pair(7, prefix)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_perms_up_to(20))
+def test_compiled_count_pair_matches_pure(fastcount, p):
+    assert fastcount.count_pair(p) == _purecount.count_pair(p)
+
+
+@pytest.mark.parametrize("n, prefix", [(5, (2, 2)), (5, (0,)), (5, (6,)), (2, (1, 2, 1)), (-1, ())])
+def test_bad_arguments_rejected_by_both(fastcount, n, prefix):
+    for backend in (fastcount, _purecount):
+        with pytest.raises(ValueError):
+            backend.histogram_pair(n, prefix)
+
+
+def test_compiled_size_limit(fastcount):
+    assert fastcount.MAXN == kernels._COMPILED_MAX_N == 20
+    with pytest.raises(ValueError):
+        fastcount.histogram_pair(21)
+    with pytest.raises(ValueError):
+        fastcount.count_pair(tuple(range(1, 22)))
+    assert kernels.count_pair(tuple(range(21, 0, -1))) == (0, 1330)
 
 
 def test_count_pair_matches_oracle_exhaustive():
