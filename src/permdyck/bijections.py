@@ -150,22 +150,16 @@ def psi_tau(rho: Permutation, tau) -> str:
 # decoders
 
 
-def _peak_maxima(path: str) -> list[tuple[int, int]]:
-    """(position, value) of the left-to-right maxima encoded by a jump-free
-    Dyck path: its peaks, with value = height + down-step index."""
-    return [
-        (d.index, d.height + d.index)
-        for d in paths.down_steps(path)
-        if d.peak == d.index
-    ]
-
-
-def _require_dyck(path: str) -> None:
-    check = paths.validate(path)
-    if check.kind == "invalid":
-        raise PathError(f"invalid path: {check.reason} (prefix {check.prefix})")
-    if check.kind != "dyck":
+def _peak_maxima(path: str) -> tuple[int, list[tuple[int, int]]]:
+    """n and the (position, value) of the left-to-right maxima encoded by a
+    jump-free Dyck path: its peaks, with value = height + down-step index."""
+    info = paths.path_info(path)
+    if info.spans:
         raise PathError("decoding is defined for jump-free Dyck paths only")
+    maxima = [
+        (i, h + i) for i, (h, p) in enumerate(zip(info.heights, info.peaks), 1) if p == i
+    ]
+    return len(info.heights), maxima
 
 
 def decode_321_avoiding(path: str) -> Permutation:
@@ -177,11 +171,10 @@ def decode_321_avoiding(path: str) -> Permutation:
     >>> decode_321_avoiding("UUDD")
     Permutation(2, 1)
     """
-    _require_dyck(path)
-    n, _ = paths.path_counts(path)
+    n, maxima = _peak_maxima(path)
     out = [0] * n
     used = set()
-    for pos, val in _peak_maxima(path):
+    for pos, val in maxima:
         out[pos - 1] = val
         used.add(val)
     free = sorted(set(range(1, n + 1)) - used)
@@ -200,9 +193,7 @@ def decode_312_avoiding(path: str) -> Permutation:
     >>> decode_312_avoiding("UUDD")
     Permutation(2, 1)
     """
-    _require_dyck(path)
-    n, _ = paths.path_counts(path)
-    maxima = _peak_maxima(path)
+    n, maxima = _peak_maxima(path)
     out = [0] * n
     free: list[int] = sorted(set(range(1, n + 1)) - {v for _, v in maxima})
     for pos, val in maxima:
@@ -229,12 +220,10 @@ def decode_psi312(path: str) -> Permutation:
     >>> decode_psi312("UUUUDDUDJDUD")
     Permutation(4, 3, 5, 1, 2)
     """
-    check = paths.validate(path)
-    if not check.ok:
-        raise PathError(f"invalid path: {check.reason} (prefix {check.prefix})")
-    if not paths.is_psi_shaped(path):
+    info = paths.path_info(path)
+    if not info.psi_shaped:
         raise NotInImageError("jumps must be sandwiched between down-steps")
-    heights = paths.down_step_heights(path)
+    heights = info.heights
     n = len(heights)
     free = list(range(1, n + 1))
     out = []
@@ -312,40 +301,6 @@ class JumpAnalysis:
     prediction: OccurrencePrediction
 
 
-def _run_lengths_around(path: str, jump_start: int, jump_end: int) -> tuple[int, int]:
-    """(m, l): consecutive 'D' counts immediately before/after path[jump_start:jump_end]."""
-    m = 0
-    k = jump_start - 1
-    while k >= 0 and path[k] == paths.DOWN:
-        m += 1
-        k -= 1
-    l = 0
-    k = jump_end
-    while k < len(path) and path[k] == paths.DOWN:
-        l += 1
-        k += 1
-    return m, l
-
-
-def _jump_spans(path: str) -> list[tuple[int, int, int]]:
-    """(string start, string end, down-steps before) of each maximal J-run."""
-    spans = []
-    downs = 0
-    i = 0
-    while i < len(path):
-        if path[i] == paths.JUMP:
-            j = i
-            while j < len(path) and path[j] == paths.JUMP:
-                j += 1
-            spans.append((i, j, downs))
-            i = j
-        else:
-            if path[i] == paths.DOWN:
-                downs += 1
-            i += 1
-    return spans
-
-
 def _nonpeak_ups_between(path: str, maxima: Sequence[int], start: int, end: int) -> int:
     """Up-steps strictly inside path[start:end] that are not the peak
     up-step of a left-to-right maximum (the up immediately preceding a
@@ -392,14 +347,13 @@ def analyze_jumps(rho: Permutation, tau) -> tuple[JumpAnalysis, ...]:
     if key not in ((3, 1, 2), (3, 2, 1)):
         raise PatternError(f"jump analysis is defined for (3,1,2) and (3,2,1), got {tau!r}")
     n = len(rho)
-    path = psi312(rho) if key == (3, 1, 2) else psi321(rho)
+    info = paths.path_info(psi312(rho) if key == (3, 1, 2) else psi321(rho))
     maxima = left_to_right_maxima(rho)
     mx_set = set(maxima)
     heights = heights_312(rho) if key == (3, 1, 2) else heights_321(rho)
     analyses = []
-    for jn, (start, end, pos) in enumerate(_jump_spans(path)):
-        d = end - start
-        m, l = _run_lengths_around(path, start, end)
+    for jn, span in enumerate(info.spans):
+        pos, d, m, l = span.position, span.depth, span.m, span.l
         pre_run = tuple(range(pos - m + 1, pos + 1))
         post_run = tuple(range(pos + 1, pos + l + 1))
         pm = maxima[bisect.bisect_right(maxima, pos) - 1]
@@ -409,8 +363,7 @@ def analyze_jumps(rho: Permutation, tau) -> tuple[JumpAnalysis, ...]:
             earlier = [i for i in maxima if i < pm]
             before: list[MaximumBeforeJump] = []
             for ig in earlier:
-                peak_str_idx = _string_index_of_down(path, ig)
-                s_g = _nonpeak_ups_between(path, maxima, peak_str_idx + 1, start)
+                s_g = _nonpeak_ups_between(info.path, maxima, info.offsets[ig - 1] + 1, span.start)
                 before.append(
                     MaximumBeforeJump(
                         position=ig, value=rho[ig - 1], height=heights[ig - 1], steps_between=s_g
@@ -499,16 +452,6 @@ def analyze_jumps(rho: Permutation, tau) -> tuple[JumpAnalysis, ...]:
     return tuple(analyses)
 
 
-def _string_index_of_down(path: str, down_index: int) -> int:
-    seen = 0
-    for si, ch in enumerate(path):
-        if ch == paths.DOWN:
-            seen += 1
-            if seen == down_index:
-                return si
-    raise ValueError(f"path has fewer than {down_index} down-steps")
-
-
 def predicted_occurrences(rho: Permutation, tau) -> tuple[tuple[int, int, int], ...]:
     """Union of the occurrence triples predicted for all jumps of psi_tau(rho)."""
     out = set()
@@ -533,18 +476,14 @@ def is_single_occurrence_shape_312(path: str) -> bool:
     preceded by at least two up-steps (a second peak immediately before
     would force a second occurrence).  Verified exhaustively for n <= 7.
     """
-    spans = _jump_spans(path)
-    if len(spans) != 1 or not paths.is_psi_shaped(path):
+    try:
+        spans = paths.path_info(path).spans
+    except PathError:
         return False
-    start, end, _pos = spans[0]
-    if end - start != 1:
+    if len(spans) != 1:
         return False
-    m, l = _run_lengths_around(path, start, end)
-    if m != 1 or l != 1:
-        return False
-    ups = 0
-    k = start - 2  # step before the single pre-jump down-step
-    while k >= 0 and path[k] == paths.UP:
-        ups += 1
-        k -= 1
-    return ups >= 2
+    span = spans[0]
+    # d = m = l = 1, and the pre-jump down-step follows at least two up-steps
+    return (span.depth, span.m, span.l) == (1, 1, 1) and path.endswith(
+        paths.UP * 2, 0, span.start - 1
+    )

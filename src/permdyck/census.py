@@ -27,8 +27,6 @@ from typing import Iterator, Optional, Sequence
 
 from permdyck import bijections, kernels, paths, series
 from permdyck.perms import (
-    PATTERN_312,
-    PATTERN_321,
     Permutation,
     as_pattern,
     all_permutations,
@@ -39,6 +37,7 @@ from permdyck.perms import (
     left_to_right_maxima,
     tau_base,
 )
+from permdyck.series import _pattern_key
 
 __all__ = [
     "DEFAULT_LIMIT",
@@ -74,15 +73,6 @@ class ResourceGuardError(RuntimeError):
 class CacheError(RuntimeError):
     """Raised when a cache file does not parse, has the wrong shape or
     fails its checksum."""
-
-
-def _pattern_key(tau) -> str:
-    t = tuple(as_pattern(tau))
-    if t == tuple(PATTERN_312):
-        return "312"
-    if t == tuple(PATTERN_321):
-        return "321"
-    raise ValueError(f"distributions are tabulated for (3,1,2) and (3,2,1); got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -361,29 +351,29 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
             fail("injective", f"{prev} and {rho} share image {path}")
         images[path] = rho
 
-        check = paths.validate(path)
-        if not check.ok or path.count(paths.DOWN) != n:
+        try:
+            info = paths.path_info(path)
+        except paths.PathError:
             fail("valid-image", f"{rho} -> {path}")
-        if not paths.is_psi_shaped(path):
+            continue  # the remaining checks read the path
+        if len(info.heights) != n:
+            fail("valid-image", f"{rho} -> {path}")
+        if not info.psi_shaped:
             fail("jump-sandwich", f"{rho} -> {path}")
 
-        if tuple(paths.down_step_heights(path)) != tuple(heights_fn(rho)):
+        if info.heights != tuple(heights_fn(rho)):
             fail("down-step-heights", f"{rho} -> {path}")
 
-        steps = paths.down_steps(path)
-        peaks = {d.index for d in steps if d.peak == d.index}
-        if not set(left_to_right_maxima(rho)) <= peaks:
+        # ``peaks`` holds every peak's own index, plus 0, which is no position
+        if not set(left_to_right_maxima(rho)) <= set(info.peaks):
             fail("maxima-are-peaks", f"{rho} -> {path}")
 
         # at least h down-steps right of a height-h down-step; at least d
         # up-steps right of a depth-d jump
-        for d in steps:
-            if n - d.index < d.height:
-                fail("descents-available", f"{rho} -> {path}")
-                break
-        for jump, span in zip(paths.jumps(path), bijections._jump_spans(path)):
-            ups_right = path[span[1] :].count(paths.UP)
-            if ups_right < jump.depth:
+        if any(n - i < h for i, h in enumerate(info.heights, 1)):
+            fail("descents-available", f"{rho} -> {path}")
+        for span in info.spans:
+            if path.count(paths.UP, span.end) < span.depth:
                 fail("ups-after-jump", f"{rho} -> {path}")
 
         r = count_occurrences_fast(rho, tau)
@@ -414,10 +404,9 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
         if r == 1 and tau_base(rho, tau) != tau:
             fail("single-occurrence-base", f"{rho}")
 
-        jump_list = paths.jumps(path)
-        if jump_list:
+        if info.spans:
             predicted = bijections.predicted_occurrences(rho, tau)
-            if len(jump_list) == 1 or r in (1, 2):
+            if len(info.spans) == 1 or r in (1, 2):
                 truth = set(find_occurrences(rho, tau).positions)
                 if not set(predicted) <= truth:
                     fail("predicted-subset", f"{rho}: {sorted(set(predicted) - truth)}")

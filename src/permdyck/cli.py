@@ -193,46 +193,29 @@ def _cmd_bases(args) -> int:
     return EXIT_OK
 
 
+_GLYPHS = {paths.UP: "/", paths.DOWN: "\\", paths.JUMP: "|"}
+
+
 def render_ascii(path: str) -> str:
     """One text row per height level: / and \\ for steps, | for jumps."""
-    check = paths.validate(path)
-    if not check.ok:
-        raise PathError(f"invalid path: {check.reason} (prefix {check.prefix})")
+    paths.path_info(path)  # raises PathError on an invalid path
     if not path:
         return "(empty path)"
-    h = 0
-    cells: list[tuple[int, int, str]] = []  # (column, row, char)
-    for col, ch in enumerate(path):
-        if ch == paths.UP:
-            cells.append((col, h, "/"))
-            h += 1
-        elif ch == paths.DOWN:
-            h -= 1
-            cells.append((col, h, "\\"))
-        else:
-            h -= 1
-            cells.append((col, h, "|"))
-    height = max(row for _, row, _ in cells) + 1
+    # each step is drawn on the lower of the two levels it joins
+    rows = [h - (ch == paths.UP) for ch, h in zip(path, paths.running_heights(path))]
+    height = max(rows) + 1
     grid = [[" "] * len(path) for _ in range(height)]
-    for col, row, char in cells:
-        grid[height - 1 - row][col] = char
+    for col, (ch, row) in enumerate(zip(path, rows)):
+        grid[height - 1 - row][col] = _GLYPHS[ch]
     return "\n".join("".join(line).rstrip() for line in grid)
 
 
 def render_svg(path: str) -> str:
     scale = 12
-    x = 0.0
-    y = 0.0
-    points = [(0.0, 0.0)]
-    for ch in path:
-        if ch == paths.UP:
-            x += 1
-            y += 1
-        elif ch == paths.DOWN:
-            x += 1
-            y -= 1
-        else:
-            y -= 1
+    x = 0
+    points = [(0, 0)]
+    for ch, y in zip(path, paths.running_heights(path)):
+        x += ch in (paths.UP, paths.DOWN)  # a jump is vertical
         points.append((x, y))
     max_y = max(py for _, py in points)
     width = (x + 2) * scale

@@ -17,9 +17,8 @@ down-step from (x, h+1) to (x+1, h) has *height* h.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "UP",
@@ -28,6 +27,9 @@ __all__ = [
     "PathError",
     "Validation",
     "parse_path",
+    "JumpSpan",
+    "PathInfo",
+    "path_info",
     "validate",
     "is_valid",
     "is_dyck",
@@ -81,6 +83,108 @@ class Validation:
         return self.kind != "invalid"
 
 
+class JumpSpan(NamedTuple):
+    """One maximal run of down-jumps: the string slice ``[start, end)``, the
+    number of down-steps strictly to its left (``position``), and the
+    counts of consecutive down-steps immediately before (``m``) and after
+    (``l``) it."""
+
+    start: int
+    end: int
+    position: int
+    m: int
+    l: int
+
+    @property
+    def depth(self) -> int:
+        return self.end - self.start
+
+    @property
+    def psi_shaped(self) -> bool:
+        """Sandwiched: a down-step immediately before and after the run."""
+        return self.m > 0 and self.l > 0
+
+
+class PathInfo(NamedTuple):
+    """Everything the structure theory reads off a valid path, from one scan.
+
+    Per down-step, left to right: the height it lands on, the 1-based index
+    of the peak weakly to its left (0 when there is none) and its index in
+    the string.  ``spans`` holds the jump runs, left to right.
+    """
+
+    path: str
+    heights: tuple[int, ...]
+    peaks: tuple[int, ...]
+    offsets: tuple[int, ...]
+    spans: tuple[JumpSpan, ...]
+
+    @property
+    def psi_shaped(self) -> bool:
+        return all(span.psi_shaped for span in self.spans)
+
+
+def _scan(path: str) -> PathInfo | Validation:
+    """One left-to-right pass: the ``PathInfo`` of a valid path, else the
+    ``Validation`` naming the first violated constraint."""
+    heights: list[int] = []
+    peaks: list[int] = []
+    offsets: list[int] = []
+    spans: list[list[int]] = []
+    span: Optional[list[int]] = None  # the jump run whose post-run is still open
+    h = n = run = peak = 0
+    prev = ""
+    for i, ch in enumerate(path):
+        if ch == UP:
+            h += 1
+            run = 0
+            span = None
+        elif ch == DOWN:
+            h -= 1
+            n += 1
+            run += 1
+            if prev == UP:
+                peak = n
+            heights.append(h)
+            peaks.append(peak)
+            offsets.append(i)
+            if span is not None:
+                span[4] += 1
+        elif ch == JUMP:
+            h -= 1
+            if prev == JUMP:
+                span[1] += 1
+            else:
+                span = [i, i + 1, n, run, 0]
+                spans.append(span)
+            run = 0
+        else:
+            return Validation("invalid", f"invalid step character {ch!r}", i)
+        if h < 0:
+            return Validation("invalid", "path goes below the horizontal axis", i + 1)
+        prev = ch
+    if h != 0:
+        return Validation("invalid", f"path ends at height {h}, not 0", len(path))
+    return PathInfo(
+        path, tuple(heights), tuple(peaks), tuple(offsets), tuple(map(JumpSpan._make, spans))
+    )
+
+
+def path_info(path: str) -> PathInfo:
+    """Parse a path once; raises ``PathError`` on an invalid one.
+
+    >>> info = path_info("UUUUDDUDJDUD")
+    >>> info.heights, info.peaks
+    ((3, 2, 2, 0, 0), (1, 1, 3, 3, 5))
+    >>> info.spans
+    (JumpSpan(start=8, end=9, position=3, m=1, l=1),)
+    """
+    info = _scan(path)
+    if isinstance(info, Validation):
+        raise PathError(f"invalid path: {info.reason} (prefix {info.prefix})")
+    return info
+
+
 def validate(path: str) -> Validation:
     """Classify a step string; never raises.
 
@@ -89,23 +193,10 @@ def validate(path: str) -> Validation:
     >>> validate("UDDU").kind, validate("UDDU").prefix
     ('invalid', 3)
     """
-    h = 0
-    s = 0
-    for i, ch in enumerate(path):
-        if ch == UP:
-            h += 1
-        elif ch == DOWN:
-            h -= 1
-        elif ch == JUMP:
-            h -= 1
-            s += 1
-        else:
-            return Validation("invalid", f"invalid step character {ch!r}", i)
-        if h < 0:
-            return Validation("invalid", "path goes below the horizontal axis", i + 1)
-    if h != 0:
-        return Validation("invalid", f"path ends at height {h}, not 0", len(path))
-    return Validation("dyck" if s == 0 else "dyck-with-jumps")
+    info = _scan(path)
+    if isinstance(info, Validation):
+        return info
+    return Validation("dyck-with-jumps" if info.spans else "dyck")
 
 
 def is_valid(path: str) -> bool:
@@ -146,30 +237,15 @@ class DownStep:
 
 def down_steps(path: str) -> tuple[DownStep, ...]:
     """Per-down-step records, left to right.  Raises on invalid paths."""
-    check = validate(path)
-    if not check.ok:
-        raise PathError(f"invalid path: {check.reason} (prefix {check.prefix})")
-    out = []
-    h = 0
-    idx = 0
-    last_peak = None
-    prev = ""
-    for ch in path:
-        if ch == UP:
-            h += 1
-        else:
-            h -= 1
-            if ch == DOWN:
-                idx += 1
-                if prev == UP:
-                    last_peak = idx
-                out.append(DownStep(index=idx, height=h, peak=last_peak))
-        prev = ch
-    return tuple(out)
+    info = path_info(path)
+    return tuple(
+        DownStep(index=i, height=h, peak=p or None)
+        for i, (h, p) in enumerate(zip(info.heights, info.peaks), 1)
+    )
 
 
 def down_step_heights(path: str) -> tuple[int, ...]:
-    return tuple(d.height for d in down_steps(path))
+    return path_info(path).heights
 
 
 @dataclass(frozen=True)
@@ -188,39 +264,15 @@ def jumps(path: str) -> tuple[Jump, ...]:
     >>> jumps("UUUUDDUDJDUD")
     (Jump(position=3, depth=1),)
     """
-    check = validate(path)
-    if not check.ok:
-        raise PathError(f"invalid path: {check.reason} (prefix {check.prefix})")
-    out = []
-    downs = 0
-    i = 0
-    while i < len(path):
-        if path[i] == JUMP:
-            j = i
-            while j < len(path) and path[j] == JUMP:
-                j += 1
-            out.append(Jump(position=downs, depth=j - i))
-            i = j
-        else:
-            if path[i] == DOWN:
-                downs += 1
-            i += 1
-    return tuple(out)
+    return tuple(Jump(position=span.position, depth=span.depth) for span in path_info(path).spans)
 
 
 def is_psi_shaped(path: str) -> bool:
     """True iff the path is valid and every jump run is immediately preceded
     and followed by a down-step (the sandwich condition satisfied by every
     image of the permutation encoders)."""
-    if not validate(path).ok:
-        return False
-    for i, ch in enumerate(path):
-        if ch == JUMP:
-            if i == 0 or path[i - 1] not in (DOWN, JUMP):
-                return False
-            if i + 1 >= len(path) or path[i + 1] not in (DOWN, JUMP):
-                return False
-    return True
+    info = _scan(path)
+    return isinstance(info, PathInfo) and info.psi_shaped
 
 
 def path_from_down_heights(heights: Sequence[int]) -> str:
@@ -249,11 +301,8 @@ def path_from_down_heights(heights: Sequence[int]) -> str:
 def weight_exponent(path: str) -> int:
     """The t-exponent 2n + s of the path weight x^{(2n+s)/2} (t = sqrt(x)):
     each up-step and down-step weighs sqrt(x), each down-jump weighs 1."""
-    check = validate(path)
-    if not check.ok:
-        raise PathError(f"invalid path: {check.reason} (prefix {check.prefix})")
-    n, s = path_counts(path)
-    return 2 * n + s
+    info = path_info(path)
+    return 2 * len(info.heights) + sum(span.depth for span in info.spans)
 
 
 _count_memo: dict[tuple[int, int, int], int] = {}

@@ -343,7 +343,7 @@ def _pattern_key(tau) -> str:
         return "312"
     if t == (3, 2, 1):
         return "321"
-    raise ValueError(f"no closed forms for pattern {t!r}")
+    raise ValueError(f"only (3,1,2) and (3,2,1) are supported; got {t!r}")
 
 
 def gf(tau, r: int, order: int = DEFAULT_ORDER) -> Series:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from permdyck import census, kernels
+from permdyck import bijections, census, kernels
 from permdyck.census import CacheError, ResourceGuardError
 from permdyck.perms import (
     PATTERN_312,
@@ -244,6 +244,16 @@ class TestAudit:
         for n in (0, 1, 2):
             for tau in ("312", "321"):
                 assert census.audit_bijections(n, tau).passed
+
+    def test_invalid_image_is_reported(self, monkeypatch):
+        # an encoder that returns an invalid path fails the audit; it must not raise
+        original = bijections.psi312
+        monkeypatch.setattr(bijections, "psi312", lambda rho: original(rho) + "U")
+        report = census.audit_bijections(3, "312")
+        checks = {c.name: c for c in report.checks}
+        assert not report.passed
+        assert not checks["valid-image"].passed
+        assert checks["valid-image"].counterexample == "Permutation(1, 2, 3) -> UDUDUDU"
 
 
 class TestVerification:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import pytest
 
@@ -83,6 +84,60 @@ class TestJumps:
         assert paths.is_psi_shaped("UUDD")
         assert not paths.is_psi_shaped("UUJD")  # jump preceded by an up-step
         assert not paths.is_psi_shaped("UDDU")  # invalid
+
+
+def naive_info(word: str):
+    """Independent recomputation of ``PathInfo``: per down-step heights,
+    peaks and offsets from ``running_heights``, and each jump run's
+    (position, depth, m, l) from regexes for the D*J+D* runs."""
+    levels = paths.running_heights(word)
+    offsets = tuple(i for i, ch in enumerate(word) if ch == "D")
+    heights = tuple(levels[i] for i in offsets)
+    peaks = []
+    for i in offsets:
+        tops = [k for k, j in enumerate(offsets, 1) if j <= i and j > 0 and word[j - 1] == "U"]
+        peaks.append(tops[-1] if tops else 0)
+    runs = []
+    for run in re.finditer(r"J+", word):
+        m = len(re.search(r"D*$", word[: run.start()]).group())
+        l = len(re.match(r"D*", word[run.end() :]).group())
+        runs.append((word[: run.start()].count("D"), len(run.group()), m, l))
+    return heights, tuple(peaks), offsets, tuple(runs)
+
+
+class TestPathInfo:
+    def test_exhaustive_against_independent_scan(self):
+        for length in range(9):
+            for letters in itertools.product("UDJ", repeat=length):
+                w = "".join(letters)
+                check = paths.validate(w)
+                if not check.ok:
+                    message = f"invalid path: {check.reason} (prefix {check.prefix})"
+                    with pytest.raises(PathError, match=f"^{re.escape(message)}$"):
+                        paths.path_info(w)
+                    continue
+                info = paths.path_info(w)
+                heights, peaks, offsets, runs = naive_info(w)
+                assert info.path == w
+                assert (info.heights, info.peaks, info.offsets) == (heights, peaks, offsets)
+                got = tuple((sp.position, sp.depth, sp.m, sp.l) for sp in info.spans)
+                assert got == runs, w
+                assert all(w[sp.start : sp.end] == "J" * sp.depth for sp in info.spans)
+                sandwiched = all(m > 0 and l > 0 for _, _, m, l in runs)
+                assert info.psi_shaped == paths.is_psi_shaped(w) == sandwiched
+
+    def test_invalid_character_message(self):
+        message = "invalid path: invalid step character 'X' (prefix 2)"
+        with pytest.raises(PathError, match=f"^{re.escape(message)}$"):
+            paths.path_info("UUXDD")
+
+    def test_plain_values(self):
+        info = paths.path_info("UUUUDJJDUUUDDD")
+        assert info.heights == (3, 0, 2, 1, 0)
+        assert info.peaks == (1, 1, 3, 3, 3)
+        assert info.offsets == (4, 7, 11, 12, 13)
+        assert info.spans == ((5, 7, 1, 1, 1),)  # plain tuples compare equal
+        assert info.spans[0].depth == 2 and info.spans[0].psi_shaped
 
 
 class TestTranslation:
