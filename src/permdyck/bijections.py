@@ -350,7 +350,7 @@ def analyze_jumps(rho: Permutation, tau) -> tuple[JumpAnalysis, ...]:
     info = paths.path_info(psi312(rho) if key == (3, 1, 2) else psi321(rho))
     maxima = left_to_right_maxima(rho)
     mx_set = set(maxima)
-    heights = heights_312(rho) if key == (3, 1, 2) else heights_321(rho)
+    heights = info.heights
     analyses = []
     for jn, span in enumerate(info.spans):
         pos, d, m, l = span.position, span.depth, span.m, span.l

@@ -211,6 +211,8 @@ def render_ascii(path: str) -> str:
 
 
 def render_svg(path: str) -> str:
+    """The path as an SVG polyline: a jump is a vertical segment."""
+    paths.path_info(path)  # raises PathError on an invalid path
     scale = 12
     x = 0
     points = [(0, 0)]

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
 from permdyck.perms import as_pattern
@@ -62,8 +63,14 @@ DEFAULT_ORDER = 80  # in t, i.e. 40 x-coefficients
 Coef = Union[int, Fraction]
 
 
-def _norm(v: Coef) -> Coef:
-    """Collapse integral Fractions back to int to keep arithmetic fast."""
+def _norm(v) -> Coef:
+    """The stored form of a coefficient: a plain int is returned as is, an
+    integral Fraction collapses to int (to keep arithmetic fast), and any
+    other non-int becomes a Fraction."""
+    if type(v) is int:
+        return v
+    if not isinstance(v, (int, Fraction)):
+        v = Fraction(v)
     if isinstance(v, Fraction) and v.denominator == 1:
         return int(v)
     return v
@@ -79,7 +86,7 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Coef]):
-        cs = tuple(_norm(c if isinstance(c, (int, Fraction)) else Fraction(c)) for c in coeffs)
+        cs = tuple(map(_norm, coeffs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -141,7 +148,7 @@ class Series:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             cs = list(self.coeffs)
-            cs[0] = _norm(cs[0] + other)
+            cs[0] = cs[0] + other
             return Series(cs)
         a, b, _ = self._pair(other)
         return Series(x + y for x, y in zip(a, b))
@@ -152,8 +159,6 @@ class Series:
         return Series(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -161,7 +166,7 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Series(_norm(c * other) for c in self.coeffs)
+            return Series(c * other for c in self.coeffs)
         a, b, m = self._pair(other)
         out = [0] * (m + 1)
         for i, ai in enumerate(a):
@@ -190,7 +195,7 @@ class Series:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             inv = Fraction(1, 1) / other
-            return Series(_norm(c * inv) for c in self.coeffs)
+            return Series(c * inv for c in self.coeffs)
         v = other.valuation()
         if v is None:
             raise ZeroDivisionError("division by the zero series")
@@ -298,8 +303,6 @@ def catalan(order: int = DEFAULT_ORDER) -> Series:
 
 
 def catalan_number(n: int) -> int:
-    from math import comb
-
     return comb(2 * n, n) // (n + 1)
 
 
@@ -395,8 +398,6 @@ def count_closed_form(tau, r: int, n: int) -> int:
     >>> [count_closed_form("321", 1, n) for n in range(8)]
     [0, 0, 0, 1, 6, 27, 110, 429]
     """
-    from math import comb
-
     key = _pattern_key(tau)
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -409,7 +410,7 @@ def count_closed_form(tau, r: int, n: int) -> int:
     if n <= 1:
         return 1 if r == 0 else 0
     if r == 0:
-        return comb(2 * n, n) // (n + 1)
+        return catalan_number(n)
     if key == "312" and r == 1:
         return comb0(2 * n - 3, n - 3)
     if key == "312" and r == 2:
@@ -432,12 +433,18 @@ def count_closed_form(tau, r: int, n: int) -> int:
 # climbing segments and assembly identities
 
 
+@lru_cache(maxsize=1024)
+def _cpow(k: int, order: int) -> Series:
+    """c**k at the given order: the one place a power of c is built."""
+    return catalan(order) ** k
+
+
 def climb_segment(l: int, order: int = DEFAULT_ORDER) -> Series:
     """Generating function of nonnegative lattice paths climbing from height
     0 to height l: c**(l+1) * x**(l/2), i.e. c**(l+1) * t**l."""
     if l < 0:
         raise ValueError("l must be nonnegative")
-    return (catalan(order) ** (l + 1)).shift(l).truncate(order)
+    return _cpow(l + 1, order).shift(l).truncate(order)
 
 
 def between_heights(k: int, l: int, order: int = DEFAULT_ORDER) -> Series:
@@ -449,16 +456,12 @@ def between_heights(k: int, l: int, order: int = DEFAULT_ORDER) -> Series:
     """
     if k < 0 or l < k:
         raise ValueError("need 0 <= k <= l")
-    c = catalan(order)
     total = zero(order)
-    cp = c ** (l - k + 1)
-    c2 = c * c
     for h in range(k + 1):
         e = l - k + 2 * h
         if e > order:
             break
-        total = total + cp.shift(e).truncate(order)
-        cp = cp * c2
+        total = total + _cpow(e + 1, order).shift(e).truncate(order)
     return total
 
 
@@ -497,16 +500,9 @@ class _Workbench:
         self.inv_1_c2x = self.one / (self.one - self.c2x)
         self.inv_1_cx = self.one / (self.one - self.cx)
         self.inv_1_x = self.one / (self.one - self.x)
-        # c powers on demand
-        self._cpow = [self.one, self.c]
 
     def cpow(self, k: int) -> Series:
-        while len(self._cpow) <= k:
-            self._cpow.append(self._cpow[-1] * self.c)
-        return self._cpow[k]
-
-    def tpow(self, k: int) -> Series:
-        return monomial(k, self.N) if k <= self.N else zero(self.N)
+        return _cpow(k, self.N)
 
 
 def _occ1_312_sum(w: _Workbench) -> Series:
@@ -514,7 +510,7 @@ def _occ1_312_sum(w: _Workbench) -> Series:
     total = zero(w.N + 1)
     l = 1
     while 2 * l + 4 <= w.N + 1:
-        term = (w.cpow(l + 1) ** 2).shift(2 * l + 5)
+        term = w.cpow(2 * l + 2).shift(2 * l + 5)
         total = total + term.truncate(w.N + 1)
         l += 1
     return total.shift(-1)
@@ -594,113 +590,107 @@ def _inner_sum_check(w: _Workbench, offset: int, cexp: int, tail: int, l: int) -
     )
 
 
-def closed_form_312_1(order: int = DEFAULT_ORDER) -> Series:
+def closed_form_312_1(w: _Workbench) -> Series:
     """c^4 x^3 / (1 - c^2 x)."""
-    w = _Workbench(order)
-    return (w.cpow(4) * w.inv_1_c2x).shift(6).truncate(order)
+    return (w.cpow(4) * w.inv_1_c2x).shift(6).truncate(w.N)
 
 
-def closed_form_321_1(order: int = DEFAULT_ORDER) -> Series:
+def closed_form_321_1(w: _Workbench) -> Series:
     """c^3 x^3 (c^2 x - c x + 1) / ((1-x)(1-cx)^2)."""
-    w = _Workbench(order)
     num = w.cpow(3) * (w.c2x - w.cx + w.one)
     den = (w.one - w.x) * (w.one - w.cx) ** 2
-    return (num / den).shift(6).truncate(order)
+    return (num / den).shift(6).truncate(w.N)
 
 
-def closed_form_S312_2_2(order: int = DEFAULT_ORDER) -> Series:
+def closed_form_S312_2_2(w: _Workbench) -> Series:
     """c^5 x^5 / (1 - c^2 x)."""
-    w = _Workbench(order)
-    return (w.cpow(5) * w.inv_1_c2x).shift(10).truncate(order)
+    return (w.cpow(5) * w.inv_1_c2x).shift(10).truncate(w.N)
 
 
-def closed_form_S312_2_11(order: int = DEFAULT_ORDER) -> Series:
+def closed_form_S312_2_11(w: _Workbench) -> Series:
     """c^5 x^6 (1 + c^2 x - c^4 x^2) / (1 - c^2 x)^3."""
-    w = _Workbench(order)
     num = w.cpow(5) * (w.one + w.c2x - w.c2x * w.c2x)
-    return (num * w.inv_1_c2x**3).shift(12).truncate(order)
+    return (num * w.inv_1_c2x**3).shift(12).truncate(w.N)
 
 
-def closed_form_S321_2_2(order: int = DEFAULT_ORDER) -> Series:
+def closed_form_S321_2_2(w: _Workbench) -> Series:
     """c^4 x^5 (1 - cx + c^2 x + c^3 x - c^3 x^2) / ((1-x)(1-cx)^2)."""
-    w = _Workbench(order)
     c3x = w.cpow(3) * w.x
     num = w.cpow(4) * (w.one - w.cx + w.c2x + c3x - c3x * w.x)
     den = (w.one - w.x) * (w.one - w.cx) ** 2
-    return (num / den).shift(10).truncate(order)
+    return (num / den).shift(10).truncate(w.N)
 
 
-def closed_form_S321_2_11(order: int = DEFAULT_ORDER) -> Series:
+def closed_form_S321_2_11(w: _Workbench) -> Series:
     """c^3 x^6 (1 - cx + c^2 x) (2 - x - 2cx + c^2 x + c x^2 + c^3 x^2
     + c^4 x^2 - c^3 x^3 - 2 c^4 x^3 + c^4 x^4) / ((1-x)^3 (1-cx)^4)."""
-    w = _Workbench(order)
-    c, x = w.c, w.x
+    c, cp, x = w.c, w.cpow, w.x
     big = (
         2 * w.one
         - x
         - 2 * c * x
-        + c**2 * x
+        + cp(2) * x
         + c * x**2
-        + c**3 * x**2
-        + c**4 * x**2
-        - c**3 * x**3
-        - 2 * c**4 * x**3
-        + c**4 * x**4
+        + cp(3) * x**2
+        + cp(4) * x**2
+        - cp(3) * x**3
+        - 2 * cp(4) * x**3
+        + cp(4) * x**4
     )
     num = w.cpow(3) * (w.one - w.cx + w.c2x) * big
     den = (w.one - x) ** 3 * (w.one - w.cx) ** 4
-    return (num / den).shift(12).truncate(order)
+    return (num / den).shift(12).truncate(w.N)
 
 
 def _together_312_cform(w: _Workbench) -> Series:
     """c^4 x^4 / (1-c^2x)^3 * (2 + 2c + cx - 4c^2x - 4c^3x + c^3x^2
     + 2c^4x^2 + 2c^5x^2 - c^5x^3)."""
-    c, x = w.c, w.x
+    c, cp, x = w.c, w.cpow, w.x
     poly = (
         2 * w.one
         + 2 * c
         + c * x
-        - 4 * c**2 * x
-        - 4 * c**3 * x
-        + c**3 * x**2
-        + 2 * c**4 * x**2
-        + 2 * c**5 * x**2
-        - c**5 * x**3
+        - 4 * cp(2) * x
+        - 4 * cp(3) * x
+        + cp(3) * x**2
+        + 2 * cp(4) * x**2
+        + 2 * cp(5) * x**2
+        - cp(5) * x**3
     )
     return (w.cpow(4) * poly * w.inv_1_c2x**3).shift(8).truncate(w.N)
 
 
 def _together_321_cform(w: _Workbench) -> Series:
     """c^3 x^4 / ((1-x)^3 (1-cx)^4) times the 26-term polynomial in c, x."""
-    c, x = w.c, w.x
+    c, cp, x = w.c, w.cpow, w.x
     poly = (
         w.one
         + 2 * c
         - 7 * c * x
-        - 5 * c**2 * x
-        + 2 * c**3 * x
-        + 2 * c**4 * x
+        - 5 * cp(2) * x
+        + 2 * cp(3) * x
+        + 2 * cp(4) * x
         + 4 * c * x**2
-        + 16 * c**2 * x**2
-        - 10 * c**4 * x**2
-        - 4 * c**5 * x**2
+        + 16 * cp(2) * x**2
+        - 10 * cp(4) * x**2
+        - 4 * cp(5) * x**2
         - c * x**3
-        - 10 * c**2 * x**3
-        - 9 * c**3 * x**3
-        + 15 * c**4 * x**3
-        + 14 * c**5 * x**3
-        + 2 * c**6 * x**3
-        + 2 * c**2 * x**4
-        + 6 * c**3 * x**4
-        - 7 * c**4 * x**4
-        - 16 * c**5 * x**4
-        - 5 * c**6 * x**4
-        - c**3 * x**5
-        + c**4 * x**5
-        + 7 * c**5 * x**5
-        + 4 * c**6 * x**5
-        - c**5 * x**6
-        - c**6 * x**6
+        - 10 * cp(2) * x**3
+        - 9 * cp(3) * x**3
+        + 15 * cp(4) * x**3
+        + 14 * cp(5) * x**3
+        + 2 * cp(6) * x**3
+        + 2 * cp(2) * x**4
+        + 6 * cp(3) * x**4
+        - 7 * cp(4) * x**4
+        - 16 * cp(5) * x**4
+        - 5 * cp(6) * x**4
+        - cp(3) * x**5
+        + cp(4) * x**5
+        + 7 * cp(5) * x**5
+        + 4 * cp(6) * x**5
+        - cp(5) * x**6
+        - cp(6) * x**6
     )
     den = (w.one - x) ** 3 * (w.one - w.cx) ** 4
     return (w.cpow(3) * poly / den).shift(8).truncate(w.N)
@@ -738,10 +728,10 @@ def check_assemblies(order: int = 40) -> AssemblyReport:
         record(f"between-heights({k},{l}).closed-form", summed, closed)
 
     # r = 1 assemblies
-    f1_312 = closed_form_312_1(pad)
+    f1_312 = closed_form_312_1(w)
     record("312.r1.sum-equals-closed-form", _occ1_312_sum(w), f1_312)
     record("312.r1.closed-form-equals-gf", f1_312, gf("312", 1, order))
-    f1_321 = closed_form_321_1(pad)
+    f1_321 = closed_form_321_1(w)
     record("321.r1.sum-equals-closed-form", _occ1_321_sum(w), f1_321)
     record("321.r1.closed-form-equals-gf", f1_321, gf("321", 1, order))
     for l in range(0, 5):
@@ -750,20 +740,19 @@ def check_assemblies(order: int = 40) -> AssemblyReport:
         checks.append(_inner_sum_check(w, offset=4, cexp=3, tail=2, l=l))
 
     # r = 2 pieces
-    s312_22 = closed_form_S312_2_2(pad)
+    s312_22 = closed_form_S312_2_2(w)
     record("312.r2.depth2.sum-equals-closed-form", _S312_2_2_sum(w), s312_22)
-    s312_211 = closed_form_S312_2_11(pad)
+    s312_211 = closed_form_S312_2_11(w)
     record("312.r2.two-jumps.sum-equals-closed-form", _S312_2_11_sum(w), s312_211)
-    s321_22 = closed_form_S321_2_2(pad)
+    s321_22 = closed_form_S321_2_2(w)
     record("321.r2.depth2.sum-equals-closed-form", _S321_2_2_sum(w), s321_22)
-    s321_211 = closed_form_S321_2_11(pad)
+    s321_211 = closed_form_S321_2_11(w)
 
     # "all together": weighted sums of the pieces give gf(tau, 2)
-    x2 = w.tpow(2)
-    lhs312 = (x2 * f1_312) * 2 + (s312_22 * 2).shift(-2) + s312_211.shift(-2)
+    lhs312 = (w.x * f1_312) * 2 + (s312_22 * 2).shift(-2) + s312_211.shift(-2)
     record("312.r2.together-equals-gf", lhs312, gf("312", 2, order))
     record("312.r2.together-c-form", lhs312, _together_312_cform(w))
-    lhs321 = s321_211.shift(-2) + (s321_22 * 2).shift(-2) + x2 * f1_321
+    lhs321 = s321_211.shift(-2) + (s321_22 * 2).shift(-2) + w.x * f1_321
     record("321.r2.together-equals-gf", lhs321, gf("321", 2, order))
     record("321.r2.together-c-form", lhs321, _together_321_cform(w))
 

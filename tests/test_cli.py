@@ -5,7 +5,8 @@ import json
 import pytest
 
 from permdyck import census
-from permdyck.cli import EXIT_CACHE, build_parser, main
+from permdyck.cli import EXIT_CACHE, build_parser, main, render_svg
+from permdyck.paths import PathError
 
 
 def run(capsys, *argv):
@@ -214,6 +215,11 @@ class TestRenderAndCoeffs:
         code, _, _ = run(capsys, "render", "UUUUDJJDUUUDDD", "--svg", str(svg))
         assert code == 0
         assert svg.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("path", ["UDDU", "D", "UUDDJ", "UUD"])
+    def test_render_svg_rejects_invalid_path(self, path):
+        with pytest.raises(PathError, match="invalid path"):
+            render_svg(path)
 
     def test_coeffs_json(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--tau", "312", "--r", "1", "--n-max", "7")

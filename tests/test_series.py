@@ -83,6 +83,57 @@ class TestArithmetic:
         assert (h.sqrt() * h.sqrt()).first_mismatch(h) is None
 
 
+def types(f: Series) -> list[type]:
+    return [type(c) for c in f.coeffs]
+
+
+class TestCoefficientTypes:
+    """Ints stay int, integral Fractions become int, proper fractions stay
+    Fraction, whichever operation made the series."""
+
+    def test_constructor(self):
+        f = Series([3, Fraction(4, 2), Fraction(1, 3), Fraction(0, 5)])
+        assert f.coeffs == (3, 2, Fraction(1, 3), 0)
+        assert types(f) == [int, int, Fraction, int]
+
+    def test_scalar_add(self):
+        f = Series([Fraction(1, 2), 1])
+        assert types(f + Fraction(1, 2)) == [int, int]
+        assert types(f + 1) == [Fraction, int]
+        assert types(Fraction(1, 2) - f) == [int, int]
+        assert types(Series([1, 1]) + 2) == [int, int]
+
+    def test_scalar_mul(self):
+        f = Series([1, Fraction(1, 2), Fraction(1, 3)])
+        assert (f * 2).coeffs == (2, 1, Fraction(2, 3))
+        assert types(f * 2) == [int, int, Fraction]
+        assert types(6 * f) == [int, int, int]
+
+    def test_scalar_div(self):
+        f = Series([2, 3, Fraction(1, 2)])
+        assert (f / 2).coeffs == (1, Fraction(3, 2), Fraction(1, 4))
+        assert types(f / 2) == [int, Fraction, Fraction]
+        assert types(f / Fraction(1, 2)) == [int, int, int]
+
+    def test_series_division(self):
+        q = Series([2, 1, 0, 0]) / Series([2, 0, 0, 0])
+        assert q.coeffs == (1, Fraction(1, 2), 0, 0)
+        assert types(q) == [int, Fraction, int, int]
+        assert types(one(8) / Series([1, -1] + [0] * 7)) == [int] * 9
+
+    def test_sqrt(self):
+        assert types(from_x_poly({0: 1, 1: -4}, 12).sqrt()) == [int] * 13
+        h = Series([1, 1, 0, 0]).sqrt()
+        assert h.coeffs == (1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))
+        assert types(h) == [int, Fraction, Fraction, Fraction]
+
+    def test_shift_and_truncate(self):
+        f = Series([1, Fraction(1, 2), 3])
+        assert types(f.shift(2)) == [int, int, int, Fraction, int]
+        assert types(f.shift(2).shift(-2)) == [int, Fraction, int]
+        assert types(f.truncate(1)) == [int, Fraction]
+
+
 class TestCatalan:
     def test_sequence(self):
         c = series.catalan(24)
@@ -214,6 +265,21 @@ class TestClimbSegments:
         for m in range(7):
             assert cs.coeff(2 * m + l - k) == between_oracle(k, l, m)
 
+    @pytest.mark.parametrize("order", [10, 41, 82])
+    def test_power_table(self, order):
+        c = series.catalan(order)
+        power = one(order)
+        for k in range(13):
+            table = series._cpow(k, order)
+            assert table.coeffs == power.coeffs
+            assert types(table) == [int] * (order + 1)
+            power = power * c
+
+    def test_climb_far_past_the_order(self):
+        # c**1501 shifted by t**1500 vanishes to order 10; the power table
+        # must reach k = 1501 without recursing through smaller powers
+        assert series.climb_segment(1500, 10).is_zero()
+
 
 class TestAssemblies:
     def test_order_40_all_pass(self):
@@ -224,6 +290,18 @@ class TestAssemblies:
         assert "312.r1.sum-equals-closed-form" in names
         assert "321.r2.together-equals-gf" in names
         assert "312.r2.two-jumps.sum-equals-closed-form" in names
+
+    def test_one_workbench_per_check(self, monkeypatch):
+        built = []
+
+        class Counting(series._Workbench):
+            def __init__(self, order):
+                built.append(order)
+                super().__init__(order)
+
+        monkeypatch.setattr(series, "_Workbench", Counting)
+        assert series.check_assemblies(12).passed
+        assert built == [14]
 
 
 class TestGeneralForm:
