@@ -231,7 +231,8 @@ def decode_psi312(path: str) -> Permutation:
         if h > n - i:
             raise NotInImageError(f"height {h} at entry {i} exceeds n - i = {n - i}")
         out.append(free.pop(h))
-    return Permutation(out)
+    # each of 1..n popped exactly once
+    return Permutation._of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +343,24 @@ def analyze_jumps(rho: Permutation, tau) -> tuple[JumpAnalysis, ...]:
     one or two occurrences in total the union over jumps is exhaustive
     (verified against brute force in the test suite).
     """
+    return _analyze(rho, *_encoded(rho, tau))
+
+
+def _encoded(rho: Permutation, tau) -> tuple[tuple[int, ...], paths.PathInfo]:
+    """The pattern key and the parsed image ``psi_tau(rho)``."""
     tau = as_pattern(tau)
     key = tuple(tau)
     if key not in ((3, 1, 2), (3, 2, 1)):
         raise PatternError(f"jump analysis is defined for (3,1,2) and (3,2,1), got {tau!r}")
+    return key, paths.path_info(psi312(rho) if key == (3, 1, 2) else psi321(rho))
+
+
+def _analyze(
+    rho: Permutation, key: tuple[int, ...], info: paths.PathInfo
+) -> tuple[JumpAnalysis, ...]:
+    """``analyze_jumps`` on the parsed image ``info`` of ``rho`` under the
+    encoder for the pattern ``key``, (3, 1, 2) or (3, 2, 1)."""
     n = len(rho)
-    info = paths.path_info(psi312(rho) if key == (3, 1, 2) else psi321(rho))
     maxima = left_to_right_maxima(rho)
     mx_set = set(maxima)
     heights = info.heights
@@ -454,8 +467,15 @@ def analyze_jumps(rho: Permutation, tau) -> tuple[JumpAnalysis, ...]:
 
 def predicted_occurrences(rho: Permutation, tau) -> tuple[tuple[int, int, int], ...]:
     """Union of the occurrence triples predicted for all jumps of psi_tau(rho)."""
+    return _predict(rho, *_encoded(rho, tau))
+
+
+def _predict(
+    rho: Permutation, key: tuple[int, ...], info: paths.PathInfo
+) -> tuple[tuple[int, int, int], ...]:
+    """``predicted_occurrences`` on the parsed image ``info``, as in ``_analyze``."""
     out = set()
-    for analysis in analyze_jumps(rho, tau):
+    for analysis in _analyze(rho, key, info):
         out.update(analysis.prediction.triples)
     return tuple(sorted(out))
 

@@ -25,7 +25,7 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from permdyck import bijections, kernels, paths, series
+from permdyck import bijections, kernels, paths, perms, series
 from permdyck.perms import (
     Permutation,
     as_pattern,
@@ -332,6 +332,7 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
     key = _pattern_key(tau)
     _guard(n, limit)
     tau = as_pattern(tau)
+    pattern = tuple(tau)
     encode = bijections.psi312 if key == "312" else bijections.psi321
     heights_fn = heights_312 if key == "312" else heights_321
 
@@ -401,13 +402,17 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
             if single != (r == 1):
                 fail("single-occurrence-shape", f"{rho} -> {path}, r={r}")
 
-        if r == 1 and tau_base(rho, tau) != tau:
+        # the brute-force oracle runs at most once per permutation
+        compare = bool(info.spans) and (len(info.spans) == 1 or r in (1, 2))
+        occ = find_occurrences(rho, tau) if compare or r == 1 else None
+
+        if r == 1 and perms._base_of(rho, occ) != tau:
             fail("single-occurrence-base", f"{rho}")
 
         if info.spans:
-            predicted = bijections.predicted_occurrences(rho, tau)
-            if len(info.spans) == 1 or r in (1, 2):
-                truth = set(find_occurrences(rho, tau).positions)
+            predicted = bijections._predict(rho, pattern, info)
+            if compare:
+                truth = set(occ.positions)
                 if not set(predicted) <= truth:
                     fail("predicted-subset", f"{rho}: {sorted(set(predicted) - truth)}")
                 if r in (1, 2) and len(predicted) != r:

@@ -10,11 +10,15 @@ Conventions used throughout the package:
   has the same relative order as ``tau``.
 - The *graph* of ``rho`` is the point set {(i, rho_i)}; the symmetry
   operations below act on this graph.
+- ``Permutation(values)`` checks its input; the private ``Permutation._of``
+  does not, and is called only on values that are a permutation of 1..n by
+  construction (ranks, ``itertools.permutations``, a decoder's pops).
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -44,6 +48,17 @@ class PatternError(ValueError):
     """Raised for inputs that are not valid permutations/patterns."""
 
 
+def _integers(values: Iterable, error: type, what: str) -> tuple[int, ...]:
+    """``int`` of every value; ``error`` for a number that is not integral."""
+    raw = tuple(values)
+    ints = tuple(int(v) for v in raw)
+    if ints != raw:
+        for v, i in zip(raw, ints):
+            if isinstance(v, numbers.Number) and v != i:
+                raise error(f"non-integral {what} {v!r} in {raw!r}")
+    return ints
+
+
 class Permutation(tuple):
     """A permutation of {1, ..., n} in one-line notation.
 
@@ -58,9 +73,14 @@ class Permutation(tuple):
     __slots__ = ()
 
     def __new__(cls, values: Iterable[int] = ()) -> "Permutation":
-        vals = tuple(int(v) for v in values)
+        vals = _integers(values, PatternError, "value")
         if sorted(vals) != list(range(1, len(vals) + 1)):
             raise PatternError(f"not a permutation of 1..{len(vals)}: {vals!r}")
+        return tuple.__new__(cls, vals)
+
+    @classmethod
+    def _of(cls, vals: Iterable[int]) -> "Permutation":
+        """Wrap ints that are a permutation of 1..n by construction, unchecked."""
         return tuple.__new__(cls, vals)
 
     @property
@@ -114,7 +134,7 @@ class HeightVector(tuple):
     __slots__ = ()
 
     def __new__(cls, heights: Iterable[int]) -> "HeightVector":
-        hs = tuple(int(h) for h in heights)
+        hs = _integers(heights, ValueError, "height")
         if any(h < 0 for h in hs):
             raise ValueError(f"negative height in {hs!r}")
         if hs and hs[-1] != 0:
@@ -135,7 +155,7 @@ def standardize(word: Sequence[int]) -> Permutation:
     if len(set(vals)) != len(vals):
         raise PatternError(f"entries must be pairwise distinct: {vals!r}")
     rank = {v: r for r, v in enumerate(sorted(vals), 1)}
-    return Permutation(rank[v] for v in vals)
+    return Permutation._of([rank[v] for v in vals])
 
 
 @dataclass(frozen=True)
@@ -241,10 +261,16 @@ def heights_312(rho: Sequence[int]) -> HeightVector:
     >>> tuple(heights_312((4, 3, 5, 1, 2)))
     (3, 2, 2, 0, 0)
     """
-    n = len(rho)
-    return HeightVector(
-        sum(1 for k in range(i + 1, n) if rho[k] < rho[i]) for i in range(n)
-    )
+    vals = tuple(rho)
+    out = []
+    for i, v in enumerate(vals, 1):
+        h = 0
+        for w in vals[i:]:
+            if w < v:
+                h += 1
+        out.append(h)
+    # counts are >= 0 and the last tail is empty: a HeightVector as built
+    return tuple.__new__(HeightVector, out)
 
 
 def heights_321(rho: Sequence[int]) -> HeightVector:
@@ -257,18 +283,23 @@ def heights_321(rho: Sequence[int]) -> HeightVector:
     >>> tuple(heights_321((4, 3, 5, 1, 2)))
     (3, 0, 2, 1, 0)
     """
-    n = len(rho)
-    maxima = set(left_to_right_maxima(rho))
+    vals = tuple(rho)
     out = []
     running_max = 0
-    for i in range(1, n + 1):
-        v = rho[i - 1]
-        if i in maxima:
+    for i, v in enumerate(vals, 1):
+        h = 0
+        if v > running_max:
             running_max = v
-            out.append(sum(1 for k in range(i, n) if rho[k] < v))
+            for w in vals[i:]:
+                if w < v:
+                    h += 1
         else:
-            out.append(sum(1 for k in range(i, n) if v < rho[k] < running_max))
-    return HeightVector(out)
+            for w in vals[i:]:
+                if v < w < running_max:
+                    h += 1
+        out.append(h)
+    # counts are >= 0 and the last tail is empty: a HeightVector as built
+    return tuple.__new__(HeightVector, out)
 
 
 def tau_base(rho: Permutation, tau) -> Permutation:
@@ -281,7 +312,11 @@ def tau_base(rho: Permutation, tau) -> Permutation:
     tau = as_pattern(tau)
     if tau.n != 3:
         raise PatternError("tau-bases are defined here for length-3 patterns")
-    occ = find_occurrences(rho, tau)
+    return _base_of(rho, find_occurrences(rho, tau))
+
+
+def _base_of(rho: Sequence[int], occ: OccurrenceSet) -> Permutation:
+    """The reduced subword of the entries of ``rho`` that ``occ`` involves."""
     involved = sorted({i for pos in occ.positions for i in pos})
     return standardize([rho[i - 1] for i in involved])
 
@@ -320,4 +355,4 @@ def reflect_anti_diag(rho: Permutation) -> Permutation:
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic order."""
     for p in itertools.permutations(range(1, n + 1)):
-        yield Permutation(p)
+        yield Permutation._of(p)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from permdyck import bijections, census, kernels
+from permdyck import bijections, census, kernels, perms, series
 from permdyck.census import CacheError, ResourceGuardError
 from permdyck.perms import (
     PATTERN_312,
@@ -254,6 +254,40 @@ class TestAudit:
         assert not report.passed
         assert not checks["valid-image"].passed
         assert checks["valid-image"].counterexample == "Permutation(1, 2, 3) -> UDUDUDU"
+
+
+class TestAuditRoute:
+    """The audit reads the encoder's image once and calls private helpers;
+    these tests tie its verdicts to those helpers."""
+
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    def test_encoder_runs_once_per_permutation_and_dyck_path(self, monkeypatch, tau):
+        name = f"psi{tau}"
+        original = getattr(bijections, name)
+        calls = []
+
+        def counted(rho):
+            calls.append(rho)
+            return original(rho)
+
+        monkeypatch.setattr(bijections, name, counted)
+        assert census.audit_bijections(6, tau).passed
+        assert len(calls) == math.factorial(6) + series.catalan_number(6)
+
+    def test_dropped_prediction_fails_total(self, monkeypatch):
+        original = bijections._predict
+        monkeypatch.setattr(bijections, "_predict", lambda rho, key, info: original(rho, key, info)[1:])
+        checks = {c.name: c for c in census.audit_bijections(5, "312").checks}
+        assert not checks["predicted-total"].passed
+        assert checks["predicted-subset"].passed
+
+    def test_wrong_base_fails_single_occurrence_base(self, monkeypatch):
+        # ``tau_base`` derives its result through ``_base_of``; so does the audit
+        monkeypatch.setattr(perms, "_base_of", lambda rho, occ: Permutation((1, 2, 3)))
+        assert perms.tau_base(Permutation((3, 1, 2)), "312") == (1, 2, 3)
+        checks = {c.name: c for c in census.audit_bijections(4, "321").checks}
+        assert not checks["single-occurrence-base"].passed
+        assert checks["single-occurrence-base"].counterexample == "Permutation(1, 4, 3, 2)"
 
 
 class TestVerification:

@@ -1,11 +1,13 @@
 """Permutations, occurrence counting, heights, bases, and symmetries."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permdyck.bijections import decode_psi312, psi312
 from permdyck.perms import (
     PATTERN_312,
     PATTERN_321,
@@ -43,6 +45,16 @@ class TestPermutation:
     def test_invalid(self, bad):
         with pytest.raises(PatternError):
             Permutation(bad)
+
+    @pytest.mark.parametrize("bad", [(1.5, 2), (2, 1.5), (Fraction(3, 2), 1), (1, 2.000001)])
+    def test_non_integral_rejected(self, bad):
+        with pytest.raises(PatternError, match="non-integral"):
+            Permutation(bad)
+
+    def test_integral_values_accepted(self):
+        assert Permutation([2, 1]) == (2, 1)
+        assert Permutation([2.0, Fraction(1, 1)]) == (2, 1)
+        assert type(Permutation([2.0, 1])[0]) is int
 
     def test_text_roundtrip(self):
         rho = Permutation.from_text("4,3,5,1,2")
@@ -150,12 +162,71 @@ class TestHeights:
                 assert h not in seen
                 seen.add(h)
 
+    @pytest.mark.parametrize("bad", [(0.5, 0), (Fraction(1, 2), 0)])
+    def test_height_vector_non_integral_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-integral"):
+            HeightVector(bad)
+
     def test_height_vector_invariants(self):
         with pytest.raises(ValueError):
             HeightVector((1, -1, 0))
         with pytest.raises(ValueError):
             HeightVector((0, 1))
         assert HeightVector(()) == ()
+
+
+def _old_heights_312(rho):
+    n = len(rho)
+    return HeightVector(sum(1 for k in range(i + 1, n) if rho[k] < rho[i]) for i in range(n))
+
+
+def _old_heights_321(rho):
+    n = len(rho)
+    maxima = set(left_to_right_maxima(rho))
+    out = []
+    running_max = 0
+    for i in range(1, n + 1):
+        v = rho[i - 1]
+        if i in maxima:
+            running_max = v
+            out.append(sum(1 for k in range(i, n) if rho[k] < v))
+        else:
+            out.append(sum(1 for k in range(i, n) if v < rho[k] < running_max))
+    return HeightVector(out)
+
+
+class TestTrustedPaths:
+    """Values built as permutations or height vectors skip the constructors'
+    checks; these must equal what the checked constructors return."""
+
+    def test_heights_match_generator_definitions(self):
+        for n in range(9):
+            for rho in all_permutations(n):
+                for fast, slow in ((heights_312, _old_heights_312), (heights_321, _old_heights_321)):
+                    got = fast(rho)
+                    assert type(got) is HeightVector
+                    assert got == slow(rho)
+
+    def test_standardize_returns_checked_permutation(self):
+        for word in [(), (7,), (5, 2, 4), (9, 6, 4), (-1, 10, 3, 0)]:
+            got = standardize(word)
+            assert type(got) is Permutation
+            assert got == Permutation(got)
+        with pytest.raises(PatternError):
+            standardize((2, 2, 1))
+
+    def test_all_permutations_are_checked_permutations(self):
+        for n in range(8):
+            perms = list(all_permutations(n))
+            assert all(type(p) is Permutation for p in perms)
+            assert perms == [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+
+    def test_decode_psi312_returns_checked_permutation(self):
+        for n in range(7):
+            for rho in all_permutations(n):
+                got = decode_psi312(psi312(rho))
+                assert type(got) is Permutation
+                assert got == Permutation(tuple(rho))
 
 
 class TestTauBase:
