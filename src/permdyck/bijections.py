@@ -480,14 +480,18 @@ def _predict(
     return tuple(sorted(out))
 
 
+def _jumps_within_occurrences(s: int, r: int) -> bool:
+    """s jumps for r occurrences: at most one jump per occurrence, and no
+    jump exactly for avoiders."""
+    return s <= r and (s == 0) == (r == 0)
+
+
 def check_jumpsum(rho: Permutation, tau) -> bool:
     """True iff the number of down-jump steps of psi_tau(rho) is at most the
     occurrence count of tau in rho, with zero jumps exactly for avoiders."""
     tau = as_pattern(tau)
-    path = psi_tau(rho, tau)
-    _, s = paths.path_counts(path)
-    r = count_occurrences_fast(rho, tau)
-    return s <= r and (s == 0) == (r == 0)
+    s = psi_tau(rho, tau).count(paths.JUMP)
+    return _jumps_within_occurrences(s, count_occurrences_fast(rho, tau))
 
 
 def is_single_occurrence_shape_312(path: str) -> bool:

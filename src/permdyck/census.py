@@ -379,7 +379,7 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
 
         r = count_occurrences_fast(rho, tau)
         s = path.count(paths.JUMP)
-        if not (s <= r and (s == 0) == (r == 0)):
+        if not bijections._jumps_within_occurrences(s, r):
             fail("jump-count-bound", f"{rho}: {s} jumps, {r} occurrences")
 
         if r == 0:
@@ -409,14 +409,13 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
         if r == 1 and perms._base_of(rho, occ) != tau:
             fail("single-occurrence-base", f"{rho}")
 
-        if info.spans:
+        if compare:
             predicted = bijections._predict(rho, pattern, info)
-            if compare:
-                truth = set(occ.positions)
-                if not set(predicted) <= truth:
-                    fail("predicted-subset", f"{rho}: {sorted(set(predicted) - truth)}")
-                if r in (1, 2) and len(predicted) != r:
-                    fail("predicted-total", f"{rho}: predicted {len(predicted)}, r={r}")
+            truth = set(occ.positions)
+            if not set(predicted) <= truth:
+                fail("predicted-subset", f"{rho}: {sorted(set(predicted) - truth)}")
+            if r in (1, 2) and len(predicted) != r:
+                fail("predicted-total", f"{rho}: predicted {len(predicted)}, r={r}")
 
     cn = series.catalan_number(n)
     if n_avoiders != cn or len(avoider_images) != cn:

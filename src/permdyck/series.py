@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, count
 from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
@@ -439,30 +440,42 @@ def _cpow(k: int, order: int) -> Series:
     return catalan(order) ** k
 
 
+def _tsum(order: int, terms: Iterable[tuple[int, Series]]) -> Series:
+    """The sum of f * t**e over the (e, f) pairs of ``terms``, exact to
+    t**order.  The exponents must not decrease: the sum stops at the first
+    e past the order, so ``terms`` may be endless.  Each f must be exact to
+    t**(order - e)."""
+    out: list[Coef] = [0] * (order + 1)
+    for e, f in terms:
+        if e > order:
+            break
+        if f.order < order - e:
+            raise ValueError(f"term t^{e} * (order-{f.order} series) is not exact to t^{order}")
+        for i, v in enumerate(f.coeffs[: order + 1 - e], e):
+            out[i] += v
+    return Series(out)
+
+
 def climb_segment(l: int, order: int = DEFAULT_ORDER) -> Series:
     """Generating function of nonnegative lattice paths climbing from height
     0 to height l: c**(l+1) * x**(l/2), i.e. c**(l+1) * t**l."""
     if l < 0:
         raise ValueError("l must be nonnegative")
-    return _cpow(l + 1, order).shift(l).truncate(order)
+    return _tsum(order, [(l, _cpow(l + 1, order))])
 
 
 def between_heights(k: int, l: int, order: int = DEFAULT_ORDER) -> Series:
     """Generating function c_{k,l} of nonnegative paths from height k to
-    height l >= k: sum_{h=0}^{k} x**((l-k+2h)/2) c**(l-k+2h+1).
+    height l >= k: sum_{h=0}^{k} x**((l-k+2h)/2) c**(l-k+2h+1), i.e. the
+    powers c**(e+1) * t**e for e = l-k, l-k+2, ..., l+k, summed up to the
+    first e past the order.
 
     The closed form ((c^2 x)^{k+1} - 1) c^{l-k+1} x^{(l-k)/2} / (c^2 x - 1)
     is checked against this sum in ``check_assemblies``.
     """
     if k < 0 or l < k:
         raise ValueError("need 0 <= k <= l")
-    total = zero(order)
-    for h in range(k + 1):
-        e = l - k + 2 * h
-        if e > order:
-            break
-        total = total + _cpow(e + 1, order).shift(e).truncate(order)
-    return total
+    return _tsum(order, ((e, _cpow(e + 1, order)) for e in range(l - k, l + k + 1, 2)))
 
 
 @dataclass(frozen=True)
@@ -506,83 +519,56 @@ class _Workbench:
 
 
 def _occ1_312_sum(w: _Workbench) -> Series:
-    # (1/sqrt x) * sum_{l>=1} (c^{l+1} t^l)^2 t^5
-    total = zero(w.N + 1)
-    l = 1
-    while 2 * l + 4 <= w.N + 1:
-        term = w.cpow(2 * l + 2).shift(2 * l + 5)
-        total = total + term.truncate(w.N + 1)
-        l += 1
-    return total.shift(-1)
+    # (1/sqrt x) * sum_{l>=1} (c^{l+1} t^l)^2 t^5 = sum_{l>=1} c^{2l+2} t^{2l+4}
+    return _tsum(w.N, ((2 * l + 4, w.cpow(2 * l + 2)) for l in count(1)))
 
 
 def _occ1_321_sum(w: _Workbench) -> Series:
     # (1/sqrt x) * ( c * c^2 t^7 / ((1-cx)(1-x))
     #              + sum_{l>=1} c^{l+2} t^{l+1} * c^2 t^{l+6} / ((1-cx)(1-x)) )
-    # (the l = 0 piece carries t^7, outside the t^{l+6} pattern of l >= 1)
+    # (the l = 0 piece carries t^7, outside the t^{l+6} pattern of l >= 1;
+    # the 1/sqrt x lowers every exponent by one)
     base = w.inv_1_cx * w.inv_1_x * w.cpow(2)
-    total = (w.c * base).shift(7).truncate(w.N + 1)
-    l = 1
-    while 2 * l + 7 <= w.N + 1:
-        term = (w.cpow(l + 2) * base).shift(2 * l + 7)
-        total = total + term.truncate(w.N + 1)
-        l += 1
-    return total.shift(-1)
+    terms = ((2 * l + 6, w.cpow(l + 2) * base) for l in count(1))
+    return _tsum(w.N, chain([(6, w.c * base)], terms))
 
 
 def _S312_2_2_sum(w: _Workbench) -> Series:
-    # sum_{l>=1} (c^{l+1} t^l) t^7 (c^{l+2} t^{l+1})
-    total = zero(w.N)
-    l = 1
-    while 2 * l + 8 <= w.N:
-        term = (w.cpow(l + 1) * w.cpow(l + 2)).shift(2 * l + 8)
-        total = total + term.truncate(w.N)
-        l += 1
-    return total
+    # sum_{l>=1} (c^{l+1} t^l) t^7 (c^{l+2} t^{l+1}) = sum_{l>=1} c^{2l+3} t^{2l+8}
+    return _tsum(w.N, ((2 * l + 8, w.cpow(2 * l + 3)) for l in count(1)))
 
 
 def _S312_2_11_sum(w: _Workbench) -> Series:
     # sum_{l>=1} c^{l+1} t^{l} t^5 ( sum_{k=1}^{l} c_{k,l} t^5 c^{k+1} t^k
     #                              + sum_{k>l} c_{l,k} t^5 c^{k+1} t^k )
-    total = zero(w.N)
-    l = 1
-    while 2 * l + 10 <= w.N:
-        inner = zero(w.N)
-        for k in range(1, l + 1):
-            piece = between_heights(k, l, w.N) * w.cpow(k + 1)
-            inner = inner + piece.shift(k + 5).truncate(w.N)
-        k = l + 1
-        while k + (k - l) + 5 + l + 5 <= w.N:
-            piece = between_heights(l, k, w.N) * w.cpow(k + 1)
-            inner = inner + piece.shift(k + 5).truncate(w.N)
-            k += 1
-        total = total + (w.cpow(l + 1) * inner).shift(l + 5).truncate(w.N)
-        l += 1
-    return total
+    # With a = min(k, l) and b = max(k, l), the (l, k) piece is
+    # c^{a+b+2} c_{a,b} t^{a+b+10}, the same for (k, l); c_{a,b} has
+    # valuation b - a, so the piece starts at t^{2b+10}.  The pieces are
+    # summed in the order of b, each with its valuation moved into e.
+    def pieces():
+        for b in count(1):
+            for a in range(1, b + 1):
+                piece = w.cpow(a + b + 2) * between_heights(a, b, w.N).shift(a - b)
+                yield 2 * b + 10, piece
+                if a < b:
+                    yield 2 * b + 10, piece
+
+    return _tsum(w.N, pieces())
 
 
 def _S321_2_2_sum(w: _Workbench) -> Series:
     # c * c^3 t^10 / ((1-cx)(1-x)) + c^3 t^3 * c^3 t^9 / ((1-cx)(1-x))
     #   + sum_{l>=2} c^{l+2} t^{l+1} t * c^3 t^{l+6} / ((1-cx)(1-x))
     base = w.inv_1_cx * w.inv_1_x * w.cpow(3)
-    total = (w.c * base.shift(10) + w.cpow(3) * base.shift(9).shift(3)).truncate(w.N)
-    l = 2
-    while 2 * l + 8 <= w.N:
-        term = (w.cpow(l + 2) * base).shift(2 * l + 8)
-        total = total + term.truncate(w.N)
-        l += 1
-    return total
+    terms = ((2 * l + 8, w.cpow(l + 2) * base) for l in count(2))
+    return _tsum(w.N, chain([(10, w.c * base), (12, w.cpow(3) * base)], terms))
 
 
 def _inner_sum_check(w: _Workbench, offset: int, cexp: int, tail: int, l: int) -> AssemblyCheck:
     """sum_k t^{k+offset+l}/(1-x) * c^{k+cexp} * t^{k+tail}
     == c^cexp t^{l+offset+tail} / ((1-cx)(1-x))."""
-    total = zero(w.N)
-    k = 0
-    while 2 * k + offset + l + tail <= w.N:
-        term = (w.inv_1_x * w.cpow(k + cexp)).shift(2 * k + offset + l + tail)
-        total = total + term.truncate(w.N)
-        k += 1
+    terms = ((2 * k + offset + l + tail, w.inv_1_x * w.cpow(k + cexp)) for k in count())
+    total = _tsum(w.N, terms)
     rhs = (w.cpow(cexp) * w.inv_1_cx * w.inv_1_x).shift(l + offset + tail).truncate(w.N)
     mism = total.first_mismatch(rhs)
     return AssemblyCheck(
@@ -763,7 +749,7 @@ def check_assemblies(order: int = 40) -> AssemblyReport:
 # general form of the generating functions
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
+def _solve_exact(rows: list[list[Coef]], rhs: Sequence[Coef]) -> Optional[list[Fraction]]:
     """Solve an overdetermined exact linear system; None unless it is
     consistent with full column rank."""
     m = len(rows)
@@ -771,7 +757,6 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[li
         return None
     ncols = len(rows[0])
     aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivot_rows: list[int] = []
     r = 0
     for col in range(ncols):
         pr = next((i for i in range(r, m) if aug[i][col] != 0), None)
@@ -784,7 +769,6 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[li
             if i != r and aug[i][col] != 0:
                 factor = aug[i][col]
                 aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivot_rows.append(r)
         r += 1
     for i in range(r, m):
         if aug[i][ncols] != 0:
@@ -817,32 +801,22 @@ class GeneralFormReport:
 
 def _decompose_p_plus_sq(g: Series, degree_bound: int) -> Optional[tuple[list[Fraction], list[Fraction]]]:
     """Find polynomials P, Q (degree <= degree_bound) with G = P + sqrt(1-4x) Q,
-    verified against every available coefficient of G."""
-    order = g.order
+    verified against every available coefficient of G.
+
+    P has no x-coefficient past degree_bound, so those coefficients of G fix
+    Q through sqrt(1-4x) Q alone: Q solves that exact overdetermined system
+    (None unless it is consistent with a unique solution), and P is the low
+    part of G - sqrt(1-4x) Q."""
     if not g.lives_in_x():
         return None
-    s = sqrt_one_minus_4x(order)
     gx = g.x_coefficients()
-    sx = s.x_coefficients()
-    nx = len(gx)
+    sx = sqrt_one_minus_4x(g.order).x_coefficients()
     d = degree_bound
-    if 2 * d + 2 > nx:
+    rows = [[sx[n - i] for i in range(d + 1)] for n in range(d + 1, len(gx))]
+    q = _solve_exact(rows, gx[d + 1 :])
+    if q is None:
         return None
-    rows = []
-    rhs = []
-    for n in range(nx):
-        row = [Fraction(0)] * (2 * d + 2)
-        if n <= d:
-            row[n] = Fraction(1)
-        for i in range(min(d, n) + 1):
-            row[d + 1 + i] = Fraction(sx[n - i])
-        rows.append(row)
-        rhs.append(Fraction(gx[n]))
-    sol = _solve_exact(rows, rhs)
-    if sol is None:
-        return None
-    p = sol[: d + 1]
-    q = sol[d + 1 :]
+    p = [Fraction(gx[n]) - sum(sx[n - i] * q[i] for i in range(n + 1)) for n in range(d + 1)]
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     while len(q) > 1 and q[-1] == 0:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from permdyck import bijections, census, kernels, perms, series
+from permdyck import bijections, census, kernels, paths, perms, series
 from permdyck.census import CacheError, ResourceGuardError
 from permdyck.perms import (
     PATTERN_312,
@@ -273,6 +273,28 @@ class TestAuditRoute:
         monkeypatch.setattr(bijections, name, counted)
         assert census.audit_bijections(6, tau).passed
         assert len(calls) == math.factorial(6) + series.catalan_number(6)
+
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    def test_prediction_runs_once_per_compared_permutation(self, monkeypatch, tau):
+        # the audit compares a prediction with the oracle when the image has
+        # one jump, or when the permutation has one or two occurrences
+        encode = bijections.psi312 if tau == "312" else bijections.psi321
+        compared = []
+        for rho in perms.all_permutations(6):
+            spans = paths.path_info(encode(rho)).spans
+            r = perms.count_occurrences_fast(rho, tau)
+            if spans and (len(spans) == 1 or r in (1, 2)):
+                compared.append(rho)
+        original = bijections._predict
+        calls = []
+
+        def counted(rho, key, info):
+            calls.append(rho)
+            return original(rho, key, info)
+
+        monkeypatch.setattr(bijections, "_predict", counted)
+        assert census.audit_bijections(6, tau).passed
+        assert calls == compared
 
     def test_dropped_prediction_fails_total(self, monkeypatch):
         original = bijections._predict

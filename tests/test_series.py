@@ -19,6 +19,10 @@ small_polys = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_s
     lambda cs: Series(cs + [0] * (24 - len(cs)) if len(cs) < 24 else cs[:24])
 )
 
+small_fraction_polys = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=7), min_size=1, max_size=6
+)
+
 
 class TestArithmetic:
     def test_sqrt_one_minus_4x(self):
@@ -280,6 +284,21 @@ class TestClimbSegments:
         # must reach k = 1501 without recursing through smaller powers
         assert series.climb_segment(1500, 10).is_zero()
 
+    def test_truncated_sum(self):
+        built = []
+
+        def terms():
+            for e in range(1, 100):
+                built.append(e)
+                yield e, Series([e, 1, 0, 0, 0, 0])
+
+        got = series._tsum(4, terms())
+        assert got.coeffs == (0, 1, 3, 4, 5)
+        assert types(got) == [int] * 5
+        assert built == [1, 2, 3, 4, 5]  # stops at the first exponent past t^4
+        with pytest.raises(ValueError, match="not exact"):
+            series._tsum(6, [(2, Series([1, 1]))])
+
 
 class TestAssemblies:
     def test_order_40_all_pass(self):
@@ -302,6 +321,24 @@ class TestAssemblies:
         monkeypatch.setattr(series, "_Workbench", Counting)
         assert series.check_assemblies(12).passed
         assert built == [14]
+
+    @pytest.mark.parametrize("order", [12, 41, 62])
+    def test_two_jump_sum_builds_each_between_heights_once(self, monkeypatch, order):
+        original = series.between_heights
+        calls = []
+
+        def counted(k, l, order):
+            calls.append((k, l))
+            return original(k, l, order)
+
+        monkeypatch.setattr(series, "between_heights", counted)
+        total = series._S312_2_11_sum(series._Workbench(order))
+        assert len(calls) == len(set(calls))
+        # every c_{a,b} whose piece starts at t^{2b+10} <= t^order is used
+        assert {(a, b) for a, b in calls if 2 * b + 10 <= order} == {
+            (a, b) for b in range(1, order) for a in range(1, b + 1) if 2 * b + 10 <= order
+        }
+        assert total.first_mismatch(series.closed_form_S312_2_11(series._Workbench(order))) is None
 
 
 class TestGeneralForm:
@@ -336,6 +373,37 @@ class TestGeneralForm:
         assert rep.conjectural == (r >= 3)
         assert tuple(int(c) for c in rep.p_coeffs) == p
         assert tuple(int(c) for c in rep.q_coeffs) == q
+
+
+class TestDecomposition:
+    @settings(max_examples=25, deadline=None)
+    @given(small_fraction_polys, small_fraction_polys)
+    def test_recovers_exact_pairs(self, p, q):
+        order = 60
+        g = from_x_poly(p, order) + from_x_poly(q, order) * series.sqrt_one_minus_4x(order)
+
+        def trimmed(cs):
+            cs = list(cs)
+            while len(cs) > 1 and cs[-1] == 0:
+                cs.pop()
+            return cs
+
+        got = series._decompose_p_plus_sq(g, 5)
+        assert got is not None
+        assert got == (trimmed(p), trimmed(q))
+        assert all(type(c) is Fraction for c in got[0] + got[1])
+
+    def test_no_decomposition(self):
+        # 1/(1-x) is not P + sqrt(1-4x) Q for polynomials P, Q
+        order = 80
+        g = one(order) / (one(order) - from_x_poly({1: 1}, order))
+        assert series._decompose_p_plus_sq(g, 5) is None
+        # t * c has odd t-coefficients: it is not a series in x at all
+        assert series._decompose_p_plus_sq(series.catalan(order).shift(1), 5) is None
+
+    def test_order_too_small(self):
+        with pytest.raises(ValueError, match="too small"):
+            series.check_general_form("321", 2, 40)
 
 
 class TestDump:
