@@ -63,6 +63,7 @@ from permdyck.census import (
     DistributionTable,
     ResourceGuardError,
     audit_bijections,
+    bounded_distributions,
     brute_distribution,
     enumerate_class,
     enumerate_tau_bases,

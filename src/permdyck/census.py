@@ -1,17 +1,54 @@
-"""Exhaustive ground truth over S_n: occurrence-count distributions,
-pattern-base catalogs, and full bijection audits.
+"""Ground truth over S_n: occurrence-count distributions, pattern-base
+catalogs, and full bijection audits.
 
-Distributions are computed by sweeping all n! permutations with the
-quadratic counting kernel (compiled when available).  The sweep is
+Two independent methods count the permutations of S_n by their number of
+occurrences of tau.
+
+The brute sweep (``brute_distribution``) visits all n! permutations with
+the quadratic counting kernel (compiled when available).  The sweep is
 embarrassingly parallel: S_n is partitioned by the choices of the first
 few positions, each shard yields an independent histogram, and the merge
 is component-wise addition, so results are identical for any worker count.
-
 Computed tables can be cached as human-readable JSON files under
 ``<cache>/<tau>/<n>.json`` with a content checksum.  Files are written to
 a temporary name and renamed into place, so a reader never sees a partial
 file; a file that does not parse, has the wrong shape or whose checksum
 does not match its payload is refused with ``CacheError``.
+
+The bounded census (``bounded_distributions``) counts only r <= r_max, in
+time polynomial in n for fixed r_max.  It is the functional-equation
+method of Noonan and Zeilberger (Adv. Appl. Math. 17, 1996), which
+Nakamura and Zeilberger (Adv. Appl. Math. 50, 2013) show runs in
+polynomial time.  A permutation is built left to right; before each
+placement the state holds, for every unplaced value u in increasing order,
+
+- ``above(u)``: the number of placed values greater than u, and
+- ``two(u)``: the number of pairs of placed entries that u, placed later,
+  completes to an occurrence.
+
+Why this state is enough.  An occurrence is counted when its last entry
+is placed, so placing v adds ``two(v)`` to the count.  A pair of placed
+entries (a, v) is formed when its second entry v is placed, and the pairs
+formed then depend only on ``above``: for (3,2,1), a > v > u, which adds
+``above(v)`` to ``two(u)`` for every u < v; for (3,1,2), a > u > v, which
+adds ``above(u)`` to ``two(u)`` for every u > v.  Placing v also adds 1 to
+``above(u)`` for every u < v.  So the next state and the count depend on
+the state alone, not on the order of the placed entries.  ``two`` never
+decreases and every unplaced value is placed eventually, so
+count + sum(two) is a lower bound on the final count, and a state with
+count + sum(two) > r_max is dropped.  In a surviving state every
+``two(u)`` is at most r_max, and ``above`` only ever enters a sum that
+lands in ``two``; so capping both numbers at r_max + 1 changes neither
+which states survive nor what they count.  The capped states are bounded
+sequences (``above`` decreases weakly in u), so a layer holds polynomially
+many of them.
+
+The DP is layered: layer k maps each state after k placements to its
+count vector (index c: occurrences completed so far), and is emptied while
+layer k + 1 is built.  In layer k the all-zero state means the placed
+values are exactly 1..k, so its vector is the distribution over S_k: one
+pass at n_max serves every smaller n.  A layer of more than ``MAX_STATES``
+states raises ``ResourceGuardError`` unless the bound is lifted.
 """
 
 from __future__ import annotations
@@ -21,7 +58,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -44,7 +80,9 @@ __all__ = [
     "ResourceGuardError",
     "CacheError",
     "DistributionTable",
+    "MAX_STATES",
     "brute_distribution",
+    "bounded_distributions",
     "oracle_distribution",
     "enumerate_class",
     "TauBaseCatalog",
@@ -60,6 +98,9 @@ __all__ = [
 
 DEFAULT_LIMIT = 10
 
+# states one layer of the bounded census may hold; about 350 bytes each
+MAX_STATES = 200_000
+
 # bump when the kernel/sharding semantics change; stale cache entries are recomputed
 CODE_VERSION = "1"
 
@@ -67,7 +108,8 @@ ENV_CACHE_DIR = "PERMDYCK_CACHE"
 
 
 class ResourceGuardError(RuntimeError):
-    """Raised when an exhaustive sweep would exceed the configured size limit."""
+    """Raised when an exhaustive sweep would exceed the configured size limit,
+    or a layer of the bounded census would exceed ``MAX_STATES`` states."""
 
 
 class CacheError(RuntimeError):
@@ -124,6 +166,15 @@ def _shard_prefixes(n: int, workers: int) -> list[tuple[int, ...]]:
 def _shard_histograms(args: tuple[int, tuple[int, ...]]) -> tuple[list[int], list[int]]:
     n, prefix = args
     return kernels.histogram_pair(n, prefix)
+
+
+def get_context():
+    """The default multiprocessing context.  ``multiprocessing`` is imported
+    here, on the first pooled sweep, not by every process that imports this
+    module."""
+    from multiprocessing import get_context as default_context
+
+    return default_context()
 
 
 def _sweep(n: int, workers: int) -> tuple[list[int], list[int]]:
@@ -247,6 +298,107 @@ def oracle_distribution(n: int, tau) -> dict[int, int]:
         r = find_occurrences(rho, tau).count
         out[r] = out.get(r, 0) + 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# bounded census
+
+# a state entry (above, two), each part capped at r_max + 1, is packed into
+# one byte as above * (r_max + 2) + two, so (r_max + 2) ** 2 <= 256
+_MAX_R = 14
+
+
+def _census_layers(n_max: int, key: str, r_max: int, force: bool) -> Iterator[dict[bytes, list[int]]]:
+    """Layers 0..n_max of the bounded census (see the module docstring).
+
+    A state is packed as ``bytes``: one byte ``above * base + two`` per
+    unplaced value, in increasing order of value; placing an entry rewrites
+    the entries below and above it with a translation table.  Each layer is
+    emptied while the next is built, so read a layer before asking for the
+    next.
+    """
+    cap = r_max + 1
+    base = cap + 1
+    limit = None if force else MAX_STATES
+
+    def table(update) -> bytes:
+        out = bytearray(256)
+        for b in range(base * base):
+            a, t = update(*divmod(b, base))
+            out[b] = min(a, cap) * base + min(t, cap)
+        return bytes(out)
+
+    above = bytes(b // base for b in range(256))
+    two = bytes(b % base for b in range(256))
+    if key == "321":
+        # a pair (a, v) with a > v > u: every u < v gains above(v)
+        lows = [table(lambda a, t, av=av: (a + 1, t + av)) for av in range(cap + 1)]
+    else:
+        low = table(lambda a, t: (a + 1, t))
+        # a pair (a, v) with a > u > v: every u > v gains above(u)
+        up = table(lambda a, t: (a, t + a))
+
+    layer = {bytes(n_max): [1] + [0] * r_max}
+    yield layer
+    for k in range(1, n_max + 1):
+        nxt: dict[bytes, list[int]] = {}
+        while layer:
+            state, vec = layer.popitem()
+            lo = next(c for c, v in enumerate(vec) if v)
+            pending = sum(state.translate(two))
+            for i, b in enumerate(state):
+                tv = two[b]
+                # placing v completes tv occurrences; the other values' two()
+                # then sum to pending - tv + gained, so an old count c survives
+                # iff c + pending + gained <= r_max
+                if key == "321":
+                    av = above[b]
+                    budget = r_max - pending - i * av
+                    if budget < lo:
+                        continue
+                    new = state[:i].translate(lows[av]) + state[i + 1 :]
+                else:
+                    upper = state[i + 1 :]
+                    budget = r_max - pending - sum(upper.translate(above))
+                    if budget < lo:
+                        continue
+                    new = state[:i].translate(low) + upper.translate(up)
+                out = nxt.get(new)
+                if out is None:
+                    if limit is not None and len(nxt) >= limit:
+                        raise ResourceGuardError(
+                            f"layer {k} of the bounded census (n <= {n_max}, r <= {r_max}) "
+                            f"holds more than {limit:,} states; lift the state bound to proceed"
+                        )
+                    out = nxt[new] = [0] * (r_max + 1)
+                for c in range(lo, budget + 1):
+                    out[c + tv] += vec[c]
+        layer = nxt
+        yield layer
+
+
+def bounded_distributions(
+    n_max: int, tau, r_max: int, *, force: bool = False
+) -> tuple[tuple[int, ...], ...]:
+    """Exact (#S_n(tau, 0), ..., #S_n(tau, r_max)) for every n <= n_max, from
+    one pass of the bounded census; entry n of the result is the tuple for n.
+
+    Independent of the brute sweep and polynomial in n for fixed r_max.
+    Raises ``ResourceGuardError`` when a layer would hold more than
+    ``MAX_STATES`` states, unless ``force`` is set.
+
+    >>> bounded_distributions(4, "321", 2)
+    ((1, 0, 0), (1, 0, 0), (2, 0, 0), (5, 1, 0), (14, 6, 3))
+    """
+    key = _pattern_key(tau)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if not 0 <= r_max <= _MAX_R:
+        raise ValueError(f"r_max must be in 0..{_MAX_R}, got {r_max}")
+    return tuple(
+        tuple(layer[bytes(n_max - k)])
+        for k, layer in enumerate(_census_layers(n_max, key, r_max, force))
+    )
 
 
 def enumerate_class(
@@ -464,6 +616,10 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
 
 @dataclass(frozen=True)
 class VerificationRow:
+    """One checked count.  ``brute`` holds the counted value, which the
+    bounded census supplies; the field keeps its name so that reports and
+    their failure text stay as they were."""
+
     pattern: str
     r: int
     n: int
@@ -491,52 +647,40 @@ class VerificationReport:
         return None
 
 
-def verify_formulas(
-    n_max: int,
-    *,
-    workers: int = 1,
-    cache_dir: Optional[str | Path] = None,
-    limit: int = DEFAULT_LIMIT,
-) -> VerificationReport:
-    """Brute-force counts against the proven closed-form counts, r = 0, 1, 2,
-    both patterns, for every n <= n_max."""
+def verify_formulas(n_max: int, *, force: bool = False) -> VerificationReport:
+    """Bounded-census counts against the proven closed-form counts, r = 0, 1,
+    2, both patterns, for every n <= n_max."""
+    counts = {key: bounded_distributions(n_max, key, 2, force=force) for key in ("312", "321")}
     rows = []
     for n in range(n_max + 1):
         for key in ("312", "321"):
-            table = brute_distribution(n, key, workers=workers, cache_dir=cache_dir, limit=limit)
             for r in (0, 1, 2):
                 rows.append(
                     VerificationRow(
                         pattern=key,
                         r=r,
                         n=n,
-                        brute=table.count(r),
+                        brute=counts[key][n][r],
                         predicted=series.count_closed_form(key, r, n),
                     )
                 )
     return VerificationReport(kind="formulas", rows=tuple(rows))
 
 
-def verify_conjectures(
-    n_max: int,
-    *,
-    workers: int = 1,
-    cache_dir: Optional[str | Path] = None,
-    limit: int = DEFAULT_LIMIT,
-) -> VerificationReport:
-    """Brute-force counts against the conjectured generating functions for
+def verify_conjectures(n_max: int, *, force: bool = False) -> VerificationReport:
+    """Bounded-census counts against the conjectured generating functions for
     three and four occurrences of (3,2,1), for every n <= n_max."""
+    counts = bounded_distributions(n_max, "321", 4, force=force)
     rows = []
     for r in (3, 4):
         g = series.gf("321", r, 2 * n_max)
         for n in range(n_max + 1):
-            table = brute_distribution(n, "321", workers=workers, cache_dir=cache_dir, limit=limit)
             rows.append(
                 VerificationRow(
                     pattern="321",
                     r=r,
                     n=n,
-                    brute=table.count(r),
+                    brute=counts[n][r],
                     predicted=int(g.x_coeff(n)),
                 )
             )

@@ -6,9 +6,16 @@ Subcommands: ``table`` (occurrence-count distributions), ``verify``
 ``coeffs`` (generating-function coefficient dumps), ``render`` (ASCII/SVG
 path pictures).
 
+``table`` sweeps S_n exhaustively (sharded over ``--workers`` processes,
+read from and written to ``--cache-dir``); ``verify --formulas`` and
+``verify --conjectures`` count with the bounded census instead, and accept
+``--workers``, ``--cache-dir`` and ``--limit`` without using them.
+
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 resource
-guard tripped, 4 corrupt distribution cache file (one that does not parse,
-has the wrong shape or fails its checksum; delete it to recompute).
+guard tripped (``table``: n above ``--limit``; ``verify``: a census layer
+above ``census.MAX_STATES`` states; ``--force`` lifts both), 4 corrupt
+distribution cache file (one that does not parse, has the wrong shape or
+fails its checksum; delete it to recompute).
 """
 
 from __future__ import annotations
@@ -40,14 +47,21 @@ def _parse_n_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _emit(args, payload: str) -> None:
@@ -117,9 +131,8 @@ def _cmd_verify(args) -> int:
     checks: list[str] = []
     passed = True
     if args.formulas or args.conjectures:
-        limit = max(args.n_max, census.DEFAULT_LIMIT) if args.force else args.limit
         fn = census.verify_formulas if args.formulas else census.verify_conjectures
-        report = fn(args.n_max, workers=args.workers, cache_dir=args.cache_dir, limit=limit)
+        report = fn(args.n_max, force=args.force)
         checks.extend(_report_lines(report))
         passed = report.passed
     elif args.assemblies:
@@ -266,18 +279,24 @@ def _add_common(p: argparse.ArgumentParser, *, cache: bool = False) -> None:
             "--workers",
             type=_positive_int,
             default=1,
-            help="processes for the sweep (at least 1; capped at the CPU count)",
+            help="processes for table's sweep (at least 1; capped at the CPU count)",
         )
         p.add_argument(
             "--cache-dir",
             default=os.environ.get(census.ENV_CACHE_DIR),
-            help=f"distribution cache directory (default: ${census.ENV_CACHE_DIR})",
+            help=f"table's distribution cache directory (default: ${census.ENV_CACHE_DIR})",
         )
-        p.add_argument("--limit", type=int, default=census.DEFAULT_LIMIT)
+        p.add_argument(
+            "--limit",
+            type=int,
+            default=census.DEFAULT_LIMIT,
+            help="largest n that table sweeps without --force",
+        )
         p.add_argument(
             "--force",
             action="store_true",
-            help="lift the sweep size guard (n = 11, 12 take a long time)",
+            help="lift table's sweep limit (n = 11, 12 take a long time) and "
+            "verify's census state bound",
         )
 
 
@@ -300,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--conjectures", action="store_true")
     group.add_argument("--assemblies", action="store_true")
     group.add_argument("--general-form", action="store_true")
-    p.add_argument("--n-max", type=int, default=9)
+    p.add_argument("--n-max", type=_nonnegative_int, default=9)
     p.add_argument("--order", type=int, default=None, help="series truncation order in t")
     _add_common(p, cache=True)
     p.set_defaults(fn=_cmd_verify)
@@ -326,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="dump generating-function coefficients")
     p.add_argument("--tau", choices=("312", "321"), required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=20)
+    p.add_argument("--n-max", type=_nonnegative_int, default=20)
     _add_common(p)
     p.set_defaults(fn=_cmd_coeffs)
 

@@ -322,3 +322,92 @@ class TestVerification:
         report = census.verify_conjectures(7)
         assert report.passed
         assert {row.r for row in report.rows} == {3, 4}
+
+
+class TestBoundedCensus:
+    """The bounded census against the brute sweep, the occurrence oracle and
+    the closed forms and generating functions; never against itself alone."""
+
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    def test_matches_brute_sweep_n9(self, tau):
+        tables = [census.brute_distribution(n, tau) for n in range(10)]
+        for r_max in range(5):
+            got = census.bounded_distributions(9, tau, r_max)
+            assert len(got) == 10
+            for n, table in enumerate(tables):
+                assert got[n] == tuple(table.count(r) for r in range(r_max + 1)), (n, r_max)
+
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    def test_matches_oracle_n6(self, tau):
+        got = census.bounded_distributions(6, tau, 4)
+        for n in range(7):
+            oracle = census.oracle_distribution(n, tau)
+            assert got[n] == tuple(oracle.get(r, 0) for r in range(5)), n
+
+    def test_matches_closed_forms_and_gfs_n14(self):
+        for tau in ("312", "321"):
+            got = census.bounded_distributions(14, tau, 2)
+            for n in range(15):
+                assert got[n] == tuple(series.count_closed_form(tau, r, n) for r in range(3)), (tau, n)
+        got = census.bounded_distributions(14, "321", 4)
+        for r in (3, 4):
+            g = series.gf("321", r, 28)
+            assert [got[n][r] for n in range(15)] == [int(g.x_coeff(n)) for n in range(15)], r
+
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    def test_one_pass_equals_separate_runs(self, tau):
+        one_pass = census.bounded_distributions(11, tau, 3)
+        for n in range(12):
+            assert census.bounded_distributions(n, tau, 3) == one_pass[: n + 1], n
+
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    def test_state_entries_are_capped(self, tau):
+        r_max = 2
+        base = r_max + 2
+        for k, layer in enumerate(census._census_layers(12, tau, r_max, False)):
+            for state in layer:
+                assert len(state) == 12 - k
+                assert all(b // base <= r_max + 1 and b % base <= r_max for b in state), (k, state)
+                assert sum(b % base for b in state) <= r_max
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            census.bounded_distributions(-1, "321", 2)
+        with pytest.raises(ValueError):
+            census.bounded_distributions(5, "321", -1)
+        with pytest.raises(ValueError):
+            census.bounded_distributions(5, "321", 15)
+        with pytest.raises(ValueError):
+            census.bounded_distributions(5, "123", 2)
+
+    def test_state_bound(self, monkeypatch, capsys):
+        from permdyck.cli import EXIT_GUARD, main
+
+        expect = census.bounded_distributions(8, "321", 4)
+        monkeypatch.setattr(census, "MAX_STATES", 5)
+        with pytest.raises(ResourceGuardError, match="more than 5 states"):
+            census.bounded_distributions(8, "321", 4)
+        assert census.bounded_distributions(8, "321", 4, force=True) == expect
+
+        assert main(["verify", "--conjectures", "--n-max", "8"]) == EXIT_GUARD == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert main(["verify", "--conjectures", "--n-max", "8", "--force"]) == 0
+        assert capsys.readouterr().out.endswith("PASS\n")
+
+    def test_verify_does_not_sweep(self, monkeypatch):
+        original = kernels.histogram_pair
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "histogram_pair", counted)
+        monkeypatch.setattr(census, "_memo", {})
+        assert census.verify_formulas(7).passed
+        assert census.verify_conjectures(7).passed
+        assert calls == []
+        census.brute_distribution(5, "321")  # the wrapper does see a sweep
+        assert calls == [(5, ())]

@@ -188,6 +188,34 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--formulas", "--n-max", "-1"],
+            ["verify", "--conjectures", "--n-max", "-5"],
+            ["coeffs", "--tau", "321", "--r", "1", "--n-max", "-1"],
+            ["verify", "--formulas", "--n-max", "nine"],
+        ],
+    )
+    def test_negative_n_max_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--n-max" in capsys.readouterr().err
+
+    def test_n_max_past_sweep_limit_needs_no_force(self, capsys):
+        code, out, err = run(capsys, "verify", "--formulas", "--n-max", "11")
+        assert code == 0 and err == ""
+        assert "tau=321 r=2: ok for n <= 11" in out
+
+    def test_corrupt_cache_does_not_affect_verify(self, capsys, tmp_path):
+        for key in ("312", "321"):
+            (tmp_path / key).mkdir()
+            (tmp_path / key / "5.json").write_text("{not json")
+        census._memo.pop(5, None)
+        code, out, _ = run(capsys, "verify", "--formulas", "--n-max", "5", "--cache-dir", str(tmp_path))
+        assert code == 0 and out.strip().endswith("PASS")
+
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         from permdyck import census
 
