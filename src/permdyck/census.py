@@ -8,7 +8,10 @@ The brute sweep (``brute_distribution``) visits all n! permutations with
 the quadratic counting kernel (compiled when available).  The sweep is
 embarrassingly parallel: S_n is partitioned by the choices of the first
 few positions, each shard yields an independent histogram, and the merge
-is component-wise addition, so results are identical for any worker count.
+is component-wise addition, so results are identical for any number of
+shards.  The shards run on one thread per CPU; the compiled kernel
+releases the GIL while it sweeps, so they run in parallel (the pure kernel
+holds it, so there they take turns).
 Computed tables can be cached as human-readable JSON files under
 ``<cache>/<tau>/<n>.json`` with a content checksum.  Files are written to
 a temporary name and renamed into place, so a reader never sees a partial
@@ -54,6 +57,7 @@ states raises ``ResourceGuardError`` unless the bound is lifted.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -153,48 +157,30 @@ def _hist_to_counts(hist: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple((r, c) for r, c in enumerate(hist) if c)
 
 
-def _shard_prefixes(n: int, workers: int) -> list[tuple[int, ...]]:
-    """Partition S_n by the first ceil(log2(workers)) positions' choices."""
-    if workers <= 1 or n <= 1:
-        return [()]
-    q = min(max(1, math.ceil(math.log2(workers))), n - 1)
-    import itertools
-
+def _shard_prefixes(n: int, threads: int) -> list[tuple[int, ...]]:
+    """Partition S_n by the values of its first q positions, where q is the
+    smallest length that gives at least four shards per thread (at most
+    n - 1), and 0 for one thread."""
+    q = 0
+    if threads > 1:
+        while q < n - 1 and math.perm(n, q) < 4 * threads:
+            q += 1
     return list(itertools.permutations(range(1, n + 1), q))
 
 
-def _shard_histograms(args: tuple[int, tuple[int, ...]]) -> tuple[list[int], list[int]]:
-    n, prefix = args
-    return kernels.histogram_pair(n, prefix)
-
-
-def get_context():
-    """The default multiprocessing context.  ``multiprocessing`` is imported
-    here, on the first pooled sweep, not by every process that imports this
-    module."""
-    from multiprocessing import get_context as default_context
-
-    return default_context()
-
-
-def _sweep(n: int, workers: int) -> tuple[list[int], list[int]]:
-    # more processes than CPUs only adds start-up and shard overhead
-    workers = min(workers, os.cpu_count() or 1)
-    prefixes = _shard_prefixes(n, workers)
+def _sweep(n: int) -> tuple[list[int], list[int]]:
+    cpus = os.cpu_count() or 1
+    prefixes = _shard_prefixes(n, cpus)
     if len(prefixes) == 1:
-        return kernels.histogram_pair(n, prefixes[0])
-    size = n * (n - 1) * (n - 2) // 6 + 1 if n >= 3 else 1
-    h312 = [0] * size
-    h321 = [0] * size
-    ctx = get_context()
-    with ctx.Pool(processes=workers) as pool:
-        for part312, part321 in pool.imap_unordered(
-            _shard_histograms, [(n, p) for p in prefixes], chunksize=1
-        ):
-            for i, v in enumerate(part312):
-                h312[i] += v
-            for i, v in enumerate(part321):
-                h321[i] += v
+        return kernels.histogram_pair(n, ())
+    # imported here, not at the top: concurrent.futures imports logging,
+    # which every process that imports this module would otherwise pay for
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(min(cpus, len(prefixes))) as pool:
+        parts = list(pool.map(kernels.histogram_pair, itertools.repeat(n), prefixes))
+    h312 = [sum(col) for col in zip(*(part[0] for part in parts))]
+    h321 = [sum(col) for col in zip(*(part[1] for part in parts))]
     return h312, h321
 
 
@@ -256,14 +242,13 @@ def brute_distribution(
     n: int,
     tau,
     *,
-    workers: int = 1,
     cache_dir: Optional[str | Path] = None,
     limit: int = DEFAULT_LIMIT,
 ) -> DistributionTable:
     """Exact histogram {r: #S_n(tau, r)} over all n! permutations.
 
     Both patterns are tabulated in one sweep and memoised, so asking for the
-    second pattern at the same n is free.  Deterministic for any ``workers``.
+    second pattern at the same n is free.
     """
     key = _pattern_key(tau)
     _guard(n, limit)
@@ -279,7 +264,7 @@ def brute_distribution(
         if cached is not None:
             return DistributionTable(n, key, cached)
 
-    h312, h321 = _sweep(n, workers)
+    h312, h321 = _sweep(n)
     c312 = _hist_to_counts(h312)
     c321 = _hist_to_counts(h321)
     _memo[n] = (c312, c321)

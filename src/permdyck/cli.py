@@ -6,10 +6,11 @@ Subcommands: ``table`` (occurrence-count distributions), ``verify``
 ``coeffs`` (generating-function coefficient dumps), ``render`` (ASCII/SVG
 path pictures).
 
-``table`` sweeps S_n exhaustively (sharded over ``--workers`` processes,
-read from and written to ``--cache-dir``); ``verify --formulas`` and
-``verify --conjectures`` count with the bounded census instead, and accept
-``--workers``, ``--cache-dir`` and ``--limit`` without using them.
+``table`` sweeps S_n exhaustively, on one thread per CPU, read from and
+written to ``--cache-dir``; ``verify --formulas`` and ``verify
+--conjectures`` count with the bounded census instead, and accept
+``--cache-dir`` and ``--limit`` without using them.  Both accept and ignore
+``--workers``, so existing command lines still parse.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 resource
 guard tripped (``table``: n above ``--limit``; ``verify``: a census layer
@@ -81,9 +82,7 @@ def _cmd_table(args) -> int:
             file=sys.stderr,
         )
     tables = [
-        census.brute_distribution(
-            n, args.tau, workers=args.workers, cache_dir=args.cache_dir, limit=limit
-        )
+        census.brute_distribution(n, args.tau, cache_dir=args.cache_dir, limit=limit)
         for n in ns
     ]
     if args.format == "json":
@@ -279,7 +278,7 @@ def _add_common(p: argparse.ArgumentParser, *, cache: bool = False) -> None:
             "--workers",
             type=_positive_int,
             default=1,
-            help="processes for table's sweep (at least 1; capped at the CPU count)",
+            help="accepted (at least 1) and ignored: table's sweep runs one thread per CPU",
         )
         p.add_argument(
             "--cache-dir",
@@ -288,7 +287,7 @@ def _add_common(p: argparse.ArgumentParser, *, cache: bool = False) -> None:
         )
         p.add_argument(
             "--limit",
-            type=int,
+            type=_nonnegative_int,
             default=census.DEFAULT_LIMIT,
             help="largest n that table sweeps without --force",
         )
@@ -320,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--assemblies", action="store_true")
     group.add_argument("--general-form", action="store_true")
     p.add_argument("--n-max", type=_nonnegative_int, default=9)
-    p.add_argument("--order", type=int, default=None, help="series truncation order in t")
+    p.add_argument(
+        "--order", type=_nonnegative_int, default=None, help="series truncation order in t"
+    )
     _add_common(p, cache=True)
     p.set_defaults(fn=_cmd_verify)
 

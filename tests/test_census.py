@@ -1,5 +1,6 @@
 """Distributions, caching, parallel determinism, base catalogs, audits."""
 
+import itertools
 import json
 import math
 
@@ -79,43 +80,29 @@ class TestDistribution:
         with pytest.raises(ValueError):
             census.brute_distribution(-1, "312")
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        pools = []
+    @pytest.mark.parametrize("threads", [1, 2, 4, 64, 1024])
+    def test_shard_count(self, threads):
+        # computed, never swept: a sweep of many small shards is slow
+        for n in range(13):
+            prefixes = census._shard_prefixes(n, threads)
+            q = len(prefixes[0])
+            assert prefixes == list(itertools.permutations(range(1, n + 1), q))
+            if threads == 1:
+                assert prefixes == [()]
+                continue
+            assert q == max(0, n - 1) or len(prefixes) >= 4 * threads
+            assert q == 0 or math.perm(n, q - 1) < 4 * threads
 
-        class SerialPool:
-            def __init__(self, processes):
-                pools.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap_unordered(self, fn, items, chunksize):
-                return map(fn, items)
-
-        class SerialContext:
-            Pool = SerialPool
-
-        monkeypatch.setattr(census, "get_context", lambda: SerialContext)
-        expect = kernels.histogram_pair(6)
-        monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
-        assert census._sweep(6, 64) == expect and pools == []
-        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-        assert census._sweep(6, 64) == expect and pools == [2]
-        assert len(census._shard_prefixes(6, 2)) == 6
-        # two-position shards, which a real pool on a small host no longer reaches
-        monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
-        assert census._sweep(6, 4) == expect and pools == [2, 4]
-        assert len(census._shard_prefixes(6, 4)) == 30
-
-    def test_worker_determinism(self):
-        results = []
-        for workers in (1, 2, 4):
-            census._memo.pop(6, None)
-            results.append(census.brute_distribution(6, "312", workers=workers).counts)
-        assert results[0] == results[1] == results[2]
+    def test_sweep_independent_of_cpu_count(self, monkeypatch):
+        # one CPU sweeps S_n in one call; two and four shard it by one to three positions
+        tables = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
+            for n in range(9):
+                assert census._sweep(n) == kernels.histogram_pair(n)
+            monkeypatch.setattr(census, "_memo", {})
+            tables.append([census.brute_distribution(n, "312").counts for n in range(9)])
+        assert tables[0] == tables[1] == tables[2]
 
 
 class TestRotationSymmetry:
@@ -406,6 +393,7 @@ class TestBoundedCensus:
 
         monkeypatch.setattr(kernels, "histogram_pair", counted)
         monkeypatch.setattr(census, "_memo", {})
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 1)  # one unsharded sweep
         assert census.verify_formulas(7).passed
         assert census.verify_conjectures(7).passed
         assert calls == []

@@ -203,6 +203,20 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--n-max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["verify", "--assemblies", "--order", "-3"], "--order"),
+            (["verify", "--general-form", "--order", "-1"], "--order"),
+            (["table", "--tau", "312", "--n", "3", "--limit", "-1"], "--limit"),
+        ],
+    )
+    def test_negative_order_and_limit_usage_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+
     def test_n_max_past_sweep_limit_needs_no_force(self, capsys):
         code, out, err = run(capsys, "verify", "--formulas", "--n-max", "11")
         assert code == 0 and err == ""
