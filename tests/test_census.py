@@ -93,7 +93,28 @@ class TestDistribution:
             assert q == max(0, n - 1) or len(prefixes) >= 4 * threads
             assert q == 0 or math.perm(n, q - 1) < 4 * threads
 
-    def test_sweep_independent_of_cpu_count(self, monkeypatch):
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        def recording(max_workers):
+            pools.append(max_workers)
+            return real(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        expect = kernels.histogram_pair(6)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
+        assert census._sweep(6) == expect and pools == []
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        assert census._sweep(6) == expect and pools == [2]
+        assert len(census._shard_prefixes(6, 2)) == 30
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
+        assert census._sweep(3) == kernels.histogram_pair(3) and pools == [2, 6]
+        assert len(census._shard_prefixes(3, 64)) == 6
+
+    def test_worker_determinism(self, monkeypatch):
         # one CPU sweeps S_n in one call; two and four shard it by one to three positions
         tables = []
         for cpus in (1, 2, 4):
