@@ -35,10 +35,8 @@ from typing import Optional, Sequence
 from permdyck import paths
 from permdyck.paths import Jump, PathError
 from permdyck.perms import (
-    PATTERN_312,
-    PATTERN_321,
-    PatternError,
     Permutation,
+    _pattern_key,
     as_pattern,
     count_occurrences_fast,
     heights_312,
@@ -138,12 +136,8 @@ def psi321(rho: Permutation) -> str:
 
 
 def psi_tau(rho: Permutation, tau) -> str:
-    tau = as_pattern(tau)
-    if tuple(tau) == tuple(PATTERN_312):
-        return psi312(rho)
-    if tuple(tau) == tuple(PATTERN_321):
-        return psi321(rho)
-    raise PatternError(f"no encoder for pattern {tau!r}")
+    """``psi312`` or ``psi321``, as ``tau`` is (3,1,2) or (3,2,1)."""
+    return psi312(rho) if _pattern_key(tau) == "312" else psi321(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +237,15 @@ def decode_psi312(path: str) -> Permutation:
 class MaximumBeforeJump:
     """A left-to-right maximum to the left of a jump, with its height and
     the count of intervening non-maximum steps used by the summation
-    clauses (up-steps for the (3,1,2) clause, down-steps for (3,2,1))."""
+    clauses (up-steps for the (3,1,2) clause, down-steps for (3,2,1)).
+
+    For a jump after down-step pos and a maximum at position g,
+    ``steps_between`` is between[pos] - between[g], where between[i] sums
+    over the down-steps k <= i a weight w_k, less 1 when k is a
+    left-to-right maximum: for (3,1,2), w_k = max(0, h_k + 1 - h_{k-1})
+    (h_0 = 0) counts the up-steps just before down-step k, and the 1 is the
+    maximum's peak up-step; for (3,2,1), w_k = 1 counts down-step k itself.
+    """
 
     position: int
     value: int
@@ -302,27 +304,6 @@ class JumpAnalysis:
     prediction: OccurrencePrediction
 
 
-def _nonpeak_ups_between(path: str, maxima: Sequence[int], start: int, end: int) -> int:
-    """Up-steps strictly inside path[start:end] that are not the peak
-    up-step of a left-to-right maximum (the up immediately preceding a
-    maximum's down-step)."""
-    down_idx = path[:start].count(paths.DOWN)
-    mx = set(maxima)
-    count = 0
-    for k in range(start, end):
-        if path[k] == paths.UP:
-            is_peak_up = (
-                k + 1 < len(path)
-                and path[k + 1] == paths.DOWN
-                and (down_idx + 1) in mx
-            )
-            if not is_peak_up:
-                count += 1
-        elif path[k] == paths.DOWN:
-            down_idx += 1
-    return count
-
-
 def analyze_jumps(rho: Permutation, tau) -> tuple[JumpAnalysis, ...]:
     """Analyse each jump of ``psi_tau(rho)`` and list the occurrence triples
     it forces.
@@ -346,47 +327,49 @@ def analyze_jumps(rho: Permutation, tau) -> tuple[JumpAnalysis, ...]:
     return _analyze(rho, *_encoded(rho, tau))
 
 
-def _encoded(rho: Permutation, tau) -> tuple[tuple[int, ...], paths.PathInfo]:
+def _encoded(rho: Permutation, tau) -> tuple[str, paths.PathInfo]:
     """The pattern key and the parsed image ``psi_tau(rho)``."""
-    tau = as_pattern(tau)
-    key = tuple(tau)
-    if key not in ((3, 1, 2), (3, 2, 1)):
-        raise PatternError(f"jump analysis is defined for (3,1,2) and (3,2,1), got {tau!r}")
-    return key, paths.path_info(psi312(rho) if key == (3, 1, 2) else psi321(rho))
+    key = _pattern_key(tau)
+    return key, paths.path_info(psi312(rho) if key == "312" else psi321(rho))
 
 
-def _analyze(
-    rho: Permutation, key: tuple[int, ...], info: paths.PathInfo
-) -> tuple[JumpAnalysis, ...]:
+def _analyze(rho: Permutation, key: str, info: paths.PathInfo) -> tuple[JumpAnalysis, ...]:
     """``analyze_jumps`` on the parsed image ``info`` of ``rho`` under the
-    encoder for the pattern ``key``, (3, 1, 2) or (3, 2, 1)."""
+    encoder for the pattern ``key``, ``"312"`` or ``"321"``."""
     n = len(rho)
     maxima = left_to_right_maxima(rho)
-    mx_set = set(maxima)
+    mx = set(maxima)
     heights = info.heights
+    # between[i]: non-maximum steps up to down-step i (see MaximumBeforeJump)
+    between = [0]
+    for i, (g, h) in enumerate(zip((0, *heights), heights), 1):
+        step = max(0, h + 1 - g) if key == "312" else 1
+        between.append(between[-1] + step - (i in mx))
     analyses = []
     for jn, span in enumerate(info.spans):
         pos, d, m, l = span.position, span.depth, span.m, span.l
         pre_run = tuple(range(pos - m + 1, pos + 1))
         post_run = tuple(range(pos + 1, pos + l + 1))
-        pm = maxima[bisect.bisect_right(maxima, pos) - 1]
-        if key == (3, 1, 2):
+        k_pm = bisect.bisect_right(maxima, pos)
+        pm = maxima[k_pm - 1]
+        # (3,1,2) sums over the maxima before the preceding one, (3,2,1) up to it
+        if key == "312":
             lo, hi = rho[pos], rho[pos - 1]
             causing = tuple(k for k in range(pos + 1, n + 1) if lo < rho[k - 1] < hi)
-            earlier = [i for i in maxima if i < pm]
-            before: list[MaximumBeforeJump] = []
-            for ig in earlier:
-                s_g = _nonpeak_ups_between(info.path, maxima, info.offsets[ig - 1] + 1, span.start)
-                before.append(
-                    MaximumBeforeJump(
-                        position=ig, value=rho[ig - 1], height=heights[ig - 1], steps_between=s_g
-                    )
-                )
-            threshold = next(
-                (g + 1 for g, rec in enumerate(before) if rec.steps_between < m), None
-            )
-            base = {(pm, j, k) for j in post_run for k in causing}
-            runs = {(g, j, k) for g in pre_run for j in post_run for k in causing}
+            left = maxima[: k_pm - 1]
+        else:
+            causing = tuple(k for k in range(pos + 1, n + 1) if rho[k - 1] < rho[pos])
+            left = maxima[:k_pm]
+        before = tuple(
+            MaximumBeforeJump(ig, rho[ig - 1], heights[ig - 1], between[pos] - between[ig])
+            for ig in left
+        )
+        triples = {(pm, j, k) for j in post_run for k in causing}
+        before_downs = 0
+        if key == "312":
+            threshold = next((g for g, rec in enumerate(before, 1) if rec.steps_between < m), None)
+            before_downs = m * d * l
+            triples |= {(g, j, k) for g in pre_run for j in post_run for k in causing}
             extra = {
                 (rec.position, j, k)
                 for rec in before
@@ -394,62 +377,29 @@ def _analyze(
                 for k in causing
                 if rho[k - 1] < rec.value
             }
-            triples = tuple(sorted(base | runs | extra))
-            prediction = OccurrencePrediction(
-                base=d * l,
-                before_downs=m * d * l,
-                maxima_sum=len(extra),
-                total=len(triples),
-                triples=triples,
+        elif jn == 0:
+            threshold = next(
+                (g for g, rec in enumerate(before, 1) if rec.height - d - rec.steps_between > 0),
+                None,
             )
+            # the maxima before the threshold reach no following entry
+            extra = {
+                (rec.position, j, k)
+                for rec in before
+                for j in post_run[: max(0, min(rec.height - d - rec.steps_between, l))]
+                if rho[j - 1] < rec.value
+                for k in causing
+            }
         else:
-            causing = tuple(k for k in range(pos + 1, n + 1) if rho[k - 1] < rho[pos])
-            mx_left = [i for i in maxima if i <= pos]
-            before = []
-            for ig in mx_left:
-                s_g = sum(1 for k in range(ig + 1, pos + 1) if k not in mx_set)
-                before.append(
-                    MaximumBeforeJump(
-                        position=ig, value=rho[ig - 1], height=heights[ig - 1], steps_between=s_g
-                    )
-                )
-            base_triples = {(pm, j, k) for j in post_run for k in causing}
-            if jn == 0:
-                threshold = next(
-                    (
-                        g + 1
-                        for g, rec in enumerate(before)
-                        if rec.height - d - rec.steps_between > 0
-                    ),
-                    None,
-                )
-                chosen = set()
-                if threshold is not None:
-                    for rec in before[threshold - 1 :]:
-                        reach = min(rec.height - d - rec.steps_between, l)
-                        for j in post_run[: max(0, reach)]:
-                            if rho[j - 1] >= rec.value:
-                                continue
-                            for k in causing:
-                                chosen.add((rec.position, j, k))
-                triples = tuple(sorted(chosen | base_triples))
-                prediction = OccurrencePrediction(
-                    base=d * l,
-                    before_downs=0,
-                    maxima_sum=len(chosen),
-                    total=len(triples),
-                    triples=triples,
-                )
-            else:
-                threshold = None
-                triples = tuple(sorted(base_triples))
-                prediction = OccurrencePrediction(
-                    base=d * l,
-                    before_downs=0,
-                    maxima_sum=0,
-                    total=len(triples),
-                    triples=triples,
-                )
+            threshold, extra = None, set()
+        triples = tuple(sorted(triples | extra))
+        prediction = OccurrencePrediction(
+            base=d * l,
+            before_downs=before_downs,
+            maxima_sum=len(extra),
+            total=len(triples),
+            triples=triples,
+        )
         context = JumpContext(
             jump=Jump(position=pos, depth=d),
             m=m,
@@ -458,7 +408,7 @@ def _analyze(
             post_run=post_run,
             causing=causing,
             preceding_max=pm,
-            maxima_before=tuple(before),
+            maxima_before=before,
             threshold_index=threshold,
         )
         analyses.append(JumpAnalysis(context=context, prediction=prediction))
@@ -470,9 +420,7 @@ def predicted_occurrences(rho: Permutation, tau) -> tuple[tuple[int, int, int], 
     return _predict(rho, *_encoded(rho, tau))
 
 
-def _predict(
-    rho: Permutation, key: tuple[int, ...], info: paths.PathInfo
-) -> tuple[tuple[int, int, int], ...]:
+def _predict(rho: Permutation, key: str, info: paths.PathInfo) -> tuple[tuple[int, int, int], ...]:
     """``predicted_occurrences`` on the parsed image ``info``, as in ``_analyze``."""
     out = set()
     for analysis in _analyze(rho, key, info):

@@ -68,6 +68,7 @@ from typing import Iterator, Optional, Sequence
 from permdyck import bijections, kernels, paths, perms, series
 from permdyck.perms import (
     Permutation,
+    _pattern_key,
     as_pattern,
     all_permutations,
     count_occurrences_fast,
@@ -77,7 +78,6 @@ from permdyck.perms import (
     left_to_right_maxima,
     tau_base,
 )
-from permdyck.series import _pattern_key
 
 __all__ = [
     "DEFAULT_LIMIT",
@@ -107,8 +107,6 @@ MAX_STATES = 200_000
 
 # bump when the kernel/sharding semantics change; stale cache entries are recomputed
 CODE_VERSION = "1"
-
-ENV_CACHE_DIR = "PERMDYCK_CACHE"
 
 
 class ResourceGuardError(RuntimeError):
@@ -248,18 +246,17 @@ def brute_distribution(
     """Exact histogram {r: #S_n(tau, r)} over all n! permutations.
 
     Both patterns are tabulated in one sweep and memoised, so asking for the
-    second pattern at the same n is free.
+    second pattern at the same n is free.  ``cache_dir`` names the
+    distribution cache; ``None`` or ``""`` means no cache.
     """
     key = _pattern_key(tau)
     _guard(n, limit)
-    if cache_dir is None:
-        cache_dir = os.environ.get(ENV_CACHE_DIR) or None
 
     if n in _memo:
         c312, c321 = _memo[n]
         return DistributionTable(n, key, c312 if key == "312" else c321)
 
-    if cache_dir is not None:
+    if cache_dir:
         cached = _cache_load(cache_dir, key, n)
         if cached is not None:
             return DistributionTable(n, key, cached)
@@ -268,7 +265,7 @@ def brute_distribution(
     c312 = _hist_to_counts(h312)
     c321 = _hist_to_counts(h321)
     _memo[n] = (c312, c321)
-    if cache_dir is not None:
+    if cache_dir:
         _cache_store(cache_dir, "312", n, c312)
         _cache_store(cache_dir, "321", n, c321)
     return DistributionTable(n, key, c312 if key == "312" else c321)
@@ -469,7 +466,6 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
     key = _pattern_key(tau)
     _guard(n, limit)
     tau = as_pattern(tau)
-    pattern = tuple(tau)
     encode = bijections.psi312 if key == "312" else bijections.psi321
     heights_fn = heights_312 if key == "312" else heights_321
 
@@ -547,7 +543,7 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
             fail("single-occurrence-base", f"{rho}")
 
         if compare:
-            predicted = bijections._predict(rho, pattern, info)
+            predicted = bijections._predict(rho, key, info)
             truth = set(occ.positions)
             if not set(predicted) <= truth:
                 fail("predicted-subset", f"{rho}: {sorted(set(predicted) - truth)}")

@@ -9,8 +9,10 @@ path pictures).
 ``table`` sweeps S_n exhaustively, on one thread per CPU, read from and
 written to ``--cache-dir``; ``verify --formulas`` and ``verify
 --conjectures`` count with the bounded census instead, and accept
-``--cache-dir`` and ``--limit`` without using them.  Both accept and ignore
-``--workers``, so existing command lines still parse.
+``--cache-dir`` and ``--limit`` without using them.  ``--cache-dir``
+defaults to ``$PERMDYCK_CACHE``, which nothing else reads; an empty value
+means no cache.  ``table`` and ``verify`` accept and ignore ``--workers``,
+so existing command lines still parse.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 resource
 guard tripped (``table``: n above ``--limit``; ``verify``: a census layer
@@ -36,6 +38,8 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_CACHE = 4
+
+ENV_CACHE_DIR = "PERMDYCK_CACHE"
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -282,8 +286,8 @@ def _add_common(p: argparse.ArgumentParser, *, cache: bool = False) -> None:
         )
         p.add_argument(
             "--cache-dir",
-            default=os.environ.get(census.ENV_CACHE_DIR),
-            help=f"table's distribution cache directory (default: ${census.ENV_CACHE_DIR})",
+            default=os.environ.get(ENV_CACHE_DIR),
+            help=f"table's distribution cache; empty for none (default: ${ENV_CACHE_DIR})",
         )
         p.add_argument(
             "--limit",

@@ -41,10 +41,3 @@ def count_pair(values: Sequence[int]) -> tuple[int, int]:
         return _purecount.count_pair(vals)
     return tuple(_impl.count_pair(vals))
 
-
-def count_312(values: Sequence[int]) -> int:
-    return count_pair(values)[0]
-
-
-def count_321(values: Sequence[int]) -> int:
-    return count_pair(values)[1]

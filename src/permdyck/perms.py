@@ -13,6 +13,10 @@ Conventions used throughout the package:
 - ``Permutation(values)`` checks its input; the private ``Permutation._of``
   does not, and is called only on values that are a permutation of 1..n by
   construction (ranks, ``itertools.permutations``, a decoder's pops).
+- Occurrences of every length-3 pattern are counted, but the encoders, the
+  generating functions and the census handle only (3,1,2) and (3,2,1).
+  ``_pattern_key`` is their one pattern check: it maps a pattern argument
+  to ``"312"`` or ``"321"`` and raises ``PatternError`` for any other.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import itertools
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+from permdyck import kernels
 
 __all__ = [
     "PatternError",
@@ -128,6 +134,18 @@ def as_pattern(tau) -> Permutation:
     return Permutation(tau)
 
 
+def _pattern_key(tau) -> str:
+    """``"312"`` or ``"321"`` for the two patterns that the encoders, the
+    generating functions and the census support; ``PatternError`` for any
+    other pattern."""
+    t = tuple(as_pattern(tau))
+    if t == (3, 1, 2):
+        return "312"
+    if t == (3, 2, 1):
+        return "321"
+    raise PatternError(f"only (3,1,2) and (3,2,1) are supported; got {t!r}")
+
+
 class HeightVector(tuple):
     """Per-entry heights (h_1, ..., h_n); nonnegative, with h_n = 0."""
 
@@ -216,24 +234,22 @@ def count_occurrences_fast(rho: Sequence[int], tau) -> int:
     reversing positions reverses the pattern, complementing values
     complements it, and both are occurrence-count-preserving bijections.
     """
-    from permdyck import kernels
-
     tau = as_pattern(tau)
     if tau.n != 3:
         raise PatternError(f"fast counting supports length-3 patterns only, got {tau!r}")
     t = tuple(tau)
     if t == (3, 1, 2):
-        return kernels.count_312(tuple(rho))
+        return kernels.count_pair(rho)[0]
     if t == (3, 2, 1):
-        return kernels.count_321(tuple(rho))
+        return kernels.count_pair(rho)[1]
     if t == (1, 2, 3):
-        return kernels.count_321(_complement(rho))
+        return kernels.count_pair(_complement(rho))[1]
     if t == (1, 3, 2):
-        return kernels.count_312(_complement(rho))
+        return kernels.count_pair(_complement(rho))[0]
     if t == (2, 1, 3):
-        return kernels.count_312(_reverse(rho))
+        return kernels.count_pair(_reverse(rho))[0]
     if t == (2, 3, 1):
-        return kernels.count_312(_complement(_reverse(rho)))
+        return kernels.count_pair(_complement(_reverse(rho)))[0]
     raise PatternError(f"unrecognised length-3 pattern {tau!r}")  # pragma: no cover
 
 

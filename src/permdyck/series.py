@@ -22,6 +22,9 @@ The module provides:
   (``check_assemblies``);
 - ``check_general_form``: reconstruction of the polynomials P, Q with
   F = (P + sqrt(1-4x) Q) / denominator directly from the coefficients.
+
+Every ``tau`` argument is checked by ``perms._pattern_key``: a pattern
+other than (3,1,2) and (3,2,1) raises ``PatternError``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from itertools import chain, count
 from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
-from permdyck.perms import as_pattern
+from permdyck.perms import _pattern_key
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -339,15 +342,6 @@ _GF_321_PQ: dict[int, tuple[dict[int, int], dict[int, int], int]] = {
 CONJECTURAL = frozenset((("321", 3), ("321", 4)))
 
 _HALF = Fraction(1, 2)
-
-
-def _pattern_key(tau) -> str:
-    t = tuple(as_pattern(tau))
-    if t == (3, 1, 2):
-        return "312"
-    if t == (3, 2, 1):
-        return "321"
-    raise ValueError(f"only (3,1,2) and (3,2,1) are supported; got {t!r}")
 
 
 def gf(tau, r: int, order: int = DEFAULT_ORDER) -> Series:

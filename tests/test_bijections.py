@@ -22,6 +22,7 @@ from permdyck.perms import (
     find_occurrences,
     heights_312,
     heights_321,
+    left_to_right_maxima,
     tau_base,
 )
 
@@ -32,6 +33,22 @@ DEPTH2_321_EXAMPLE = Permutation((7, 1, 2, 3, 9, 6, 8, 4, 5))
 # depth-1 jump followed by 4 down-steps; five maxima 6, 8, 10, 11, 14 with
 # heights (5,5,5,4,5) and non-maximum down-steps (4,3,2,1,0) before the jump
 COMPLICATED_321_EXAMPLE = Permutation((6, 1, 8, 2, 10, 3, 11, 4, 14, 7, 9, 12, 13, 5))
+
+
+def _nonpeak_ups_between(path, maxima, start, end):
+    """Up-steps strictly inside path[start:end] that are not the peak up-step
+    of a left-to-right maximum (the up-step just before a maximum's
+    down-step), by walking the path string."""
+    down_idx = path[:start].count("D")
+    count = 0
+    for k in range(start, end):
+        if path[k] == "U":
+            if not (k + 1 < len(path) and path[k + 1] == "D" and down_idx + 1 in maxima):
+                count += 1
+        elif path[k] == "D":
+            down_idx += 1
+    return count
+
 
 rand_perm = st.integers(min_value=0, max_value=40).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(Permutation)
@@ -203,6 +220,44 @@ class TestJumpAnalysis:
             (14, 7, 5),
         }
         assert find_occurrences(rho, "321").count == 9
+
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    def test_steps_between_and_threshold_match_path_walk(self, tau):
+        # (3,1,2): non-peak up-steps between down-step g and the jump, walked
+        # on the string; (3,2,1): non-maximum positions in g+1..pos
+        compared = 0
+        for n in range(1, 8):
+            for rho in all_permutations(n):
+                info = paths.path_info(bijections.psi_tau(rho, tau))
+                maxima = left_to_right_maxima(rho)
+                analyses = bijections.analyze_jumps(rho, tau)
+                for jn, (span, analysis) in enumerate(zip(info.spans, analyses)):
+                    ctx, pos = analysis.context, span.position
+                    if tau == "312":
+                        left = [g for g in maxima if g < ctx.preceding_max]
+                        steps = [
+                            _nonpeak_ups_between(
+                                info.path, maxima, info.offsets[g - 1] + 1, span.start
+                            )
+                            for g in left
+                        ]
+                        hits = [i for i, s in enumerate(steps, 1) if s < span.m]
+                    else:
+                        left = [g for g in maxima if g <= pos]
+                        steps = [
+                            sum(1 for k in range(g + 1, pos + 1) if k not in maxima)
+                            for g in left
+                        ]
+                        hits = [
+                            i
+                            for i, (g, s) in enumerate(zip(left, steps), 1)
+                            if info.heights[g - 1] - span.depth - s > 0 and jn == 0
+                        ]
+                    assert [rec.position for rec in ctx.maxima_before] == left, rho
+                    assert [rec.steps_between for rec in ctx.maxima_before] == steps, rho
+                    assert ctx.threshold_index == (hits[0] if hits else None), rho
+                    compared += len(steps)
+        assert compared > 1000
 
     @pytest.mark.parametrize("tau", ["312", "321"])
     def test_predictions_subset_and_exact_totals(self, tau):

@@ -196,6 +196,19 @@ class TestCache:
         t = census.brute_distribution(5, "312", cache_dir=tmp_path)
         assert t.count(0) == 42
 
+    def test_environment_not_read(self, tmp_path, monkeypatch):
+        # only the CLI's --cache-dir default reads PERMDYCK_CACHE
+        monkeypatch.setenv("PERMDYCK_CACHE", str(tmp_path))
+        monkeypatch.setattr(census, "_memo", {})
+        assert census.brute_distribution(4, "312").count(0) == 14
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_cache_dir_means_no_cache(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(census, "_memo", {})
+        assert census.brute_distribution(4, "312", cache_dir="").count(0) == 14
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEnumerateClass:
     def test_minimal_321(self):

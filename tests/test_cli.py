@@ -62,6 +62,25 @@ class TestTable:
         assert args.workers == 2
 
 
+class TestCacheDefault:
+    def test_environment_names_the_cache(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("PERMDYCK_CACHE", str(tmp_path))
+        monkeypatch.setattr(census, "_memo", {})
+        code, out, _ = run(capsys, "table", "--tau", "312", "--n", "4")
+        assert code == 0 and "r=0:14" in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["312", "321"]
+
+    @pytest.mark.parametrize("option", [False, True], ids=["environment", "option"])
+    def test_empty_value_means_no_cache(self, capsys, tmp_path, monkeypatch, option):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PERMDYCK_CACHE", str(tmp_path / "unused") if option else "")
+        monkeypatch.setattr(census, "_memo", {})
+        argv = ["table", "--tau", "312", "--n", "4"] + (["--cache-dir", ""] if option else [])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "r=0:14" in out
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCorruptCache:
     def _cached(self, capsys, tmp_path):
         census._memo.pop(5, None)

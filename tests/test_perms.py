@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permdyck import bijections, census, series
 from permdyck.bijections import decode_psi312, psi312
 from permdyck.perms import (
     PATTERN_312,
@@ -294,3 +295,33 @@ class TestSymmetries:
                     assert count_occurrences_fast(reflect_anti_diag(rho), tau) == c
                 c321 = count_occurrences_fast(rho, PATTERN_321)
                 assert count_occurrences_fast(reflect_main_diag(rho), PATTERN_321) == c321
+
+
+class TestPatternKey:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tau: bijections.psi_tau(Permutation((2, 1, 3)), tau),
+            lambda tau: bijections.analyze_jumps(Permutation((2, 1, 3)), tau),
+            lambda tau: series.gf(tau, 0, 10),
+            lambda tau: series.count_closed_form(tau, 0, 3),
+            lambda tau: census.brute_distribution(3, tau),
+            lambda tau: census.bounded_distributions(3, tau, 1),
+            lambda tau: census.audit_bijections(3, tau),
+            lambda tau: census.enumerate_tau_bases(tau, 1),
+        ],
+        ids=[
+            "psi_tau",
+            "analyze_jumps",
+            "gf",
+            "count_closed_form",
+            "brute_distribution",
+            "bounded_distributions",
+            "audit_bijections",
+            "enumerate_tau_bases",
+        ],
+    )
+    @pytest.mark.parametrize("tau", ["123", "132"])
+    def test_unsupported_pattern_raises_pattern_error(self, call, tau):
+        with pytest.raises(PatternError, match=r"only \(3,1,2\) and \(3,2,1\) are supported"):
+            call(tau)
