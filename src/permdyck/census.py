@@ -247,24 +247,22 @@ def brute_distribution(
 
     Both patterns are tabulated in one sweep and memoised, so asking for the
     second pattern at the same n is free.  ``cache_dir`` names the
-    distribution cache; ``None`` or ``""`` means no cache.
+    distribution cache; ``None`` or ``""`` means no cache.  The cache is
+    read first; when it misses, the table comes from the memo or a sweep
+    and both patterns' files are written.
     """
     key = _pattern_key(tau)
     _guard(n, limit)
-
-    if n in _memo:
-        c312, c321 = _memo[n]
-        return DistributionTable(n, key, c312 if key == "312" else c321)
 
     if cache_dir:
         cached = _cache_load(cache_dir, key, n)
         if cached is not None:
             return DistributionTable(n, key, cached)
 
-    h312, h321 = _sweep(n)
-    c312 = _hist_to_counts(h312)
-    c321 = _hist_to_counts(h321)
-    _memo[n] = (c312, c321)
+    if n not in _memo:
+        h312, h321 = _sweep(n)
+        _memo[n] = (_hist_to_counts(h312), _hist_to_counts(h321))
+    c312, c321 = _memo[n]
     if cache_dir:
         _cache_store(cache_dir, "312", n, c312)
         _cache_store(cache_dir, "321", n, c321)
@@ -649,19 +647,25 @@ def verify_formulas(n_max: int, *, force: bool = False) -> VerificationReport:
 
 
 def verify_conjectures(n_max: int, *, force: bool = False) -> VerificationReport:
-    """Bounded-census counts against the conjectured generating functions for
-    three and four occurrences of (3,2,1), for every n <= n_max."""
-    counts = bounded_distributions(n_max, "321", 4, force=force)
+    """Bounded-census counts against the conjectured generating functions,
+    the (pattern, r) pairs of ``series.CONJECTURAL``, for every n <= n_max.
+    Each pattern takes one census, at its largest conjectured r."""
+    pairs = sorted(series.CONJECTURAL)
+    # the pairs are sorted, so each pattern keeps its largest r
+    counts = {
+        key: bounded_distributions(n_max, key, r_max, force=force)
+        for key, r_max in dict(pairs).items()
+    }
     rows = []
-    for r in (3, 4):
-        g = series.gf("321", r, 2 * n_max)
+    for key, r in pairs:
+        g = series.gf(key, r, 2 * n_max)
         for n in range(n_max + 1):
             rows.append(
                 VerificationRow(
-                    pattern="321",
+                    pattern=key,
                     r=r,
                     n=n,
-                    brute=counts[n][r],
+                    brute=counts[key][n][r],
                     predicted=int(g.x_coeff(n)),
                 )
             )

@@ -14,11 +14,12 @@ defaults to ``$PERMDYCK_CACHE``, which nothing else reads; an empty value
 means no cache.  ``table`` and ``verify`` accept and ignore ``--workers``,
 so existing command lines still parse.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 resource
-guard tripped (``table``: n above ``--limit``; ``verify``: a census layer
-above ``census.MAX_STATES`` states; ``--force`` lifts both), 4 corrupt
-distribution cache file (one that does not parse, has the wrong shape or
-fails its checksum; delete it to recompute).
+Exit codes: 0 success, 1 verification mismatch, 2 usage error (an
+``--output``, ``--svg`` or ``--cache-dir`` path that cannot be written
+among them), 3 resource guard tripped (``table``: n above ``--limit``;
+``verify``: a census layer above ``census.MAX_STATES`` states; ``--force``
+lifts both), 4 corrupt distribution cache file (one that does not parse,
+has the wrong shape or fails its checksum; delete it to recompute).
 """
 
 from __future__ import annotations
@@ -145,18 +146,17 @@ def _cmd_verify(args) -> int:
         passed = report.passed
     else:  # general form
         order = args.order if args.order is not None else 80
-        for pattern, rs in (("312", (1, 2)), ("321", (0, 1, 2, 3, 4))):
-            for r in rs:
-                rep = series.check_general_form(pattern, r, order)
-                tag = "CONJECTURE " if rep.conjectural else ""
-                if rep.passed:
-                    checks.append(
-                        f"{tag}tau={pattern} r={r}: denominator {rep.denominator}, "
-                        f"deg P = {rep.p_degree}, deg Q = {rep.q_degree}"
-                    )
-                else:
-                    checks.append(f"{tag}tau={pattern} r={r}: FAIL ({rep.detail})")
-                    passed = False
+        for pattern, r in sorted(series.GF_PQ):
+            rep = series.check_general_form(pattern, r, order)
+            tag = "CONJECTURE " if rep.conjectural else ""
+            if rep.passed:
+                checks.append(
+                    f"{tag}tau={pattern} r={r}: denominator {rep.denominator}, "
+                    f"deg P = {rep.p_degree}, deg Q = {rep.q_degree}"
+                )
+            else:
+                checks.append(f"{tag}tau={pattern} r={r}: FAIL ({rep.detail})")
+                passed = False
     if args.format == "json":
         _emit(args, json.dumps({"passed": passed, "checks": checks}, indent=1))
     else:
@@ -374,7 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except census.CacheError as exc:
         print(f"error: {exc} (delete the file to recompute it)", file=sys.stderr)
         return EXIT_CACHE
-    except (PatternError, PathError, bijections.NotInImageError, ValueError) as exc:
+    except (PatternError, PathError, bijections.NotInImageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -108,15 +108,14 @@ class JumpSpan(NamedTuple):
 class PathInfo(NamedTuple):
     """Everything the structure theory reads off a valid path, from one scan.
 
-    Per down-step, left to right: the height it lands on, the 1-based index
-    of the peak weakly to its left (0 when there is none) and its index in
-    the string.  ``spans`` holds the jump runs, left to right.
+    Per down-step, left to right: the height it lands on and the 1-based
+    index of the peak weakly to its left (0 when there is none).  ``spans``
+    holds the jump runs, left to right.
     """
 
     path: str
     heights: tuple[int, ...]
     peaks: tuple[int, ...]
-    offsets: tuple[int, ...]
     spans: tuple[JumpSpan, ...]
 
     @property
@@ -129,7 +128,6 @@ def _scan(path: str) -> PathInfo | Validation:
     ``Validation`` naming the first violated constraint."""
     heights: list[int] = []
     peaks: list[int] = []
-    offsets: list[int] = []
     spans: list[list[int]] = []
     span: Optional[list[int]] = None  # the jump run whose post-run is still open
     h = n = run = peak = 0
@@ -147,7 +145,6 @@ def _scan(path: str) -> PathInfo | Validation:
                 peak = n
             heights.append(h)
             peaks.append(peak)
-            offsets.append(i)
             if span is not None:
                 span[4] += 1
         elif ch == JUMP:
@@ -165,9 +162,7 @@ def _scan(path: str) -> PathInfo | Validation:
         prev = ch
     if h != 0:
         return Validation("invalid", f"path ends at height {h}, not 0", len(path))
-    return PathInfo(
-        path, tuple(heights), tuple(peaks), tuple(offsets), tuple(map(JumpSpan._make, spans))
-    )
+    return PathInfo(path, tuple(heights), tuple(peaks), tuple(map(JumpSpan._make, spans)))
 
 
 def path_info(path: str) -> PathInfo:

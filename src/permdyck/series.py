@@ -12,16 +12,19 @@ counting series all do, and ``x_coefficients`` checks it.
 The module provides:
 
 - the Catalan series c = (1 - sqrt(1-4x)) / (2x) and sqrt(1-4x) itself;
-- ``gf(tau, r, order)``: the closed-form generating function of the number
-  of n-permutations with exactly r occurrences of tau, for
-  tau in {(3,1,2), (3,2,1)} and r = 0, 1, 2, plus the conjectured r = 3, 4
-  forms for (3,2,1);
+- ``GF_PQ``: the one table of recorded generating functions, each as the
+  polynomials P, Q of F = (P(x) + sqrt(1-4x) Q(x)) / D, where
+  D = sqrt(1-4x)^(2r-1) for (3,1,2) with r >= 1 and D = 2 x^(2r+1)
+  otherwise; rows exist for tau in {(3,1,2), (3,2,1)} and r = 0, 1, 2, plus
+  the conjectured r = 3, 4 forms for (3,2,1) (the pairs in ``CONJECTURAL``);
+- ``gf(tau, r, order)``: the generating function of the number of
+  n-permutations with exactly r occurrences of tau, built from its row;
 - ``count_closed_form(tau, r, n)``: the matching binomial formulas;
 - the climbing-segment series and the piecewise assembly identities that
   re-derive the r = 1, 2 generating functions from path decompositions
   (``check_assemblies``);
-- ``check_general_form``: reconstruction of the polynomials P, Q with
-  F = (P + sqrt(1-4x) Q) / denominator directly from the coefficients.
+- ``check_general_form``: reconstruction of the polynomials P, Q of a row
+  directly from the coefficients of ``gf``.
 
 Every ``tau`` argument is checked by ``perms._pattern_key``: a pattern
 other than (3,1,2) and (3,2,1) raises ``PatternError``.
@@ -50,6 +53,7 @@ __all__ = [
     "catalan",
     "catalan_number",
     "gf",
+    "GF_PQ",
     "CONJECTURAL",
     "count_closed_form",
     "climb_segment",
@@ -313,43 +317,52 @@ def catalan_number(n: int) -> int:
 # ---------------------------------------------------------------------------
 # closed forms
 
-# (pattern, r) -> (P, Q, m) with F = (P(x) + sqrt(1-4x) * Q(x)) / (2 x**m).
-# The two (3,1,2) entries are recorded through inverse-sqrt powers instead
-# (see ``gf``), since their denominators are powers of sqrt(1-4x).
-_GF_321_PQ: dict[int, tuple[dict[int, int], dict[int, int], int]] = {
-    1: ({0: 1, 1: -6, 2: 9, 3: -2}, {0: -1, 1: 4, 2: -3}, 3),
-    2: (
+# (pattern, r) -> (P, Q), each {x-degree: coefficient}, with
+# F = (P(x) + sqrt(1-4x) Q(x)) / D and D from ``_denominator``.  r = 0 is
+# recorded once, as (3,2,1): both patterns have the Catalan series there.
+GF_PQ: dict[tuple[str, int], tuple[dict[int, Coef], dict[int, Coef]]] = {
+    ("312", 1): ({0: Fraction(1, 2), 1: Fraction(-3, 2)}, {0: Fraction(-1, 2), 1: Fraction(1, 2)}),
+    ("312", 2): (
+        {0: 1, 1: Fraction(-15, 2), 2: Fraction(29, 2), 3: -2, 4: 1},
+        {0: -1, 1: Fraction(11, 2), 2: Fraction(-11, 2), 3: -2},
+    ),
+    ("321", 0): ({0: 1}, {0: -1}),
+    ("321", 1): ({0: 1, 1: -6, 2: 9, 3: -2}, {0: -1, 1: 4, 2: -3}),
+    ("321", 2): (
         {0: 1, 1: -8, 2: 20, 3: -17, 4: 7, 5: -5},
         {0: -1, 1: 6, 2: -10, 3: 5, 4: -3, 5: 1},
-        5,
     ),
-    3: (
+    ("321", 3): (
         {0: 1, 1: -10, 2: 33, 3: -32, 4: -31, 5: 70, 6: -35, 8: 2},
         {0: -1, 1: 8, 2: -19, 3: 6, 4: 27, 5: -28, 6: 7, 7: 2},
-        7,
     ),
     # The sign of the sqrt part of the r = 4 form is pinned by brute force:
     # the variant below reproduces the counts 1, 9, 74, 507, 3008, 16151 at
     # n = 4..9 exactly, and the opposite sign does not even give a power
     # series (the numerator would have a nonzero constant term).
-    4: (
+    ("321", 4): (
         {0: 1, 1: -12, 2: 50, 3: -65, 4: -107, 5: 437, 6: -588, 7: 492, 8: -314, 9: 108, 10: -3},
         {0: -1, 1: 10, 2: -32, 3: 17, 4: 107, 5: -245, 6: 256, 7: -192, 8: 102, 9: -18, 10: -1},
-        9,
     ),
 }
 
 CONJECTURAL = frozenset((("321", 3), ("321", 4)))
 
-_HALF = Fraction(1, 2)
+
+def _denominator(key: str, r: int, order: int) -> tuple[Series, str]:
+    """The denominator D of gf(key, r) to t**order, and its label:
+    sqrt(1-4x)^(2r-1) for (3,1,2) with r >= 1, else 2 x^(2r+1)."""
+    if key == "312" and r >= 1:
+        return sqrt_one_minus_4x(order) ** (2 * r - 1), f"sqrt(1-4x)^{2 * r - 1}"
+    return monomial(4 * r + 2, order, 2), f"2 x^{2 * r + 1}"
 
 
 def gf(tau, r: int, order: int = DEFAULT_ORDER) -> Series:
     """The generating function sum_n #S_n(tau, r) x**n as a t-series.
 
-    Supported: r = 0, 1, 2 for both patterns (proven formulas) and the
-    conjectured r = 3, 4 for (3,2,1).  The result lives in x with
-    nonnegative integer coefficients; this is asserted.
+    Supported: the rows of ``GF_PQ``, that is r = 0, 1, 2 for both patterns
+    (proven formulas) and the conjectured r = 3, 4 for (3,2,1).  The result
+    lives in x with nonnegative integer coefficients; this is asserted.
 
     >>> gf("312", 1, 20).x_coefficients()[:8]
     (0, 0, 0, 1, 5, 21, 84, 330)
@@ -359,27 +372,13 @@ def gf(tau, r: int, order: int = DEFAULT_ORDER) -> Series:
 
 @lru_cache(maxsize=64)
 def _gf_cached(key: str, r: int, order: int) -> Series:
-    work = order + 24
-    if r == 0:
-        out = catalan(work)
-    elif key == "312" and r == 1:
-        t = inv_sqrt_one_minus_4x(work)
-        out = from_x_poly({0: -_HALF, 1: _HALF}, work) + from_x_poly(
-            {0: _HALF, 1: -Fraction(3, 2)}, work
-        ) * t
-    elif key == "312" and r == 2:
-        t3 = inv_sqrt_one_minus_4x(work) ** 3
-        out = from_x_poly({0: -1, 1: Fraction(3, 2), 2: _HALF}, work) + from_x_poly(
-            {0: 1, 1: -Fraction(15, 2), 2: Fraction(29, 2), 3: -2, 4: 1}, work
-        ) * t3
-    elif key == "321" and r in _GF_321_PQ:
-        p, q, m = _GF_321_PQ[r]
-        s = sqrt_one_minus_4x(work)
-        num = from_x_poly(p, work) + from_x_poly(q, work) * s
-        out = num.shift(-2 * m) / 2
-    else:
+    row = GF_PQ.get((key, r) if r else ("321", 0))
+    if row is None:
         raise ValueError(f"no generating function recorded for ({key}, r={r})")
-    out = out.truncate(order)
+    work = order + 24
+    p, q = (from_x_poly(poly, work) for poly in row)
+    num = p + q * sqrt_one_minus_4x(work)
+    out = (num / _denominator(key, r, work)[0]).truncate(order)
     for n, c in enumerate(out.x_coefficients()):
         if not isinstance(c, int) or c < 0:
             raise AssertionError(f"gf({key},{r}) has a bad x^{n} coefficient: {c}")
@@ -819,15 +818,13 @@ def _decompose_p_plus_sq(g: Series, degree_bound: int) -> Optional[tuple[list[Fr
 
 
 def check_general_form(tau, r: int, order: int = DEFAULT_ORDER) -> GeneralFormReport:
-    """Check the shape of gf(tau, r) directly from its coefficients.
+    """Check the shape of gf(tau, r) directly from its coefficients: D * gf,
+    with D the denominator of its ``GF_PQ`` row, must equal
+    P(x) + sqrt(1-4x) Q(x) with polynomial P, Q, which are recovered exactly.
 
-    For (3,1,2): gf * sqrt(1-4x)^{2r-1} must equal P(x) + sqrt(1-4x) Q(x)
-    with polynomial P, Q (the denominator, in smallest terms, is exactly
-    that odd power of sqrt(1-4x); exactness is certified by P(1/4) != 0).
-
-    For (3,2,1): 2 x^{2r+1} gf must equal P(x) + sqrt(1-4x) Q(x) with
-    polynomial P, Q, which are recovered exactly.  r = 0 is accepted for
-    both patterns in the (3,2,1) shape with denominator 2x.
+    D is sqrt(1-4x)^{2r-1} for (3,1,2) with r >= 1; that power is the
+    denominator in smallest terms, which P(1/4) != 0 certifies.  Every other
+    row, r = 0 included, has D = 2 x^{2r+1}.
     """
     key = _pattern_key(tau)
     conjectural = (key, r) in CONJECTURAL
@@ -838,40 +835,17 @@ def check_general_form(tau, r: int, order: int = DEFAULT_ORDER) -> GeneralFormRe
             f"order {order} too small to resolve degree-{bound} polynomials; "
             f"need at least {2 * (2 * bound + 1)}"
         )
-    if key == "312" and r >= 1:
-        s = sqrt_one_minus_4x(order)
-        g = f * s ** (2 * r - 1)
-        denominator = f"sqrt(1-4x)^{2 * r - 1}"
-        result = _decompose_p_plus_sq(g, bound)
-        if result is None:
-            return GeneralFormReport(
-                key, r, False, denominator, (), (), conjectural, "no polynomial decomposition found"
-            )
-        p, q = result
-        quarter = Fraction(1, 4)
-        p_at_quarter = sum(c * quarter**i for i, c in enumerate(p))
-        if p_at_quarter == 0:
-            return GeneralFormReport(
-                key,
-                r,
-                False,
-                denominator,
-                tuple(p),
-                tuple(q),
-                conjectural,
-                "denominator not in smallest terms: P divisible by (1-4x)",
-            )
-        return GeneralFormReport(key, r, True, denominator, tuple(p), tuple(q), conjectural)
-    # (3,2,1)-shape (also covers r = 0): F = (P + sqrt(1-4x) Q) / (2 x^{2r+1})
-    g = (f * 2).shift(2 * (2 * r + 1)).truncate(order)
-    denominator = f"2 x^{2 * r + 1}"
-    result = _decompose_p_plus_sq(g, bound)
+    d, denominator = _denominator(key, r, order)
+    result = _decompose_p_plus_sq(d * f, bound)
+    p, q = result or ((), ())
+    detail = ""
     if result is None:
-        return GeneralFormReport(
-            key, r, False, denominator, (), (), conjectural, "no polynomial decomposition found"
-        )
-    p, q = result
-    return GeneralFormReport(key, r, True, denominator, tuple(p), tuple(q), conjectural)
+        detail = "no polynomial decomposition found"
+    elif denominator.startswith("sqrt") and sum(c / 4**i for i, c in enumerate(p)) == 0:
+        detail = "denominator not in smallest terms: P divisible by (1-4x)"
+    return GeneralFormReport(
+        key, r, not detail, denominator, tuple(p), tuple(q), conjectural, detail
+    )
 
 
 def coefficients_as_strings(series: Series) -> list[str]:

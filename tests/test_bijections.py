@@ -235,10 +235,9 @@ class TestJumpAnalysis:
                     ctx, pos = analysis.context, span.position
                     if tau == "312":
                         left = [g for g in maxima if g < ctx.preceding_max]
+                        downs = [i for i, ch in enumerate(info.path) if ch == "D"]
                         steps = [
-                            _nonpeak_ups_between(
-                                info.path, maxima, info.offsets[g - 1] + 1, span.start
-                            )
+                            _nonpeak_ups_between(info.path, maxima, downs[g - 1] + 1, span.start)
                             for g in left
                         ]
                         hits = [i for i, s in enumerate(steps, 1) if s < span.m]

@@ -196,6 +196,14 @@ class TestCache:
         t = census.brute_distribution(5, "312", cache_dir=tmp_path)
         assert t.count(0) == 42
 
+    def test_memoised_table_is_written(self, tmp_path, monkeypatch):
+        # the cache is read before the memo, so a memoised n still fills it
+        monkeypatch.setattr(census, "_memo", {})
+        first = census.brute_distribution(4, "312")
+        assert census.brute_distribution(4, "312", cache_dir=tmp_path) == first
+        assert (tmp_path / "312" / "4.json").is_file()
+        assert (tmp_path / "321" / "4.json").is_file()
+
     def test_environment_not_read(self, tmp_path, monkeypatch):
         # only the CLI's --cache-dir default reads PERMDYCK_CACHE
         monkeypatch.setenv("PERMDYCK_CACHE", str(tmp_path))
@@ -343,6 +351,17 @@ class TestVerification:
         report = census.verify_conjectures(7)
         assert report.passed
         assert {row.r for row in report.rows} == {3, 4}
+
+    def test_conjectures_follow_the_conjectural_set(self, monkeypatch):
+        monkeypatch.setattr(series, "CONJECTURAL", series.CONJECTURAL | {("321", 2)})
+        report = census.verify_conjectures(7)
+        assert report.passed
+        assert [(row.pattern, row.r) for row in report.rows[::8]] == [
+            ("321", 2),
+            ("321", 3),
+            ("321", 4),
+        ]
+        assert [row.brute for row in report.rows[:8]] == [0, 0, 0, 0, 3, 24, 133, 635]
 
 
 class TestBoundedCensus:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from permdyck import census
-from permdyck.cli import EXIT_CACHE, build_parser, main, render_svg
+from permdyck.cli import EXIT_CACHE, EXIT_USAGE, build_parser, main, render_svg
 from permdyck.paths import PathError
 
 
@@ -200,6 +200,20 @@ class TestVerify:
         assert code == 0
         assert "deg P" in out
 
+    def test_general_form_lines(self, capsys):
+        code, out, _ = run(capsys, "verify", "--general-form", "--order", "80")
+        assert code == 0
+        assert out.splitlines() == [
+            "tau=312 r=1: denominator sqrt(1-4x)^1, deg P = 1, deg Q = 1",
+            "tau=312 r=2: denominator sqrt(1-4x)^3, deg P = 4, deg Q = 3",
+            "tau=321 r=0: denominator 2 x^1, deg P = 0, deg Q = 0",
+            "tau=321 r=1: denominator 2 x^3, deg P = 3, deg Q = 2",
+            "tau=321 r=2: denominator 2 x^5, deg P = 5, deg Q = 5",
+            "CONJECTURE tau=321 r=3: denominator 2 x^7, deg P = 8, deg Q = 7",
+            "CONJECTURE tau=321 r=4: denominator 2 x^9, deg P = 10, deg Q = 10",
+            "PASS",
+        ]
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--assemblies", "--order", "20", "--format", "json"
@@ -302,3 +316,30 @@ class TestRenderAndCoeffs:
         )
         assert code == 0 and out == ""
         assert target.read_text().strip() == "UUUUDJJDUUUDDD"
+
+
+class TestUnwritablePath:
+    """A path that cannot be written is a usage error (exit 2) with one
+    ``error:`` line, not a traceback."""
+
+    def _assert_usage_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return out
+
+    def test_output_in_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.txt"
+        argv = ("map", "2,1", "--tau", "312", "--output", str(target))
+        assert self._assert_usage_error(capsys, *argv) == ""
+        assert not target.parent.exists()
+
+    def test_svg_in_missing_directory(self, capsys, tmp_path):
+        self._assert_usage_error(capsys, "render", "UD", "--svg", str(tmp_path / "x" / "p.svg"))
+
+    def test_cache_dir_under_a_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(census, "_memo", {})
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ("table", "--tau", "312", "--n", "4", "--cache-dir", str(blocker / "cache"))
+        assert self._assert_usage_error(capsys, *argv) == ""

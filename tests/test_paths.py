@@ -87,8 +87,8 @@ class TestJumps:
 
 
 def naive_info(word: str):
-    """Independent recomputation of ``PathInfo``: per down-step heights,
-    peaks and offsets from ``running_heights``, and each jump run's
+    """Independent recomputation of ``PathInfo``: per down-step heights and
+    peaks from ``running_heights``, and each jump run's
     (position, depth, m, l) from regexes for the D*J+D* runs."""
     levels = paths.running_heights(word)
     offsets = tuple(i for i, ch in enumerate(word) if ch == "D")
@@ -102,7 +102,7 @@ def naive_info(word: str):
         m = len(re.search(r"D*$", word[: run.start()]).group())
         l = len(re.match(r"D*", word[run.end() :]).group())
         runs.append((word[: run.start()].count("D"), len(run.group()), m, l))
-    return heights, tuple(peaks), offsets, tuple(runs)
+    return heights, tuple(peaks), tuple(runs)
 
 
 class TestPathInfo:
@@ -117,9 +117,9 @@ class TestPathInfo:
                         paths.path_info(w)
                     continue
                 info = paths.path_info(w)
-                heights, peaks, offsets, runs = naive_info(w)
+                heights, peaks, runs = naive_info(w)
                 assert info.path == w
-                assert (info.heights, info.peaks, info.offsets) == (heights, peaks, offsets)
+                assert (info.heights, info.peaks) == (heights, peaks)
                 got = tuple((sp.position, sp.depth, sp.m, sp.l) for sp in info.spans)
                 assert got == runs, w
                 assert all(w[sp.start : sp.end] == "J" * sp.depth for sp in info.spans)
@@ -135,7 +135,6 @@ class TestPathInfo:
         info = paths.path_info("UUUUDJJDUUUDDD")
         assert info.heights == (3, 0, 2, 1, 0)
         assert info.peaks == (1, 1, 3, 3, 3)
-        assert info.offsets == (4, 7, 11, 12, 13)
         assert info.spans == ((5, 7, 1, 1, 1),)  # plain tuples compare equal
         assert info.spans[0].depth == 2 and info.spans[0].psi_shaped
 

@@ -374,6 +374,20 @@ class TestGeneralForm:
         assert tuple(int(c) for c in rep.p_coeffs) == p
         assert tuple(int(c) for c in rep.q_coeffs) == q
 
+    @pytest.mark.parametrize("row", sorted(series.GF_PQ) + [("312", 0)], ids="{0[0]}-r{0[1]}".format)
+    def test_every_row_is_recovered(self, row):
+        # the recorded P and Q are what the solver finds in gf's coefficients;
+        # gf(312, 0) reads the (321, 0) row
+        key, r = row
+        p, q = series.GF_PQ[row if r else ("321", 0)]
+        rep = series.check_general_form(key, r, 80)
+
+        def dense(poly):
+            return tuple(poly.get(i, 0) for i in range(max(poly) + 1))
+
+        assert rep.passed and rep.conjectural == (row in series.CONJECTURAL)
+        assert (rep.p_coeffs, rep.q_coeffs) == (dense(p), dense(q))
+
 
 class TestDecomposition:
     @settings(max_examples=25, deadline=None)
