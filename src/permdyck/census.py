@@ -52,6 +52,11 @@ layer k + 1 is built.  In layer k the all-zero state means the placed
 values are exactly 1..k, so its vector is the distribution over S_k: one
 pass at n_max serves every smaller n.  A layer of more than ``MAX_STATES``
 states raises ``ResourceGuardError`` unless the bound is lifted.
+
+Importing this module loads only ``perms`` and ``kernels`` of the package.
+``audit_bijections`` imports ``bijections``, ``paths`` and ``series`` when
+it runs, and ``verify_formulas`` and ``verify_conjectures`` import
+``series``, so the brute sweep and the bounded census never load them.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from permdyck import bijections, kernels, paths, perms, series
+from permdyck import kernels, perms
 from permdyck.perms import (
     Permutation,
     _pattern_key,
@@ -461,6 +466,8 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
     the predicted occurrence triples being genuine (with exact totals for
     hosts having one or two occurrences).
     """
+    from permdyck import bijections, paths, series
+
     key = _pattern_key(tau)
     _guard(n, limit)
     tau = as_pattern(tau)
@@ -629,6 +636,8 @@ class VerificationReport:
 def verify_formulas(n_max: int, *, force: bool = False) -> VerificationReport:
     """Bounded-census counts against the proven closed-form counts, r = 0, 1,
     2, both patterns, for every n <= n_max."""
+    from permdyck import series
+
     counts = {key: bounded_distributions(n_max, key, 2, force=force) for key in ("312", "321")}
     rows = []
     for n in range(n_max + 1):
@@ -650,6 +659,8 @@ def verify_conjectures(n_max: int, *, force: bool = False) -> VerificationReport
     """Bounded-census counts against the conjectured generating functions,
     the (pattern, r) pairs of ``series.CONJECTURAL``, for every n <= n_max.
     Each pattern takes one census, at its largest conjectured r."""
+    from permdyck import series
+
     pairs = sorted(series.CONJECTURAL)
     # the pairs are sorted, so each pattern keeps its largest r
     counts = {

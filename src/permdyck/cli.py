@@ -20,6 +20,12 @@ among them), 3 resource guard tripped (``table``: n above ``--limit``;
 ``verify``: a census layer above ``census.MAX_STATES`` states; ``--force``
 lifts both), 4 corrupt distribution cache file (one that does not parse,
 has the wrong shape or fails its checksum; delete it to recompute).
+
+At start-up this module loads only ``census`` and ``perms`` (with
+``kernels``) of the package, which ``table``, ``bases`` and the error
+mapping need.  The other handlers import what they call: ``verify`` and
+``coeffs`` load ``series``, ``map`` and ``decode`` load ``bijections`` and
+``paths``, and ``render`` loads ``paths``.
 """
 
 from __future__ import annotations
@@ -30,9 +36,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from permdyck import bijections, census, paths, series
-from permdyck.paths import PathError
-from permdyck.perms import PatternError, Permutation
+from permdyck import census
+from permdyck.perms import Permutation
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -43,14 +48,17 @@ EXIT_CACHE = 4
 ENV_CACHE_DIR = "PERMDYCK_CACHE"
 
 
-def _parse_n_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        start, stop = int(lo), int(hi)
-        if stop < start:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(start, stop + 1))
-    return [int(text)]
+def _n_range(text: str) -> list[int]:
+    """``table --n``: one n, or an inclusive range such as ``0..9``."""
+    lo, dots, hi = text.partition("..")
+    try:
+        start = int(lo)
+        stop = int(hi) if dots else start
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid n or range: {text!r}") from None
+    if stop < start:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return list(range(start, stop + 1))
 
 
 def _int_at_least(low: int):
@@ -79,7 +87,7 @@ def _emit(args, payload: str) -> None:
 
 
 def _cmd_table(args) -> int:
-    ns = _parse_n_range(args.n)
+    ns = args.n
     limit = max(ns) if args.force else args.limit
     if args.force and max(ns) > census.DEFAULT_LIMIT:
         print(
@@ -113,6 +121,8 @@ def _cmd_table(args) -> int:
 
 
 def _report_lines(report: census.VerificationReport) -> list[str]:
+    from permdyck import series
+
     lines = []
     by_pair: dict[tuple[str, int], list[census.VerificationRow]] = {}
     for row in report.rows:
@@ -132,6 +142,8 @@ def _report_lines(report: census.VerificationReport) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
+    from permdyck import series
+
     checks: list[str] = []
     passed = True
     if args.formulas or args.conjectures:
@@ -165,6 +177,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    from permdyck import bijections
+
     rho = Permutation.from_text(args.perm)
     if args.tau == "avoiding":
         path = bijections.psi_avoiding(rho)
@@ -178,6 +192,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from permdyck import bijections, paths
+
     path = paths.parse_path(args.path)
     if args.mode == "321avoid":
         rho = bijections.decode_321_avoiding(path)
@@ -209,11 +225,11 @@ def _cmd_bases(args) -> int:
     return EXIT_OK
 
 
-_GLYPHS = {paths.UP: "/", paths.DOWN: "\\", paths.JUMP: "|"}
-
-
 def render_ascii(path: str) -> str:
     """One text row per height level: / and \\ for steps, | for jumps."""
+    from permdyck import paths
+
+    glyphs = {paths.UP: "/", paths.DOWN: "\\", paths.JUMP: "|"}
     paths.path_info(path)  # raises PathError on an invalid path
     if not path:
         return "(empty path)"
@@ -222,12 +238,14 @@ def render_ascii(path: str) -> str:
     height = max(rows) + 1
     grid = [[" "] * len(path) for _ in range(height)]
     for col, (ch, row) in enumerate(zip(path, rows)):
-        grid[height - 1 - row][col] = _GLYPHS[ch]
+        grid[height - 1 - row][col] = glyphs[ch]
     return "\n".join("".join(line).rstrip() for line in grid)
 
 
 def render_svg(path: str) -> str:
     """The path as an SVG polyline: a jump is a vertical segment."""
+    from permdyck import paths
+
     paths.path_info(path)  # raises PathError on an invalid path
     scale = 12
     x = 0
@@ -249,21 +267,26 @@ def render_svg(path: str) -> str:
 
 
 def _cmd_render(args) -> int:
+    from permdyck import paths
+
     path = paths.parse_path(args.path)
     picture = render_ascii(path)
     heights = list(paths.down_step_heights(path))
+    # the SVG is written first, so a failed write prints nothing to stdout
+    if args.svg:
+        with open(args.svg, "w") as fh:
+            fh.write(render_svg(path))
     if args.format == "json":
         _emit(args, json.dumps({"path": path, "ascii": picture, "heights": heights}))
     else:
         heights_text = ",".join(str(h) for h in heights)
         _emit(args, picture + f"\ndown-step heights: {heights_text}")
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_svg(path))
     return EXIT_OK
 
 
 def _cmd_coeffs(args) -> int:
+    from permdyck import series
+
     g = series.gf(args.tau, args.r, 2 * args.n_max)
     coeffs = series.coefficients_as_strings(g)[: args.n_max + 1]
     if args.format == "csv":
@@ -312,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="occurrence-count distribution over S_n")
     p.add_argument("--tau", choices=("312", "321"), required=True)
-    p.add_argument("--n", required=True, help="single n or range, e.g. 5 or 0..9")
+    p.add_argument(
+        "--n", type=_n_range, required=True, help="single n or range, e.g. 5 or 0..9"
+    )
     _add_common(p, cache=True)
     p.set_defaults(fn=_cmd_table)
 
@@ -374,7 +399,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except census.CacheError as exc:
         print(f"error: {exc} (delete the file to recompute it)", file=sys.stderr)
         return EXIT_CACHE
-    except (PatternError, PathError, bijections.NotInImageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # PatternError, PathError, NotInImageError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,9 +1,14 @@
 """CLI behaviour: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permdyck
 from permdyck import census
 from permdyck.cli import EXIT_CACHE, EXIT_USAGE, build_parser, main, render_svg
 from permdyck.paths import PathError
@@ -40,6 +45,27 @@ class TestTable:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--tau", "123x", "--n", "5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n", ["x", "1..x", "5..3"])
+    def test_bad_n_usage_error(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--tau", "312", "--n", n])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: permdyck table")
+        assert "error: argument --n: " in captured.err and repr(n) in captured.err
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            ("3", "n=3  r=0:5  r=1:1\n"),
+            ("2..2", "n=2  r=0:2\n"),
+            ("0..3", "n=0  r=0:1\nn=1  r=0:1\nn=2  r=0:2\nn=3  r=0:5  r=1:1\n"),
+        ],
+    )
+    def test_n_and_ranges(self, capsys, n, expected):
+        assert run(capsys, "table", "--tau", "312", "--n", n) == (0, expected, "")
 
     def test_resource_guard_exit(self, capsys):
         code, _, err = run(capsys, "table", "--tau", "312", "--n", "11")
@@ -291,6 +317,17 @@ class TestRenderAndCoeffs:
         assert code == 0
         assert svg.read_text().startswith("<svg")
 
+    def test_render_svg_file_and_stdout(self, capsys, tmp_path):
+        svg = tmp_path / "p.svg"
+        plain = run(capsys, "render", "UUDDUD")
+        assert plain == (0, " /\\\n/  \\/\\\ndown-step heights: 1,0,0\n", "")
+        assert run(capsys, "render", "UUDDUD", "--svg", str(svg)) == plain
+        assert svg.read_text() == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="96" height="48">'
+            '<polyline points="12,36 24,24 36,12 48,24 60,36 72,24 84,36" '
+            'fill="none" stroke="black" stroke-width="2"/></svg>\n'
+        )
+
     @pytest.mark.parametrize("path", ["UDDU", "D", "UUDDJ", "UUD"])
     def test_render_svg_rejects_invalid_path(self, path):
         with pytest.raises(PathError, match="invalid path"):
@@ -337,9 +374,50 @@ class TestUnwritablePath:
     def test_svg_in_missing_directory(self, capsys, tmp_path):
         self._assert_usage_error(capsys, "render", "UD", "--svg", str(tmp_path / "x" / "p.svg"))
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failed_svg_prints_nothing(self, capsys, tmp_path, fmt):
+        argv = ("render", "UD", "--format", fmt, "--svg", str(tmp_path / "x" / "p.svg"))
+        assert self._assert_usage_error(capsys, *argv) == ""
+
     def test_cache_dir_under_a_file(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(census, "_memo", {})
         blocker = tmp_path / "file"
         blocker.write_text("")
         argv = ("table", "--tau", "312", "--n", "4", "--cache-dir", str(blocker / "cache"))
         assert self._assert_usage_error(capsys, *argv) == ""
+
+
+def loaded_submodules(code: str) -> set[str]:
+    """The ``permdyck.*`` modules a fresh interpreter holds after ``code``."""
+    code += "\nimport json, sys; print(json.dumps([m for m in sys.modules if m[:9] == 'permdyck.']))"
+    src = str(Path(permdyck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestStartupImports:
+    """Each command loads only the modules it runs."""
+
+    LATE = {"permdyck.series", "permdyck.bijections", "permdyck.paths"}
+
+    def test_package_import_loads_no_submodule(self):
+        assert loaded_submodules("import permdyck") == set()
+
+    def test_cli_import_and_table(self):
+        assert not loaded_submodules("import permdyck.cli") & self.LATE
+        code = (
+            "from permdyck import cli\n"
+            "cli.main(['table', '--tau', '312', '--n', '4', '--cache-dir', ''])"
+        )
+        loaded = loaded_submodules(code)
+        assert {"permdyck.cli", "permdyck.census", "permdyck.perms"} <= loaded
+        assert not loaded & self.LATE
+
+    def test_coeffs_loads_series_only(self):
+        code = "from permdyck import cli\ncli.main(['coeffs', '--tau', '321', '--r', '2'])"
+        loaded = loaded_submodules(code)
+        assert "permdyck.series" in loaded
+        assert not loaded & {"permdyck.bijections", "permdyck.paths"}

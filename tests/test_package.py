@@ -1,0 +1,75 @@
+"""The package surface: lazy re-exports that are their home modules' objects."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import permdyck
+
+# what ``permdyck`` re-exports, by home module
+EXPORTS = {
+    "perms": """PATTERN_312 PATTERN_321 HeightVector OccurrenceSet PatternError
+        Permutation count_occurrences count_occurrences_fast find_occurrences
+        heights_312 heights_321 left_to_right_maxima reflect_anti_diag
+        reflect_main_diag rotate_quarter standardize tau_base""",
+    "paths": """Jump PathError Validation count_paths down_step_heights
+        is_psi_shaped jumps parse_path validate weight_exponent""",
+    "bijections": """NotInImageError analyze_jumps check_jumpsum
+        decode_312_avoiding decode_321_avoiding decode_psi312 psi312 psi321
+        psi_avoiding psi_tau""",
+    "series": """Series catalan catalan_number check_assemblies
+        check_general_form count_closed_form gf""",
+    "census": """CacheError DistributionTable ResourceGuardError audit_bijections
+        bounded_distributions brute_distribution enumerate_class
+        enumerate_tau_bases verify_conjectures verify_formulas""",
+}
+HOME = {name: module for module, names in EXPORTS.items() for name in names.split()}
+SUBMODULES = ("perms", "paths", "bijections", "series", "census", "kernels", "cli")
+
+
+def test_all_lists_the_exports():
+    assert sorted(permdyck.__all__) == sorted(HOME)
+
+
+@pytest.mark.parametrize("name", sorted(HOME))
+def test_export_is_its_home_object(name):
+    home = importlib.import_module(f"permdyck.{HOME[name]}")
+    assert getattr(permdyck, name) is getattr(home, name)
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from permdyck import *", namespace)
+    for name in permdyck.__all__:
+        assert namespace[name] is getattr(permdyck, name)
+
+
+def test_dir_lists_exports_and_submodules():
+    assert set(HOME) | set(SUBMODULES) <= set(dir(permdyck))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        permdyck.no_such_name
+
+
+def test_names_and_submodules_resolve_after_plain_import():
+    """In a fresh interpreter, where nothing has been loaded yet."""
+    code = (
+        "import sys, permdyck\n"
+        "assert permdyck.census.audit_bijections is sys.modules['permdyck.census'].audit_bijections\n"
+        f"for m in {SUBMODULES!r}:\n"
+        "    assert getattr(permdyck, m) is sys.modules['permdyck.' + m]\n"
+        "assert permdyck.gf is sys.modules['permdyck.series'].gf\n"
+        "print('ok')\n"
+    )
+    src = str(Path(permdyck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
