@@ -214,7 +214,11 @@ def decode_psi312(path: str) -> Permutation:
     >>> decode_psi312("UUUUDDUDJDUD")
     Permutation(4, 3, 5, 1, 2)
     """
-    info = paths.path_info(path)
+    return _decode_psi312(paths.path_info(path))
+
+
+def _decode_psi312(info: paths.PathInfo) -> Permutation:
+    """``decode_psi312`` on the parsed path ``info``."""
     if not info.psi_shaped:
         raise NotInImageError("jumps must be sandwiched between down-steps")
     heights = info.heights
@@ -449,13 +453,18 @@ def is_single_occurrence_shape_312(path: str) -> bool:
     would force a second occurrence).  Verified exhaustively for n <= 7.
     """
     try:
-        spans = paths.path_info(path).spans
+        info = paths.path_info(path)
     except PathError:
         return False
-    if len(spans) != 1:
+    return _single_occurrence_shape_312(info)
+
+
+def _single_occurrence_shape_312(info: paths.PathInfo) -> bool:
+    """``is_single_occurrence_shape_312`` on the parsed path ``info``."""
+    if len(info.spans) != 1:
         return False
-    span = spans[0]
+    span = info.spans[0]
     # d = m = l = 1, and the pre-jump down-step follows at least two up-steps
-    return (span.depth, span.m, span.l) == (1, 1, 1) and path.endswith(
+    return (span.depth, span.m, span.l) == (1, 1, 1) and info.path.endswith(
         paths.UP * 2, 0, span.start - 1
     )

@@ -534,9 +534,9 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
                 fail("decode-roundtrip", f"{rho} -> {path} -> {decoded}")
 
         if key == "312":
-            if bijections.decode_psi312(path) != rho:
+            if bijections._decode_psi312(info) != rho:
                 fail("decode-psi312-roundtrip", f"{rho} -> {path}")
-            single = bijections.is_single_occurrence_shape_312(path)
+            single = bijections._single_occurrence_shape_312(info)
             if single != (r == 1):
                 fail("single-occurrence-shape", f"{rho} -> {path}, r={r}")
 

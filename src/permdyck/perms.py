@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import itertools
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from permdyck import kernels
@@ -199,16 +201,34 @@ class OccurrenceSet:
 def find_occurrences(rho: Permutation, tau) -> OccurrenceSet:
     """Enumerate every occurrence of ``tau`` in ``rho`` by scanning all
     position k-subsets.  This is the slow, obviously-correct reference used
-    as ground truth for the fast counters.
+    as ground truth for the fast counters, so it uses nothing from
+    ``kernels``.
+
+    A subword ``sub`` has the relative order of ``tau`` iff picking the
+    (tau_1, ..., tau_k)-th smallest of its entries gives ``sub`` back:
+    ``itemgetter(*(t - 1 for t in tau))(sorted(sub)) == sub``.
+
+    >>> find_occurrences((1, 5, 2, 4, 3), "312").positions
+    ((2, 3, 4), (2, 3, 5))
     """
     tau = as_pattern(tau)
-    if tau.n < 2:
+    k = tau.n
+    if k < 2:
         raise PatternError("patterns must have length >= 2")
-    hits = []
-    target = tuple(tau)
-    for pos in itertools.combinations(range(1, len(rho) + 1), tau.n):
-        if tuple(standardize([rho[i - 1] for i in pos])) == target:
-            hits.append(pos)
+    vals = tuple(rho)
+    if len(set(vals)) != len(vals):
+        # the first subword holding a repeat raises, as it would standardise
+        for sub in itertools.combinations(vals, k):
+            standardize(sub)
+    pick = itemgetter(*(t - 1 for t in tau))
+    hits = [
+        pos
+        for pos, sub in zip(
+            itertools.combinations(range(1, len(vals) + 1), k),
+            itertools.combinations(vals, k),
+        )
+        if pick(sorted(sub)) == sub
+    ]
     return OccurrenceSet(pattern=tau, positions=tuple(hits))
 
 
@@ -277,14 +297,14 @@ def heights_312(rho: Sequence[int]) -> HeightVector:
     >>> tuple(heights_312((4, 3, 5, 1, 2)))
     (3, 2, 2, 0, 0)
     """
-    vals = tuple(rho)
+    # right to left: h_i is where rho_i falls among the sorted entries after it
+    seen: list[int] = []
     out = []
-    for i, v in enumerate(vals, 1):
-        h = 0
-        for w in vals[i:]:
-            if w < v:
-                h += 1
+    for v in reversed(tuple(rho)):
+        h = bisect_left(seen, v)
+        seen.insert(h, v)
         out.append(h)
+    out.reverse()
     # counts are >= 0 and the last tail is empty: a HeightVector as built
     return tuple.__new__(HeightVector, out)
 

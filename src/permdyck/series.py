@@ -375,7 +375,9 @@ def _gf_cached(key: str, r: int, order: int) -> Series:
     row = GF_PQ.get((key, r) if r else ("321", 0))
     if row is None:
         raise ValueError(f"no generating function recorded for ({key}, r={r})")
-    work = order + 24
+    # dividing by D loses as many t-orders as D's valuation, which is at
+    # most 4r+2 (that of 2 x^(2r+1); a power of sqrt(1-4x) has 0)
+    work = max(order, 0) + 4 * r + 2
     p, q = (from_x_poly(poly, work) for poly in row)
     num = p + q * sqrt_one_minus_4x(work)
     out = (num / _denominator(key, r, work)[0]).truncate(order)

@@ -325,6 +325,31 @@ class TestAuditRoute:
         assert census.audit_bijections(6, tau).passed
         assert calls == compared
 
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    def test_one_parse_per_permutation_and_two_per_dyck_path(self, monkeypatch, tau):
+        # each image is parsed once; each Dyck path by the avoider decoder
+        # and again by the decode-covers-dyck sweep
+        original = paths._scan
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(paths, "_scan", counted)
+        assert census.audit_bijections(6, tau).passed
+        assert len(calls) == math.factorial(6) + 2 * series.catalan_number(6)
+
+    def test_wrong_psi312_decoding_fails_roundtrip(self, monkeypatch):
+        monkeypatch.setattr(bijections, "_decode_psi312", lambda info: Permutation((1,)))
+        failed = [c.name for c in census.audit_bijections(5, "312").checks if not c.passed]
+        assert failed == ["decode-psi312-roundtrip"]
+
+    def test_wrong_single_occurrence_shape_fails_its_check(self, monkeypatch):
+        monkeypatch.setattr(bijections, "_single_occurrence_shape_312", lambda info: False)
+        failed = [c.name for c in census.audit_bijections(5, "312").checks if not c.passed]
+        assert failed == ["single-occurrence-shape"]
+
     def test_dropped_prediction_fails_total(self, monkeypatch):
         original = bijections._predict
         monkeypatch.setattr(bijections, "_predict", lambda rho, key, info: original(rho, key, info)[1:])

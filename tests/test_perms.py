@@ -80,7 +80,57 @@ class TestStandardize:
             standardize((2, 2, 1))
 
 
+def _standardising_finder(rho, k):
+    """The finder that ``find_occurrences`` replaced, standardising every
+    position k-subset in turn, for all patterns of length k at once:
+    pattern -> its occurrence positions, in lexicographic order."""
+    out = {}
+    for pos in itertools.combinations(range(1, len(rho) + 1), k):
+        out.setdefault(tuple(standardize([rho[i - 1] for i in pos])), []).append(pos)
+    return out
+
+
 class TestFindOccurrences:
+    @pytest.mark.parametrize("k,n_max", [(2, 7), (3, 7), (4, 6)])
+    def test_matches_standardising_finder(self, k, n_max):
+        patterns = list(all_permutations(k))
+        for n in range(n_max + 1):
+            for rho in all_permutations(n):
+                expected = _standardising_finder(rho, k)
+                for tau in patterns:
+                    occ = find_occurrences(rho, tau)
+                    assert occ.positions == tuple(expected.get(tau, ())), (rho, tau)
+
+    @pytest.mark.parametrize(
+        "word,tau",
+        [
+            ((1, 1), "312"),
+            ((1, 1), "21"),
+            ((1, 2, 1, 3), "21"),
+            ((1, 2, 1, 3), "312"),
+            ((4, 1, 3, 3), "312"),
+            ((2, 5, 7, 5, 1), "1234"),
+            ((3, 3, 3), "4321"),
+        ],
+    )
+    def test_repeated_entries_as_standardising_finder(self, word, tau):
+        tau = Permutation(int(ch) for ch in tau)
+        try:
+            expected = tuple(_standardising_finder(word, tau.n).get(tau, ()))
+        except PatternError as exc:
+            with pytest.raises(PatternError) as got:
+                find_occurrences(word, tau)
+            assert str(got.value) == str(exc)
+        else:
+            assert find_occurrences(word, tau).positions == expected
+
+    def test_repeated_entries_examples(self):
+        assert find_occurrences((1, 1), "312").positions == ()
+        with pytest.raises(PatternError, match=r"^entries must be pairwise distinct: \(1, 1\)$"):
+            find_occurrences((1, 2, 1, 3), "21")
+        with pytest.raises(PatternError, match=r"^entries must be pairwise distinct: \(1, 2, 1\)$"):
+            find_occurrences((1, 2, 1, 3), "312")
+
     def test_two_occurrence_host(self):
         occ = find_occurrences(Permutation((1, 5, 2, 4, 3)), "312")
         assert occ.positions == ((2, 3, 4), (2, 3, 5))

@@ -184,6 +184,22 @@ class TestGeneratingFunctions:
         for n in range(41):
             assert g.x_coeff(n) == series.count_closed_form(tau, r, n), (tau, r, n)
 
+    @pytest.mark.parametrize("order", [0, 1, 20, 81])
+    def test_every_row_reaches_the_order(self, order):
+        for key, r in series.GF_PQ:
+            assert series.gf(key, r, order).order == order, (key, r)
+
+    def test_deep_monomial_denominator_reaches_the_order(self, monkeypatch):
+        # D = 2 x^13 takes 26 t-orders, more than any recorded row's D
+        monkeypatch.setitem(series.GF_PQ, ("321", 6), ({13: 2}, {0: 0}))
+        series._gf_cached.cache_clear()
+        try:
+            g = series.gf("321", 6, 40)
+        finally:
+            series._gf_cached.cache_clear()
+        assert g.order == 40
+        assert g.coeffs == (1,) + (0,) * 40
+
     def test_conjectural_flags(self):
         assert ("321", 3) in series.CONJECTURAL
         assert ("321", 4) in series.CONJECTURAL
