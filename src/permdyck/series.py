@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from permdyck.perms import _pattern_key
@@ -133,6 +133,8 @@ class Series:
         return self.valuation() is None
 
     def truncate(self, order: int) -> "Series":
+        if order < 0:
+            raise ValueError("a series needs at least the constant coefficient")
         if order >= self.order:
             return self
         return Series(self.coeffs[: order + 1])
@@ -173,17 +175,24 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product, truncated to the smaller operand order.  The
+        convolution loops over nonzero coefficients only: the nonzero
+        (j, b_j) of the second operand are listed once, and each row stops
+        at the first j past the order.  A series in x has every odd
+        t-coefficient zero, so this skips at least half of each operand."""
         if isinstance(other, (int, Fraction)):
             return Series(c * other for c in self.coeffs)
         a, b, m = self._pair(other)
+        nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj != 0]
         out = [0] * (m + 1)
         for i, ai in enumerate(a):
             if ai == 0:
                 continue
-            for j in range(m + 1 - i):
-                bj = b[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
+            last = m - i
+            for j, bj in nonzero_b:
+                if j > last:
+                    break
+                out[i + j] += ai * bj
         return Series(out)
 
     __rmul__ = __mul__
@@ -431,8 +440,20 @@ def count_closed_form(tau, r: int, n: int) -> int:
 
 @lru_cache(maxsize=1024)
 def _cpow(k: int, order: int) -> Series:
-    """c**k at the given order: the one place a power of c is built."""
-    return catalan(order) ** k
+    """c**k at the given order: the one place a power of c is built.
+
+    No series is multiplied: the x-coefficients are the ballot numbers
+    [x^n] c^k = k/(2n+k) * C(2n+k, n) for k >= 1 (Lagrange inversion of
+    c = 1 + x c^2), and c**0 is 1.  A negative order raises ``ValueError``.
+    """
+    if order < 0:
+        raise ValueError("a series needs at least the constant coefficient")
+    cs: list[Coef] = [0] * (order + 1)
+    cs[0] = 1
+    if k:
+        for n in range(1, order // 2 + 1):
+            cs[2 * n] = k * comb(2 * n + k, n) // (2 * n + k)
+    return Series(cs)
 
 
 def _tsum(order: int, terms: Iterable[tuple[int, Series]]) -> Series:
@@ -746,29 +767,50 @@ def check_assemblies(order: int = 40) -> AssemblyReport:
 
 def _solve_exact(rows: list[list[Coef]], rhs: Sequence[Coef]) -> Optional[list[Fraction]]:
     """Solve an overdetermined exact linear system; None unless it is
-    consistent with full column rank."""
-    m = len(rows)
+    consistent with full column rank, else the unique solution as Fractions.
+
+    The elimination is fraction-free (Bareiss): each row, with its
+    right-hand side, is scaled to integers by the lcm of its denominators,
+    and a step with pivot p, after a previous pivot p', replaces every
+    entry a below the pivot row by (p a - f b) / p', where f is the row's
+    entry under the pivot and b the pivot row's entry; that division is
+    exact, so every entry stays an integer.  The pivot of each column is
+    its first nonzero entry at or below the current row.
+    Back-substitution is the only step that builds Fractions."""
+    aug: list[list[int]] = []
+    for row, b in zip(rows, rhs):
+        vals = [*row, b]
+        den = lcm(*(v.denominator for v in vals))
+        aug.append([v.numerator * (den // v.denominator) for v in vals])
+    m = len(aug)
     if m == 0:
         return None
-    ncols = len(rows[0])
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    r = 0
-    for col in range(ncols):
-        pr = next((i for i in range(r, m) if aug[i][col] != 0), None)
+    ncols = len(aug[0]) - 1
+    prev = 1
+    for r in range(ncols):
+        pr = next((i for i in range(r, m) if aug[i][r] != 0), None)
         if pr is None:
             return None
         aug[r], aug[pr] = aug[pr], aug[r]
-        pivot = aug[r][col]
-        aug[r] = [v / pivot for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        r += 1
-    for i in range(r, m):
-        if aug[i][ncols] != 0:
-            return None
-    return [aug[i][ncols] for i in range(ncols)]
+        pivot_tail = aug[r][r + 1 :]
+        pivot = aug[r][r]
+        # columns up to r are not read again in the rows below the pivot
+        for i in range(r + 1, m):
+            row = aug[i]
+            f = row[r]
+            if f:
+                row[r + 1 :] = [(pivot * a - f * b) // prev for a, b in zip(row[r + 1 :], pivot_tail)]
+            else:
+                row[r + 1 :] = [pivot * a // prev for a in row[r + 1 :]]
+        prev = pivot
+    if any(aug[i][ncols] != 0 for i in range(ncols, m)):
+        return None
+    x: list[Fraction] = [Fraction(0)] * ncols
+    for j in reversed(range(ncols)):
+        row = aug[j]
+        acc = Fraction(row[ncols]) - sum(row[k] * x[k] for k in range(j + 1, ncols))
+        x[j] = acc / row[j]
+    return x
 
 
 @dataclass(frozen=True)

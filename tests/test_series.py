@@ -1,6 +1,8 @@
 """Exact series arithmetic, closed forms, assemblies, and general form."""
 
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -80,11 +82,46 @@ class TestArithmetic:
         f = series.catalan(g.order)
         assert ((f * g) / g).first_mismatch(f.truncate((f * g).order - g.valuation())) is None
 
+    def test_product_against_schoolbook(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            f = random_series(rng, rng.randint(0, 40))
+            g = random_series(rng, rng.randint(0, 40))
+            want = schoolbook_product(f, g)
+            for got in (f * g, g * f):
+                assert got.coeffs == want.coeffs
+                assert types(got) == types(want)
+        # series in x: every odd t-coefficient is zero
+        c, s = series.catalan(61), series.sqrt_one_minus_4x(50)
+        assert (c * s).coeffs == schoolbook_product(c, s).coeffs
+
     @settings(deadline=None, max_examples=40)
     @given(small_polys)
     def test_sqrt_squares_back(self, f):
         h = one(f.order) + f.shift(1).truncate(f.order)  # constant term 1
         assert (h.sqrt() * h.sqrt()).first_mismatch(h) is None
+
+
+def schoolbook_product(f: Series, g: Series) -> Series:
+    """The truncated convolution, every coefficient pair multiplied."""
+    m = min(f.order, g.order)
+    return Series(sum(f.coeffs[i] * g.coeffs[k - i] for i in range(k + 1)) for k in range(m + 1))
+
+
+def random_series(rng: random.Random, order: int) -> Series:
+    """Runs of zeros between negative and positive ints and Fractions."""
+    cs: list = []
+    while len(cs) <= order:
+        kind = rng.randrange(4)
+        if kind == 0:
+            cs.extend([0] * rng.randint(1, 6))
+        elif kind == 1:
+            cs.append(rng.randint(-10**6, 10**6))
+        elif kind == 2:
+            cs.append(Fraction(rng.randint(-50, 50), rng.randint(1, 12)))
+        else:
+            cs.extend(rng.choice((0, rng.randint(-9, 9))) for _ in range(rng.randint(1, 4)))
+    return Series(cs[: order + 1])
 
 
 def types(f: Series) -> list[type]:
@@ -137,6 +174,11 @@ class TestCoefficientTypes:
         assert types(f.shift(2).shift(-2)) == [int, Fraction, int]
         assert types(f.truncate(1)) == [int, Fraction]
 
+    @pytest.mark.parametrize("order", [-1, -2, -3])
+    def test_truncate_below_the_constant(self, order):
+        with pytest.raises(ValueError, match="at least the constant coefficient"):
+            Series([1, 2, 3, 4, 5]).truncate(order)
+
 
 class TestCatalan:
     def test_sequence(self):
@@ -183,6 +225,14 @@ class TestGeneratingFunctions:
         g = series.gf(tau, r, 80)
         for n in range(41):
             assert g.x_coeff(n) == series.count_closed_form(tau, r, n), (tau, r, n)
+
+    @pytest.mark.parametrize("order", [-1, -2, -3])
+    def test_negative_order_raises_for_every_row(self, order):
+        # gf truncates from a padded working order, which a negative
+        # order must not slice from the end
+        for key, r in sorted(series.GF_PQ) + [("312", 0)]:
+            with pytest.raises(ValueError, match="at least the constant coefficient"):
+                series.gf(key, r, order)
 
     @pytest.mark.parametrize("order", [0, 1, 20, 81])
     def test_every_row_reaches_the_order(self, order):
@@ -285,20 +335,29 @@ class TestClimbSegments:
         for m in range(7):
             assert cs.coeff(2 * m + l - k) == between_oracle(k, l, m)
 
-    @pytest.mark.parametrize("order", [10, 41, 82])
+    @pytest.mark.parametrize("order", [0, 1, 2, 10, 41, 62, 82, 121])
     def test_power_table(self, order):
         c = series.catalan(order)
         power = one(order)
-        for k in range(13):
+        for k in range(71):
             table = series._cpow(k, order)
-            assert table.coeffs == power.coeffs
+            assert table.coeffs == power.coeffs, k
             assert types(table) == [int] * (order + 1)
             power = power * c
+
+    def test_power_table_refuses_negative_orders(self):
+        for k in (0, 1, 5):
+            with pytest.raises(ValueError, match="at least the constant coefficient"):
+                series._cpow(k, -1)
 
     def test_climb_far_past_the_order(self):
         # c**1501 shifted by t**1500 vanishes to order 10; the power table
         # must reach k = 1501 without recursing through smaller powers
         assert series.climb_segment(1500, 10).is_zero()
+        # [x^n] c^k = k/(2n+k) C(2n+k, n)
+        assert series._cpow(1501, 10).x_coefficients() == tuple(
+            1501 * comb(2 * n + 1501, n) // (2 * n + 1501) for n in range(6)
+        )
 
     def test_truncated_sum(self):
         built = []
@@ -403,6 +462,120 @@ class TestGeneralForm:
 
         assert rep.passed and rep.conjectural == (row in series.CONJECTURAL)
         assert (rep.p_coeffs, rep.q_coeffs) == (dense(p), dense(q))
+
+
+def fraction_elimination(rows, rhs):
+    """The general-form solver's reference: Gauss-Jordan elimination over
+    Fractions, first nonzero pivot, None unless the system is consistent
+    with full column rank."""
+    m = len(rows)
+    if m == 0:
+        return None
+    ncols = len(rows[0])
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    r = 0
+    for col in range(ncols):
+        pr = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        if pr is None:
+            return None
+        aug[r], aug[pr] = aug[pr], aug[r]
+        pivot = aug[r][col]
+        aug[r] = [v / pivot for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col] != 0:
+                factor = aug[i][col]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
+        r += 1
+    for i in range(r, m):
+        if aug[i][ncols] != 0:
+            return None
+    return [aug[i][ncols] for i in range(ncols)]
+
+
+def random_entry(rng: random.Random, fractions: bool):
+    if fractions and rng.random() < 0.4:
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+    return rng.choice((0, rng.randint(-5, 5), rng.randint(-10**9, 10**9)))
+
+
+def random_system(rng: random.Random, kind: str):
+    """(rows, rhs, expect, x): a system of one kind, with rhs = rows * x
+    unless the kind is "inconsistent"; ``expect`` is False where no
+    solution can exist, else None (the outcome is left to chance)."""
+    fractions = rng.random() < 0.5
+    n = rng.randint(1, 8)
+    m = max(n, rng.randint(1, 12))
+    if kind == "wide":
+        m = rng.randint(1, 6)
+        n = m + rng.randint(1, 3)
+    elif kind == "one-row":
+        m, n = 1, rng.randint(1, 2)
+    elif kind == "inconsistent":
+        m = n + rng.randint(1, 4)
+    rows = [[random_entry(rng, fractions) for _ in range(n)] for _ in range(m)]
+    if kind == "zero-column":
+        col = rng.randrange(n)
+        for row in rows:
+            row[col] = 0
+    elif kind == "rank-deficient" and n >= 2:
+        a, b = rng.sample(range(n), 2)
+        k = random_entry(rng, fractions)
+        for row in rows:
+            row[b] = k * row[a]
+    x = [random_entry(rng, fractions) for _ in range(n)]
+    rhs = [sum(v * xi for v, xi in zip(row, x)) for row in rows]
+    if kind == "inconsistent":
+        rhs[rng.randrange(m)] += rng.choice((1, -1, Fraction(1, 3)))
+    expect = {"zero-column": False, "wide": False}.get(kind)
+    if kind == "rank-deficient" and n >= 2:
+        expect = False
+    return rows, rhs, expect, x
+
+
+class TestSolver:
+    KINDS = ("consistent", "inconsistent", "rank-deficient", "zero-column", "wide", "one-row")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_against_fraction_elimination(self, kind):
+        rng = random.Random(f"solver-{kind}")
+        solved = 0
+        for _ in range(150):
+            rows, rhs, expect, x = random_system(rng, kind)
+            frozen = ([list(row) for row in rows], list(rhs))
+            got = series._solve_exact(rows, rhs)
+            want = fraction_elimination(rows, rhs)
+            assert got == want
+            assert (rows, rhs) == frozen  # the inputs are left as they were
+            if expect is False:
+                assert got is None
+            if got is not None:
+                solved += 1
+                assert all(type(v) is Fraction for v in got)
+                if kind != "inconsistent":
+                    assert got == x  # the one solution of a full-rank system
+        if kind == "consistent":
+            assert solved > 100  # random square-or-taller systems are mostly full rank
+        if kind == "inconsistent":
+            assert solved < 15  # a perturbed taller system is mostly inconsistent
+
+    def test_edges(self):
+        assert series._solve_exact([], []) is None
+        assert series._solve_exact([[]], [0]) == [] == fraction_elimination([[]], [0])
+        assert series._solve_exact([[]], [1]) is None
+        assert series._solve_exact([[2]], [1]) == [Fraction(1, 2)]
+        assert series._solve_exact([[0, 1], [1, 0], [1, 1]], [3, 2, 5]) == [2, 3]
+        assert series._solve_exact([[0, 1], [1, 0], [1, 1]], [3, 2, 6]) is None
+
+    @pytest.mark.parametrize("order", [80, 160])
+    def test_general_form_reports_unchanged(self, order, monkeypatch):
+        rows = sorted(series.GF_PQ)
+        got = [series.check_general_form(key, r, order) for key, r in rows]
+        monkeypatch.setattr(series, "_solve_exact", fraction_elimination)
+        want = [series.check_general_form(key, r, order) for key, r in rows]
+        assert got == want
+        for rep in got:
+            assert rep.passed
+            assert all(type(v) is Fraction for v in rep.p_coeffs + rep.q_coeffs)
 
 
 class TestDecomposition:
