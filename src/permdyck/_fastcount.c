@@ -1,9 +1,22 @@
 /* Compiled occurrence-counting kernels: the hot loop of the exhaustive census.
  *
- * Same contract as permdyck._purecount; see that module for the counting
- * identity.  The suffix after a fixed prefix is enumerated in place with the
- * lexicographic successor, so a sweep touches no Python object and runs with
- * the interpreter lock released.
+ * Same contract as permdyck._purecount, by a different algorithm.
+ * count_pair runs the quadratic counting identity of that module.
+ * histogram_pair walks the tree of placements depth first, building each
+ * permutation left to right, and carries the state of the bounded census
+ * (permdyck.census): for every unplaced value u, in increasing order,
+ *
+ *   above(u)   the number of placed values greater than u,
+ *   two312(u)  the pairs of placed entries that u, placed later, completes
+ *              to a (3,1,2)-occurrence, and two321(u) likewise for (3,2,1).
+ *
+ * Placing v adds two312(v) and two321(v) to the running counts; then every
+ * u < v gains 1 in above(u) and above(v) in two321(u) (a pair a > v > u),
+ * and every u > v gains above(u) in two312(u) (a pair a > u > v).  With
+ * one value left, a permutation's counts are read off in O(1).  Every
+ * prefix is shared by the permutations below it, so a sweep costs O(1) per
+ * permutation, touches no Python object and runs with the interpreter lock
+ * released.
  *
  * Written directly against the CPython C API; build it in place with
  *     python setup.py build_ext --inplace
@@ -12,6 +25,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
+#include <string.h>
 
 /* Stack arrays are sized for n <= MAXN; 20! still fits a long long bin. */
 #define MAXN 20
@@ -36,22 +50,48 @@ count_pair_c(const int *p, int n, long long *out312, long long *out321)
     *out321 = c321;
 }
 
-/* Advance a[lo:hi] to its lexicographic successor; 0 once it was the last. */
-static int
-next_permutation(int *a, int lo, int hi)
+/* The census state of one unplaced value. */
+typedef struct {
+    int above, two312, two321;
+} slot;
+
+/* Place the value in s[i] (of m unplaced values): write the other m - 1
+ * states, updated, to out. */
+static void
+place(const slot *s, int m, int i, slot *out)
 {
-    int i = hi - 2, j = hi - 1, tmp;
-    while (i >= lo && a[i] >= a[i + 1])
-        i--;
-    if (i < lo)
-        return 0;
-    while (a[j] <= a[i])
-        j--;
-    tmp = a[i]; a[i] = a[j]; a[j] = tmp;
-    for (int left = i + 1, right = hi - 1; left < right; left++, right--) {
-        tmp = a[left]; a[left] = a[right]; a[right] = tmp;
+    int av = s[i].above;
+    for (int j = 0; j < i; j++) {
+        out[j].above = s[j].above + 1;
+        out[j].two312 = s[j].two312;
+        out[j].two321 = s[j].two321 + av;
     }
-    return 1;
+    for (int j = i + 1; j < m; j++) {
+        out[j - 1].above = s[j].above;
+        out[j - 1].two312 = s[j].two312 + s[j].above;
+        out[j - 1].two321 = s[j].two321;
+    }
+}
+
+/* Add every completion of the state s (m unplaced values, counts c312 and
+ * c321 so far) to the histograms. */
+static void
+walk(const slot *s, int m, int c312, int c321, long long *h312, long long *h321)
+{
+    if (m <= 1) {
+        if (m == 1) {
+            c312 += s[0].two312;
+            c321 += s[0].two321;
+        }
+        h312[c312]++;
+        h321[c321]++;
+        return;
+    }
+    slot child[MAXN];
+    for (int i = 0; i < m; i++) {
+        place(s, m, i, child);
+        walk(child, m - 1, c312 + s[i].two312, c321 + s[i].two321, h312, h321);
+    }
 }
 
 /* Copy the entries of a sequence of at most MAXN ints into p.  Returns the
@@ -129,8 +169,8 @@ static PyObject *
 histogram_pair(PyObject *module, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "prefix", NULL};
-    int n, p[MAXN], used[MAXN + 1] = {0};
-    long long c312, c321, h312[MAX_HIST] = {0}, h321[MAX_HIST] = {0};
+    int n, p[MAXN], used[MAXN + 1] = {0}, c312 = 0, c321 = 0;
+    long long h312[MAX_HIST] = {0}, h321[MAX_HIST] = {0};
     PyObject *prefix = NULL, *l312, *l321;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "i|O:histogram_pair", kwlist, &n, &prefix))
@@ -145,17 +185,24 @@ histogram_pair(PyObject *module, PyObject *args, PyObject *kwargs)
             return PyErr_Format(PyExc_ValueError, "bad prefix %R for n=%d", prefix, n);
         used[p[i]] = 1;
     }
-    for (int v = 1, j = (int)q; v <= n; v++)
-        if (!used[v])
-            p[j++] = v;
 
     int size = n >= 3 ? n * (n - 1) * (n - 2) / 6 + 1 : 1;
     Py_BEGIN_ALLOW_THREADS
-    do {
-        count_pair_c(p, n, &c312, &c321);
-        h312[c312]++;
-        h321[c321]++;
-    } while (next_permutation(p, (int)q, n));
+    /* place the prefix with the walk's update rule, then walk the rest */
+    slot state[MAXN] = {{0, 0, 0}}, next[MAXN];
+    int m = n;
+    for (Py_ssize_t k = 0; k < q; k++, m--) {
+        /* p[k]'s index among the unplaced values: those below it, less the
+         * placed ones */
+        int i = p[k] - 1;
+        for (Py_ssize_t j = 0; j < k; j++)
+            i -= p[j] < p[k];
+        c312 += state[i].two312;
+        c321 += state[i].two321;
+        place(state, m, i, next);
+        memcpy(state, next, (m - 1) * sizeof(slot));
+    }
+    walk(state, m, c312, c321, h312, h321);
     Py_END_ALLOW_THREADS
 
     if ((l312 = hist_to_list(h312, size)) == NULL)

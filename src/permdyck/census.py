@@ -4,8 +4,11 @@ catalogs, and full bijection audits.
 Two independent methods count the permutations of S_n by their number of
 occurrences of tau.
 
-The brute sweep (``brute_distribution``) visits all n! permutations with
-the quadratic counting kernel (compiled when available).  The sweep is
+The brute sweep (``brute_distribution``) visits all n! permutations.  The
+compiled kernel walks the placements depth first and carries the census
+state described below, so each permutation costs O(1) and every prefix is
+shared; the pure kernel keeps the quadratic counting identity of
+``_purecount`` and recounts each permutation.  The sweep is
 embarrassingly parallel: S_n is partitioned by the choices of the first
 few positions, each shard yields an independent histogram, and the merge
 is component-wise addition, so results are identical for any number of

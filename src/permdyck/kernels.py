@@ -3,10 +3,13 @@
 The compiled extension ``permdyck._fastcount`` (one hand-written C file,
 built by ``python setup.py build_ext --inplace`` or on install when a C
 compiler is present) is preferred when importable; ``BACKEND`` is then
-``"c"``.  The pure-Python fallback ``permdyck._purecount`` is bit-for-bit
-equivalent (tested) and is the reference the extension is checked
-against; ``BACKEND`` is then ``"python"``.  Set ``PERMDYCK_NO_EXT=1`` to
-force the pure backend.
+``"c"``.  Otherwise the pure-Python fallback ``permdyck._purecount`` runs
+and ``BACKEND`` is ``"python"``; set ``PERMDYCK_NO_EXT=1`` to force it.
+The two are bit-for-bit equivalent (tested), and the pure kernel is the
+reference the extension is checked against: its ``histogram_pair``
+recounts every permutation with the quadratic identity, while the
+extension's walks the census state depth first, so the two sweeps are
+independent algorithms.
 """
 
 from __future__ import annotations

@@ -558,18 +558,18 @@ def _S312_2_11_sum(w: _Workbench) -> Series:
     # sum_{l>=1} c^{l+1} t^{l} t^5 ( sum_{k=1}^{l} c_{k,l} t^5 c^{k+1} t^k
     #                              + sum_{k>l} c_{l,k} t^5 c^{k+1} t^k )
     # With a = min(k, l) and b = max(k, l), the (l, k) piece is
-    # c^{a+b+2} c_{a,b} t^{a+b+10}, the same for (k, l); c_{a,b} has
-    # valuation b - a, so the piece starts at t^{2b+10}.  The pieces are
-    # summed in the order of b, each with its valuation moved into e.
-    def pieces():
-        for b in count(1):
-            for a in range(1, b + 1):
-                piece = w.cpow(a + b + 2) * between_heights(a, b, w.N).shift(a - b)
-                yield 2 * b + 10, piece
-                if a < b:
-                    yield 2 * b + 10, piece
-
-    return _tsum(w.N, pieces())
+    # c^{a+b+2} c_{a,b} t^{a+b+10}, the same for (k, l).  By the sum that
+    # defines c_{a,b} (``between_heights``), the piece is
+    # sum_{h=0}^{a} c^{2(b+h)+3} t^{2(b+h)+10}: a sum of powers of c, which
+    # needs no product.  weight[s] counts the (b, a, h) with b + h = s, twice
+    # when a < b; every s up to ``top`` keeps t^{2s+10} within the order.
+    top = (w.N - 10) // 2
+    weight = [0] * (top + 1)
+    for b in range(1, top + 1):
+        for a in range(1, b + 1):
+            for h in range(min(a, top - b) + 1):
+                weight[b + h] += 1 if a == b else 2
+    return _tsum(w.N, ((2 * s + 10, weight[s] * w.cpow(2 * s + 3)) for s in range(1, top + 1)))
 
 
 def _S321_2_2_sum(w: _Workbench) -> Series:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import math
 import os
 import shutil
 import sysconfig
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permdyck import _purecount, kernels
+from permdyck import _purecount, census, kernels
 from permdyck.perms import Permutation, all_permutations, find_occurrences
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "permdyck" / "_fastcount.c"
@@ -70,8 +71,18 @@ def test_compiled_histograms_match_pure(fastcount):
 
 
 def test_compiled_prefix_histograms_match_pure(fastcount):
-    for prefix in itertools.permutations(range(1, 8), 2):
-        assert fastcount.histogram_pair(7, prefix) == _purecount.histogram_pair(7, prefix)
+    # every prefix of every length; lengths n - 1 and n reach the walk's
+    # one-value leaf and its empty walk
+    for n in range(8):
+        for q in range(n + 1):
+            for prefix in itertools.permutations(range(1, n + 1), q):
+                assert fastcount.histogram_pair(n, prefix) == _purecount.histogram_pair(n, prefix)
+
+
+def test_compiled_sweep_of_s11_matches_bounded_census(fastcount):
+    for key, hist in zip(("312", "321"), fastcount.histogram_pair(11)):
+        assert sum(hist) == math.factorial(11)
+        assert tuple(hist[:5]) == census.bounded_distributions(11, key, 4)[11]
 
 
 @settings(deadline=None, max_examples=200)
@@ -137,8 +148,6 @@ def test_histogram_prefix_agrees_across_backends():
 
 
 def test_tiny_sizes():
-    import math
-
     for n in (0, 1, 2):
         h312, h321 = kernels.histogram_pair(n)
         assert sum(h312) == math.factorial(n)

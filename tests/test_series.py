@@ -398,22 +398,34 @@ class TestAssemblies:
         assert built == [14]
 
     @pytest.mark.parametrize("order", [12, 41, 62])
-    def test_two_jump_sum_builds_each_between_heights_once(self, monkeypatch, order):
-        original = series.between_heights
-        calls = []
+    def test_two_jump_sum_needs_no_products(self, monkeypatch, order):
+        w = series._Workbench(order)
 
-        def counted(k, l, order):
-            calls.append((k, l))
-            return original(k, l, order)
+        # the pieces c^{a+b+2} c_{a,b} t^{a+b+10} (twice when a < b), each
+        # built as a product with c_{a,b} and summed from t^{2b+10} on
+        def pieces():
+            for b in range(1, order):
+                for a in range(1, b + 1):
+                    piece = w.cpow(a + b + 2) * series.between_heights(a, b, order).shift(a - b)
+                    yield 2 * b + 10, piece
+                    if a < b:
+                        yield 2 * b + 10, piece
 
-        monkeypatch.setattr(series, "between_heights", counted)
-        total = series._S312_2_11_sum(series._Workbench(order))
-        assert len(calls) == len(set(calls))
-        # every c_{a,b} whose piece starts at t^{2b+10} <= t^order is used
-        assert {(a, b) for a, b in calls if 2 * b + 10 <= order} == {
-            (a, b) for b in range(1, order) for a in range(1, b + 1) if 2 * b + 10 <= order
-        }
-        assert total.first_mismatch(series.closed_form_S312_2_11(series._Workbench(order))) is None
+        expect = series._tsum(order, pieces())
+        products = []
+        original = Series.__mul__
+
+        def mul(self, other):
+            if isinstance(other, Series):
+                products.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(Series, "__mul__", mul)
+        monkeypatch.setattr(Series, "__rmul__", mul)
+        total = series._S312_2_11_sum(w)
+        assert products == []
+        assert total.coeffs == expect.coeffs
+        assert total.first_mismatch(series.closed_form_S312_2_11(w)) is None
 
 
 class TestGeneralForm:
