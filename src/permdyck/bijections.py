@@ -29,8 +29,7 @@ occurrence sets.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from permdyck import paths
 from permdyck.paths import Jump, PathError
@@ -237,8 +236,7 @@ def _decode_psi312(info: paths.PathInfo) -> Permutation:
 # jump structure and predicted occurrences
 
 
-@dataclass(frozen=True)
-class MaximumBeforeJump:
+class MaximumBeforeJump(NamedTuple):
     """A left-to-right maximum to the left of a jump, with its height and
     the count of intervening non-maximum steps used by the summation
     clauses (up-steps for the (3,1,2) clause, down-steps for (3,2,1)).
@@ -257,8 +255,7 @@ class MaximumBeforeJump:
     steps_between: int
 
 
-@dataclass(frozen=True)
-class JumpContext:
+class JumpContext(NamedTuple):
     """Local statistics of one jump in an encoder image.
 
     ``m`` counts the consecutive down-steps immediately before the jump,
@@ -280,8 +277,7 @@ class JumpContext:
     threshold_index: Optional[int]
 
 
-@dataclass(frozen=True)
-class OccurrencePrediction:
+class OccurrencePrediction(NamedTuple):
     """Occurrence triples (as position tuples) forced by one jump.
 
     ``base`` is the d*l count from the preceding maximum, ``before_downs``
@@ -302,8 +298,7 @@ class OccurrencePrediction:
         )
 
 
-@dataclass(frozen=True)
-class JumpAnalysis:
+class JumpAnalysis(NamedTuple):
     context: JumpContext
     prediction: OccurrencePrediction
 

@@ -12,9 +12,10 @@ shared; the pure kernel keeps the quadratic counting identity of
 embarrassingly parallel: S_n is partitioned by the choices of the first
 few positions, each shard yields an independent histogram, and the merge
 is component-wise addition, so results are identical for any number of
-shards.  The shards run on one thread per CPU; the compiled kernel
-releases the GIL while it sweeps, so they run in parallel (the pure kernel
-holds it, so there they take turns).
+shards.  Above S_9 the shards run on one thread per CPU; the compiled
+kernel releases the GIL while it sweeps, so they run in parallel (the pure
+kernel holds it, so there they take turns).  S_n for n <= 9 is swept by
+one call on the calling thread, which is faster than starting the threads.
 Computed tables can be cached as human-readable JSON files under
 ``<cache>/<tau>/<n>.json`` with a content checksum.  Files are written to
 a temporary name and renamed into place, so a reader never sees a partial
@@ -56,7 +57,9 @@ values are exactly 1..k, so its vector is the distribution over S_k: one
 pass at n_max serves every smaller n.  A layer of more than ``MAX_STATES``
 states raises ``ResourceGuardError`` unless the bound is lifted.
 
-Importing this module loads only ``perms`` and ``kernels`` of the package.
+Importing this module loads only ``perms`` and ``kernels`` of the package,
+and neither ``hashlib`` (a cache read or write imports it) nor
+``concurrent.futures`` (a sweep above S_9 does).
 ``audit_bijections`` imports ``bijections``, ``paths`` and ``series`` when
 it runs, and ``verify_formulas`` and ``verify_conjectures`` import
 ``series``, so the brute sweep and the bounded census never load them.
@@ -64,14 +67,12 @@ it runs, and ``verify_formulas`` and ``verify_conjectures`` import
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from permdyck import kernels, perms
 from permdyck.perms import (
@@ -127,15 +128,14 @@ class CacheError(RuntimeError):
     fails its checksum."""
 
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(NamedTuple):
     """Histogram of occurrence counts over all of S_n for one pattern."""
 
     n: int
     pattern: str  # "312" or "321"
     counts: tuple[tuple[int, int], ...]  # sorted (r, count), zero entries omitted
 
-    def count(self, r: int) -> int:
+    def count(self, r: int) -> int:  # shadows tuple.count
         for rr, c in self.counts:
             if rr == r:
                 return c
@@ -174,9 +174,14 @@ def _shard_prefixes(n: int, threads: int) -> list[tuple[int, ...]]:
     return list(itertools.permutations(range(1, n + 1), q))
 
 
+# S_n for n at or below this is swept by one direct call: the compiled kernel
+# sweeps S_9 in under 10 ms on one thread, less than starting the pool costs
+_DIRECT_MAX_N = 9
+
+
 def _sweep(n: int) -> tuple[list[int], list[int]]:
     cpus = os.cpu_count() or 1
-    prefixes = _shard_prefixes(n, cpus)
+    prefixes = _shard_prefixes(n, cpus if n > _DIRECT_MAX_N else 1)
     if len(prefixes) == 1:
         return kernels.histogram_pair(n, ())
     # imported here, not at the top: concurrent.futures imports logging,
@@ -198,6 +203,9 @@ def _cache_payload(n: int, key: str, counts: tuple[tuple[int, int], ...]) -> dic
 
 
 def _checksum(payload: dict) -> str:
+    # imported here: hashlib loads OpenSSL, which only cache reads and writes need
+    import hashlib
+
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -401,8 +409,7 @@ def enumerate_class(
             yield rho
 
 
-@dataclass(frozen=True)
-class TauBaseCatalog:
+class TauBaseCatalog(NamedTuple):
     """All pattern-bases with exactly r occurrences: the permutations that
     equal their own base.  Their lengths are at most 3r."""
 
@@ -438,8 +445,7 @@ def enumerate_tau_bases(tau, r: int) -> TauBaseCatalog:
 # audits
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     counterexample: Optional[str] = None
@@ -450,8 +456,7 @@ class CheckResult:
         return f"{self.name}: FAIL ({self.counterexample})"
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     n: int
     pattern: str
     checks: tuple[CheckResult, ...]
@@ -603,8 +608,7 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
 # formula and conjecture verification
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     """One checked count.  ``brute`` holds the counted value, which the
     bounded census supplies; the field keeps its name so that reports and
     their failure text stay as they were."""
@@ -620,8 +624,7 @@ class VerificationRow:
         return self.brute == self.predicted
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     kind: str
     rows: tuple[VerificationRow, ...]
 

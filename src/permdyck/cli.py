@@ -6,8 +6,8 @@ Subcommands: ``table`` (occurrence-count distributions), ``verify``
 ``coeffs`` (generating-function coefficient dumps), ``render`` (ASCII/SVG
 path pictures).
 
-``table`` sweeps S_n exhaustively, on one thread per CPU, read from and
-written to ``--cache-dir``; ``verify --formulas`` and ``verify
+``table`` sweeps S_n exhaustively (above S_9 on one thread per CPU), read
+from and written to ``--cache-dir``; ``verify --formulas`` and ``verify
 --conjectures`` count with the bounded census instead, and accept
 ``--cache-dir`` and ``--limit`` without using them.  ``--cache-dir``
 defaults to ``$PERMDYCK_CACHE``, which nothing else reads; an empty value
@@ -25,7 +25,9 @@ At start-up this module loads only ``census`` and ``perms`` (with
 ``kernels``) of the package, which ``table``, ``bases`` and the error
 mapping need.  The other handlers import what they call: ``verify`` and
 ``coeffs`` load ``series``, ``map`` and ``decode`` load ``bijections`` and
-``paths``, and ``render`` loads ``paths``.
+``paths``, and ``render`` loads ``paths``.  No command loads
+``dataclasses`` or ``inspect``, and only a cache read or write loads
+``hashlib``.
 """
 
 from __future__ import annotations
@@ -305,7 +307,7 @@ def _add_common(p: argparse.ArgumentParser, *, cache: bool = False) -> None:
             "--workers",
             type=_positive_int,
             default=1,
-            help="accepted (at least 1) and ignored: table's sweep runs one thread per CPU",
+            help="accepted (at least 1) and ignored: table's sweep runs one thread per CPU above S_9",
         )
         p.add_argument(
             "--cache-dir",

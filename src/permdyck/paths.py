@@ -17,7 +17,6 @@ down-step from (x, h+1) to (x+1, h) has *height* h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -65,8 +64,7 @@ def parse_path(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class Validation:
+class Validation(NamedTuple):
     """Classification of a step string.
 
     ``kind`` is one of ``"dyck"``, ``"dyck-with-jumps"``, ``"invalid"``;
@@ -218,8 +216,7 @@ def running_heights(path: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DownStep:
+class DownStep(NamedTuple):
     """One down-step: its 1-based index among down-steps, the height it
     lands on, and the index of the peak weakly to its left (a peak is a
     down-step immediately preceded by an up-step); ``peak`` is None when no
@@ -243,8 +240,7 @@ def down_step_heights(path: str) -> tuple[int, ...]:
     return path_info(path).heights
 
 
-@dataclass(frozen=True)
-class Jump:
+class Jump(NamedTuple):
     """A maximal run of ``depth`` consecutive down-jumps.  ``position`` is
     the number of down-steps strictly to its left, so a jump at position i
     sits between the i-th and (i+1)-th down-steps."""

@@ -24,9 +24,8 @@ from __future__ import annotations
 import itertools
 import numbers
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from permdyck import kernels
 
@@ -178,8 +177,7 @@ def standardize(word: Sequence[int]) -> Permutation:
     return Permutation._of([rank[v] for v in vals])
 
 
-@dataclass(frozen=True)
-class OccurrenceSet:
+class OccurrenceSet(NamedTuple):
     """All occurrences of a pattern in a host permutation.
 
     ``positions`` holds strictly increasing index tuples (1-based), pairwise
@@ -190,7 +188,7 @@ class OccurrenceSet:
     positions: tuple[tuple[int, ...], ...]
 
     @property
-    def count(self) -> int:
+    def count(self) -> int:  # shadows tuple.count
         return len(self.positions)
 
     def value_tuples(self, rho: Permutation) -> tuple[tuple[int, ...], ...]:

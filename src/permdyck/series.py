@@ -32,12 +32,11 @@ other than (3,1,2) and (3,2,1) raises ``PatternError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count
 from math import comb, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from permdyck.perms import _pattern_key
 
@@ -494,8 +493,7 @@ def between_heights(k: int, l: int, order: int = DEFAULT_ORDER) -> Series:
     return _tsum(order, ((e, _cpow(e + 1, order)) for e in range(l - k, l + k + 1, 2)))
 
 
-@dataclass(frozen=True)
-class AssemblyCheck:
+class AssemblyCheck(NamedTuple):
     name: str
     passed: bool
     first_mismatch: Optional[int] = None
@@ -506,8 +504,7 @@ class AssemblyCheck:
         return f"{self.name}: MISMATCH at t^{self.first_mismatch}"
 
 
-@dataclass(frozen=True)
-class AssemblyReport:
+class AssemblyReport(NamedTuple):
     order: int
     checks: tuple[AssemblyCheck, ...]
 
@@ -813,8 +810,7 @@ def _solve_exact(rows: list[list[Coef]], rhs: Sequence[Coef]) -> Optional[list[F
     return x
 
 
-@dataclass(frozen=True)
-class GeneralFormReport:
+class GeneralFormReport(NamedTuple):
     """Result of decomposing a generating function as
     (P(x) + sqrt(1-4x) Q(x)) / denominator with polynomial P, Q."""
 

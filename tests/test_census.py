@@ -105,6 +105,12 @@ class TestDistribution:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
         expect = kernels.histogram_pair(6)
+        # up to the direct-sweep size no pool starts, whatever the CPU count
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
+        assert census._DIRECT_MAX_N >= 6
+        assert census._sweep(6) == expect and pools == []
+        # a smaller direct-sweep size sends small sweeps to the pool
+        monkeypatch.setattr(census, "_DIRECT_MAX_N", 2)
         monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
         assert census._sweep(6) == expect and pools == []
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
@@ -113,9 +119,12 @@ class TestDistribution:
         monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
         assert census._sweep(3) == kernels.histogram_pair(3) and pools == [2, 6]
         assert len(census._shard_prefixes(3, 64)) == 6
+        assert census._sweep(2) == kernels.histogram_pair(2) and pools == [2, 6]
 
     def test_worker_determinism(self, monkeypatch):
-        # one CPU sweeps S_n in one call; two and four shard it by one to three positions
+        # one CPU sweeps S_n in one call; two and four shard it by one to three
+        # positions, here also below the direct-sweep size
+        monkeypatch.setattr(census, "_DIRECT_MAX_N", -1)
         tables = []
         for cpus in (1, 2, 4):
             monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)

@@ -387,15 +387,20 @@ class TestUnwritablePath:
         assert self._assert_usage_error(capsys, *argv) == ""
 
 
-def loaded_submodules(code: str) -> set[str]:
-    """The ``permdyck.*`` modules a fresh interpreter holds after ``code``."""
-    code += "\nimport json, sys; print(json.dumps([m for m in sys.modules if m[:9] == 'permdyck.']))"
+def loaded_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after ``code``."""
+    code += "\nimport json, sys; print(json.dumps(list(sys.modules)))"
     src = str(Path(permdyck.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def loaded_submodules(code: str) -> set[str]:
+    """The ``permdyck.*`` modules a fresh interpreter holds after ``code``."""
+    return {m for m in loaded_modules(code) if m.startswith("permdyck.")}
 
 
 class TestStartupImports:
@@ -421,3 +426,26 @@ class TestStartupImports:
         loaded = loaded_submodules(code)
         assert "permdyck.series" in loaded
         assert not loaded & {"permdyck.bijections", "permdyck.paths"}
+
+    def test_cli_start_loads_no_dataclasses_inspect_or_hashlib(self):
+        loaded = loaded_modules("import permdyck.cli as c\nc.build_parser()")
+        assert not loaded & {"dataclasses", "inspect", "hashlib"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--formulas", "--n-max", "6"],
+            ["coeffs", "--tau", "321", "--r", "2"],
+        ],
+    )
+    def test_commands_without_cache_load_no_hashlib(self, argv):
+        loaded = loaded_modules(f"from permdyck import cli\ncli.main({argv!r})")
+        assert "hashlib" not in loaded
+
+    def test_table_up_to_s9_starts_no_pool(self):
+        # four CPUs, so the sweep would shard if the pool paid for it
+        code = (
+            "import os\nos.cpu_count = lambda: 4\nfrom permdyck import cli\n"
+            "cli.main(['table', '--tau', '312', '--n', '0..9', '--cache-dir', ''])"
+        )
+        assert "concurrent.futures" not in loaded_modules(code)
