@@ -18,6 +18,14 @@
  * permutation, touches no Python object and runs with the interpreter lock
  * released.
  *
+ * The encoder primitives return None for any input they do not handle (a
+ * permutation longer than MAXN, anything but a permutation, an invalid path
+ * or height vector); permdyck.kernels then runs the pure one, which names
+ * the fault.  heights_321 is derived from the (3,1,2) heights rather than
+ * counted: h321_i = h312_m - (i - m) - h312_i for an entry i that is not a
+ * left-to-right maximum, m being the preceding maximum (see
+ * permdyck.perms.heights_321).
+ *
  * Written directly against the CPython C API; build it in place with
  *     python setup.py build_ext --inplace
  */
@@ -143,6 +151,202 @@ hist_to_list(const long long *hist, int size)
     return list;
 }
 
+/* Read a permutation of 1..n, n <= MAXN, from a tuple or list of ints into
+ * p.  Returns n, or -1 for anything else (no exception set). */
+static Py_ssize_t
+read_perm(PyObject *obj, int *p)
+{
+    if (!PyTuple_Check(obj) && !PyList_Check(obj))
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(obj);
+    PyObject **items = PySequence_Fast_ITEMS(obj);
+    char used[MAXN + 1] = {0};
+    if (n > MAXN)
+        return -1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int overflow;
+        long v = PyLong_Check(items[i]) ? PyLong_AsLongAndOverflow(items[i], &overflow) : 0;
+        if (v < 1 || v > n || used[v])
+            return -1;
+        used[v] = 1;
+        p[i] = (int)v;
+    }
+    return n;
+}
+
+/* A tuple of the n ints in v; with width > 0, of n tuples of width ints. */
+static PyObject *
+to_tuple(const Py_ssize_t *v, Py_ssize_t n, Py_ssize_t width)
+{
+    PyObject *tuple = PyTuple_New(n);
+    for (Py_ssize_t i = 0; tuple != NULL && i < n; i++) {
+        PyObject *item = width ? to_tuple(v + i * width, width, 0) : PyLong_FromSsize_t(v[i]);
+        if (item == NULL)
+            Py_CLEAR(tuple);
+        else
+            PyTuple_SET_ITEM(tuple, i, item);
+    }
+    return tuple;
+}
+
+/* h[i] = the entries right of position i smaller than p[i]. */
+static void
+heights_312_c(const int *p, int n, Py_ssize_t *h)
+{
+    for (int i = 0; i < n; i++) {
+        h[i] = 0;
+        for (int j = i + 1; j < n; j++)
+            h[i] += p[j] < p[i];
+    }
+}
+
+PyDoc_STRVAR(heights_312_doc,
+"heights_312(values) -> tuple | None\n\n"
+"Per entry of a permutation of 1..n, the smaller entries to its right;\n"
+"None for anything but a tuple or list holding a permutation, n <= MAXN.");
+
+static PyObject *
+heights_312(PyObject *module, PyObject *values)
+{
+    int p[MAXN];
+    Py_ssize_t h[MAXN], n = read_perm(values, p);
+    if (n < 0)
+        Py_RETURN_NONE;
+    heights_312_c(p, (int)n, h);
+    return to_tuple(h, n, 0);
+}
+
+PyDoc_STRVAR(heights_321_doc,
+"heights_321(values) -> tuple | None\n\n"
+"Per entry of a permutation of 1..n: for a left-to-right maximum, the\n"
+"smaller entries to its right; for another entry, those to its right\n"
+"between it and the preceding maximum.  None as for heights_312.");
+
+static PyObject *
+heights_321(PyObject *module, PyObject *values)
+{
+    int p[MAXN];
+    Py_ssize_t h[MAXN], n = read_perm(values, p);
+    if (n < 0)
+        Py_RETURN_NONE;
+    heights_312_c(p, (int)n, h);
+    /* hm keeps the (3,1,2) height of the maximum at m */
+    for (Py_ssize_t i = 0, m = 0, hm = 0, top = 0; i < n; i++) {
+        if (p[i] > top) {
+            top = p[i];
+            m = i;
+            hm = h[i];
+        } else {
+            h[i] = hm - (i - m) - h[i];
+        }
+    }
+    return to_tuple(h, n, 0);
+}
+
+PyDoc_STRVAR(scan_path_doc,
+"scan_path(path) -> (heights, peaks, spans) | None\n\n"
+"One left-to-right pass over a valid path over U, D, J: per down-step, the\n"
+"height it lands on and the 1-based index of the peak weakly to its left\n"
+"(0 when there is none), and per jump run (start, end, position, m, l).\n"
+"None for anything but a str holding a valid path.");
+
+static PyObject *
+scan_path(PyObject *module, PyObject *path)
+{
+    if (!PyUnicode_Check(path))
+        Py_RETURN_NONE;
+    Py_ssize_t len = PyUnicode_GET_LENGTH(path);
+    int kind = PyUnicode_KIND(path);
+    const void *data = PyUnicode_DATA(path);
+    /* per down-step its height and peak, per jump run five fields */
+    Py_ssize_t *heights = PyMem_New(Py_ssize_t, 7 * len + 1);
+    if (heights == NULL)
+        return PyErr_NoMemory();
+    Py_ssize_t *peaks = heights + len, *spans = heights + 2 * len, *span = NULL;
+    Py_ssize_t h = 0, n = 0, s = 0, run = 0, peak = 0;
+    Py_UCS4 prev = 0;
+    Py_ssize_t i = 0;
+    for (; i < len; i++) {
+        Py_UCS4 ch = PyUnicode_READ(kind, data, i);
+        if (ch == 'U') {
+            h++;
+            run = 0;
+            span = NULL; /* closes the jump run's trailing down-run */
+        } else if (ch == 'D') {
+            h--;
+            run++;
+            if (prev == 'U')
+                peak = n + 1;
+            heights[n] = h;
+            peaks[n++] = peak;
+            if (span != NULL)
+                span[4]++;
+        } else if (ch == 'J') {
+            h--;
+            if (prev == 'J') {
+                span[1]++;
+            } else {
+                span = spans + 5 * s++;
+                span[0] = i;
+                span[1] = i + 1;
+                span[2] = n;
+                span[3] = run;
+                span[4] = 0;
+            }
+            run = 0;
+        } else {
+            break;
+        }
+        if (h < 0)
+            break;
+        prev = ch;
+    }
+    PyObject *result = i < len || h != 0 ? Py_NewRef(Py_None)
+        : Py_BuildValue("(NNN)", to_tuple(heights, n, 0), to_tuple(peaks, n, 0), to_tuple(spans, s, 5));
+    PyMem_Free(heights);
+    return result;
+}
+
+PyDoc_STRVAR(path_from_heights_doc,
+"path_from_heights(heights) -> str | None\n\n"
+"The path whose i-th down-step lands on height heights[i]: before it, rise\n"
+"with up-steps to heights[i] + 1 if below it, or descend with down-jumps if\n"
+"above it.  None for anything but a tuple or list of nonnegative ints that\n"
+"ends at 0.");
+
+static PyObject *
+path_from_heights(PyObject *module, PyObject *heights)
+{
+    if (!PyTuple_Check(heights) && !PyList_Check(heights))
+        Py_RETURN_NONE;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(heights), len = n;
+    PyObject **items = PySequence_Fast_ITEMS(heights);
+    /* first pass: check the vector and size the path */
+    long cur = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int overflow;
+        long h = PyLong_Check(items[i]) ? PyLong_AsLongAndOverflow(items[i], &overflow) : -1;
+        if (h < 0 || h >= INT_MAX)
+            Py_RETURN_NONE;
+        len += labs(h + 1 - cur);
+        cur = h;
+    }
+    if (cur != 0)
+        Py_RETURN_NONE;
+    PyObject *path = PyUnicode_New(len, 127);
+    if (path == NULL)
+        return NULL;
+    Py_UCS1 *out = PyUnicode_1BYTE_DATA(path);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        long h = PyLong_AsLong(items[i]), step = h + 1 - cur;
+        memset(out, step > 0 ? 'U' : 'J', labs(step));
+        out += labs(step);
+        *out++ = 'D';
+        cur = h;
+    }
+    return path;
+}
+
 PyDoc_STRVAR(count_pair_doc,
 "count_pair(values) -> (c312, c321)\n\n"
 "Number of (3,1,2)- and of (3,2,1)-occurrences in a permutation of 1..n.");
@@ -218,13 +422,17 @@ static PyMethodDef fastcount_methods[] = {
     {"count_pair", (PyCFunction)count_pair, METH_O, count_pair_doc},
     {"histogram_pair", (PyCFunction)(void (*)(void))histogram_pair,
      METH_VARARGS | METH_KEYWORDS, histogram_pair_doc},
+    {"heights_312", (PyCFunction)heights_312, METH_O, heights_312_doc},
+    {"heights_321", (PyCFunction)heights_321, METH_O, heights_321_doc},
+    {"scan_path", (PyCFunction)scan_path, METH_O, scan_path_doc},
+    {"path_from_heights", (PyCFunction)path_from_heights, METH_O, path_from_heights_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef fastcount_module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "permdyck._fastcount",
-    .m_doc = "Compiled occurrence-counting kernels; same contract as permdyck._purecount.",
+    .m_doc = "Compiled counting kernels and encoder primitives; same contract as permdyck._purecount.",
     .m_size = -1,
     .m_methods = fastcount_methods,
 };

@@ -1,19 +1,35 @@
-"""Pure-Python occurrence-counting kernels.
+"""Pure-Python kernels: occurrence counting and the encoder primitives.
 
 Used when the compiled extension is unavailable; same contract as
-``permdyck._fastcount``.  One quadratic pass yields both pattern counts:
-with k as the last index of a triple, running over i < k,
+``permdyck._fastcount``, and the reference it is tested against.  One
+quadratic pass yields both pattern counts: with k as the last index of a
+triple, running over i < k,
 
 - ``bigger`` counts entries before position k exceeding p_k, so adding it
   whenever p_i < p_k accumulates the (3,1,2) triples ending at k;
 - ``bigger * (p_k - 1 - (k - bigger))`` counts the (3,2,1) triples with
   middle entry p_k (descents into it times smaller entries after it).
+
+The encoder primitives (``heights_312``, ``heights_321``, ``scan_path``,
+``path_from_heights``) are the definitions that ``perms`` and ``paths``
+wrap.  Where the compiled kernel returns None for an input it does not
+handle, these run instead; ``scan_path`` and ``path_from_heights`` raise
+``Rejected``, naming the fault, for a step string or height vector that is
+not a path's.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import permutations
 from typing import Sequence
+
+UP, DOWN, JUMP = "U", "D", "J"
+
+
+class Rejected(ValueError):
+    """A step string that is not a valid path, or a height vector that is
+    not a path's; ``args`` name the fault."""
 
 
 def count_pair(values: Sequence[int]) -> tuple[int, int]:
@@ -72,3 +88,105 @@ def histogram_pair(n: int, prefix: tuple[int, ...] = ()) -> tuple[list[int], lis
         h312[c312] += 1
         h321[c321] += 1
     return h312, h321
+
+
+def heights_312(values: Sequence[int]) -> tuple[int, ...]:
+    """h_i = number of entries smaller than values_i lying to its right."""
+    # right to left: h_i is where values_i falls among the sorted entries after it
+    seen: list[int] = []
+    out = []
+    for v in reversed(tuple(values)):
+        h = bisect_left(seen, v)
+        seen.insert(h, v)
+        out.append(h)
+    out.reverse()
+    return tuple(out)
+
+
+def heights_321(values: Sequence[int]) -> tuple[int, ...]:
+    """The two-branch height of each entry: for a left-to-right maximum, the
+    smaller entries to its right; for a remaining entry, the entries to its
+    right that are bigger than it but smaller than the preceding maximum."""
+    vals = tuple(values)
+    out = []
+    running_max = 0
+    for i, v in enumerate(vals, 1):
+        h = 0
+        if v > running_max:
+            running_max = v
+            for w in vals[i:]:
+                if w < v:
+                    h += 1
+        else:
+            for w in vals[i:]:
+                if v < w < running_max:
+                    h += 1
+        out.append(h)
+    return tuple(out)
+
+
+def scan_path(path: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """One left-to-right pass over a valid path: per down-step, the height it
+    lands on and the 1-based index of the peak weakly to its left (0 when
+    there is none), and per jump run (start, end, position, m, l).  Raises
+    ``Rejected(reason, prefix)`` naming the first violated constraint."""
+    heights: list[int] = []
+    peaks: list[int] = []
+    spans: list[list[int]] = []
+    span: list[int] | None = None  # the jump run whose post-run is still open
+    h = n = run = peak = 0
+    prev = ""
+    for i, ch in enumerate(path):
+        if ch == UP:
+            h += 1
+            run = 0
+            span = None
+        elif ch == DOWN:
+            h -= 1
+            n += 1
+            run += 1
+            if prev == UP:
+                peak = n
+            heights.append(h)
+            peaks.append(peak)
+            if span is not None:
+                span[4] += 1
+        elif ch == JUMP:
+            h -= 1
+            if prev == JUMP:
+                span[1] += 1
+            else:
+                span = [i, i + 1, n, run, 0]
+                spans.append(span)
+            run = 0
+        else:
+            raise Rejected(f"invalid step character {ch!r}", i)
+        if h < 0:
+            raise Rejected("path goes below the horizontal axis", i + 1)
+        prev = ch
+    if h != 0:
+        raise Rejected(f"path ends at height {h}, not 0", len(path))
+    return tuple(heights), tuple(peaks), tuple(map(tuple, spans))
+
+
+def path_from_heights(heights: Sequence[int]) -> str:
+    """Before the i-th down-step, rise with up-steps to height h_i + 1 if
+    below it, or descend with down-jumps if above it, then emit the
+    down-step at height h_i.  Raises ``Rejected`` for a negative height or a
+    vector that does not end at 0."""
+    cur = 0
+    parts = []
+    for h in heights:
+        if h < 0:
+            raise Rejected(f"negative height {h}")
+        target = h + 1
+        if cur < target:
+            parts.append(UP * (target - cur))
+        elif cur > target:
+            parts.append(JUMP * (cur - target))
+        parts.append(DOWN)
+        cur = h
+    path = "".join(parts)
+    if cur != 0:
+        raise Rejected(f"height vector does not return to 0: {tuple(heights)!r}")
+    return path

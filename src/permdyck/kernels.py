@@ -1,4 +1,4 @@
-"""Backend selection for the occurrence-counting kernels.
+"""Backend selection for the counting kernels and the encoder primitives.
 
 The compiled extension ``permdyck._fastcount`` (one hand-written C file,
 built by ``python setup.py build_ext --inplace`` or on install when a C
@@ -10,6 +10,20 @@ reference the extension is checked against: its ``histogram_pair``
 recounts every permutation with the quadratic identity, while the
 extension's walks the census state depth first, so the two sweeps are
 independent algorithms.
+
+Both backends also hold the encoder primitives behind ``perms`` and
+``paths``: ``heights_312``, ``heights_321``, ``scan_path`` (the one-pass
+parse of a path) and ``path_from_heights``.  The pure ``heights_321``
+counts by its two-branch definition; the compiled one derives it from the
+(3,1,2) heights by the identity h321_i = h312_m - (i - m) - h312_i for an
+entry i that is not a left-to-right maximum, m being the preceding
+maximum, and h321_i = h312_i for a maximum, so again the two are
+independent.  The compiled primitives return None for an input they do not
+handle (a permutation longer than ``MAXN``, a rejected path or height
+vector, a value that is no int); the wrappers here then run the pure one,
+which also names the fault of a rejected input by raising ``Rejected``.
+With the compiled kernel selected, the pure module is imported only when a
+first input is handed over, and ``kernels.Rejected`` only then resolves.
 """
 
 from __future__ import annotations
@@ -17,10 +31,9 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
-from permdyck import _purecount
-
 if os.environ.get("PERMDYCK_NO_EXT"):
-    _impl = _purecount
+    from permdyck import _purecount as _impl
+
     BACKEND = "python"
 else:
     try:
@@ -28,8 +41,25 @@ else:
 
         BACKEND = "c"
     except ImportError:
-        _impl = _purecount
+        from permdyck import _purecount as _impl  # type: ignore[no-redef]
+
         BACKEND = "python"
+
+
+def _pure():
+    """The pure kernel, for the inputs the compiled one hands over: imported
+    on first use, so a process that never hands one over never loads it."""
+    from permdyck import _purecount
+
+    return _purecount
+
+
+def __getattr__(name: str):
+    # ``except kernels.Rejected`` looks the class up only once one is raised
+    if name == "Rejected":
+        return _pure().Rejected
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 histogram_pair = _impl.histogram_pair
 
@@ -41,6 +71,25 @@ _COMPILED_MAX_N = 20
 def count_pair(values: Sequence[int]) -> tuple[int, int]:
     vals = tuple(values)
     if len(vals) > _COMPILED_MAX_N:
-        return _purecount.count_pair(vals)
+        return _pure().count_pair(vals)
     return tuple(_impl.count_pair(vals))
 
+
+def heights_312(values: Sequence[int]) -> tuple[int, ...]:
+    got = _impl.heights_312(values)
+    return _pure().heights_312(values) if got is None else got
+
+
+def heights_321(values: Sequence[int]) -> tuple[int, ...]:
+    got = _impl.heights_321(values)
+    return _pure().heights_321(values) if got is None else got
+
+
+def scan_path(path: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    got = _impl.scan_path(path)
+    return _pure().scan_path(path) if got is None else got
+
+
+def path_from_heights(heights: Sequence[int]) -> str:
+    got = _impl.path_from_heights(heights)
+    return _pure().path_from_heights(heights) if got is None else got

@@ -17,7 +17,10 @@ down-step from (x, h+1) to (x+1, h) has *height* h.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator, NamedTuple, Optional, Sequence
+
+from permdyck import kernels
 
 __all__ = [
     "UP",
@@ -121,46 +124,19 @@ class PathInfo(NamedTuple):
         return all(span.psi_shaped for span in self.spans)
 
 
+_new = tuple.__new__
+_new_span = partial(_new, JumpSpan)
+
+
 def _scan(path: str) -> PathInfo | Validation:
     """One left-to-right pass: the ``PathInfo`` of a valid path, else the
     ``Validation`` naming the first violated constraint."""
-    heights: list[int] = []
-    peaks: list[int] = []
-    spans: list[list[int]] = []
-    span: Optional[list[int]] = None  # the jump run whose post-run is still open
-    h = n = run = peak = 0
-    prev = ""
-    for i, ch in enumerate(path):
-        if ch == UP:
-            h += 1
-            run = 0
-            span = None
-        elif ch == DOWN:
-            h -= 1
-            n += 1
-            run += 1
-            if prev == UP:
-                peak = n
-            heights.append(h)
-            peaks.append(peak)
-            if span is not None:
-                span[4] += 1
-        elif ch == JUMP:
-            h -= 1
-            if prev == JUMP:
-                span[1] += 1
-            else:
-                span = [i, i + 1, n, run, 0]
-                spans.append(span)
-            run = 0
-        else:
-            return Validation("invalid", f"invalid step character {ch!r}", i)
-        if h < 0:
-            return Validation("invalid", "path goes below the horizontal axis", i + 1)
-        prev = ch
-    if h != 0:
-        return Validation("invalid", f"path ends at height {h}, not 0", len(path))
-    return PathInfo(path, tuple(heights), tuple(peaks), tuple(map(JumpSpan._make, spans)))
+    try:
+        heights, peaks, spans = kernels.scan_path(path)
+    except kernels.Rejected as exc:
+        return Validation("invalid", *exc.args)
+    # the records' ``_make``, without its per-call lookups and length check
+    return _new(PathInfo, (path, heights, peaks, tuple(map(_new_span, spans))))
 
 
 def path_info(path: str) -> PathInfo:
@@ -207,10 +183,11 @@ def path_counts(path: str) -> tuple[int, int]:
 
 
 def running_heights(path: str) -> tuple[int, ...]:
-    """Height after each step (not including the start at 0)."""
+    """Height after each step (not including the start at 0); a character
+    other than U, D, J raises ``PathError``."""
     h = 0
     out = []
-    for ch in path:
+    for ch in parse_path(path):
         h += 1 if ch == UP else -1
         out.append(h)
     return tuple(out)
@@ -271,22 +248,10 @@ def path_from_down_heights(heights: Sequence[int]) -> str:
     rise with up-steps to height h_i + 1 if below it, or descend with
     down-jumps if above it, then emit the down-step at height h_i.
     """
-    cur = 0
-    parts = []
-    for h in heights:
-        if h < 0:
-            raise PathError(f"negative height {h}")
-        target = h + 1
-        if cur < target:
-            parts.append(UP * (target - cur))
-        elif cur > target:
-            parts.append(JUMP * (cur - target))
-        parts.append(DOWN)
-        cur = h
-    path = "".join(parts)
-    if cur != 0:
-        raise PathError(f"height vector does not return to 0: {tuple(heights)!r}")
-    return path
+    try:
+        return kernels.path_from_heights(heights)
+    except kernels.Rejected as exc:
+        raise PathError(*exc.args) from None
 
 
 def weight_exponent(path: str) -> int:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -295,16 +294,8 @@ def heights_312(rho: Sequence[int]) -> HeightVector:
     >>> tuple(heights_312((4, 3, 5, 1, 2)))
     (3, 2, 2, 0, 0)
     """
-    # right to left: h_i is where rho_i falls among the sorted entries after it
-    seen: list[int] = []
-    out = []
-    for v in reversed(tuple(rho)):
-        h = bisect_left(seen, v)
-        seen.insert(h, v)
-        out.append(h)
-    out.reverse()
     # counts are >= 0 and the last tail is empty: a HeightVector as built
-    return tuple.__new__(HeightVector, out)
+    return tuple.__new__(HeightVector, kernels.heights_312(rho))
 
 
 def heights_321(rho: Sequence[int]) -> HeightVector:
@@ -314,26 +305,22 @@ def heights_321(rho: Sequence[int]) -> HeightVector:
     for a remaining entry, h_i counts entries to its right that are bigger
     than rho_i but smaller than the preceding left-to-right maximum.
 
-    >>> tuple(heights_321((4, 3, 5, 1, 2)))
+    Equivalently, h_i = heights_312(rho)_i for a maximum, and
+    h_i = h312_m - (i - m) - h312_i for a remaining entry whose preceding
+    maximum sits at position m: of the h312_m entries after m below that
+    maximum, the i - m at positions m+1..i are not to the right of i, and
+    the h312_i below rho_i are not bigger than it.  The compiled kernel
+    computes it this way, the pure one by the definition.
+
+    >>> rho = (4, 3, 5, 1, 2)
+    >>> tuple(heights_321(rho))
     (3, 0, 2, 1, 0)
+    >>> h = heights_312(rho)
+    >>> h[0] - (2 - 1) - h[1], h[2] - (4 - 3) - h[3], h[2] - (5 - 3) - h[4]
+    (0, 1, 0)
     """
-    vals = tuple(rho)
-    out = []
-    running_max = 0
-    for i, v in enumerate(vals, 1):
-        h = 0
-        if v > running_max:
-            running_max = v
-            for w in vals[i:]:
-                if w < v:
-                    h += 1
-        else:
-            for w in vals[i:]:
-                if v < w < running_max:
-                    h += 1
-        out.append(h)
     # counts are >= 0 and the last tail is empty: a HeightVector as built
-    return tuple.__new__(HeightVector, out)
+    return tuple.__new__(HeightVector, kernels.heights_321(rho))
 
 
 def tau_base(rho: Permutation, tau) -> Permutation:

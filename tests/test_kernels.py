@@ -1,4 +1,5 @@
-"""Equivalence of the compiled and pure-Python counting kernels."""
+"""Equivalence of the compiled and pure-Python kernels: occurrence counting
+and the encoder primitives."""
 
 import importlib.util
 import itertools
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permdyck import _purecount, census, kernels
+from permdyck import _purecount, census, kernels, paths
 from permdyck.perms import Permutation, all_permutations, find_occurrences
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "permdyck" / "_fastcount.c"
@@ -152,3 +153,102 @@ def test_tiny_sizes():
         h312, h321 = kernels.histogram_pair(n)
         assert sum(h312) == math.factorial(n)
         assert sum(h321) == math.factorial(n)
+
+
+# -- encoder primitives ----------------------------------------------------
+
+
+def _outcome(fn, *args):
+    """What a call gives: its value, or its exception's type and text."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def on_each_backend(fastcount, monkeypatch):
+    """``run(fn, *args)``: the outcomes of ``fn(*args)`` with the compiled
+    and then the pure kernel behind ``kernels``."""
+
+    def run(fn, *args):
+        outcomes = []
+        for impl in (fastcount, _purecount):
+            monkeypatch.setattr(kernels, "_impl", impl)
+            outcomes.append(_outcome(fn, *args))
+        return outcomes
+
+    return run
+
+
+def test_compiled_heights_match_pure_on_s0_to_s8(fastcount):
+    for n in range(9):
+        for rho in itertools.permutations(range(1, n + 1)):
+            assert fastcount.heights_312(rho) == _purecount.heights_312(rho)
+            assert fastcount.heights_321(rho) == _purecount.heights_321(rho)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_perms_up_to(20))
+def test_compiled_heights_match_pure_random(fastcount, p):
+    assert fastcount.heights_312(p) == _purecount.heights_312(p)
+    assert fastcount.heights_321(p) == _purecount.heights_321(p)
+
+
+def test_heights_beyond_compiled_size_take_pure_path(fastcount, on_each_backend):
+    for n in range(21, 26):
+        rho = tuple(range(n, 0, -1))[::2] + tuple(range(n, 0, -1))[1::2]
+        for name in ("heights_312", "heights_321"):
+            assert getattr(fastcount, name)(rho) is None
+            expect = getattr(_purecount, name)(rho)
+            assert on_each_backend(getattr(kernels, name), rho) == [expect, expect]
+
+
+@pytest.mark.parametrize("values", [(2, 2, 1), (0, 1), (1, 3), (2**70, 1), (1.0,), [3, 1, 2, 4, 4]])
+def test_heights_of_non_permutations_as_pure(fastcount, on_each_backend, values):
+    # the compiled kernel maps only permutations of 1..n and passes the rest on
+    for name in ("heights_312", "heights_321"):
+        assert getattr(fastcount, name)(values) is None
+        expect = getattr(_purecount, name)(values)
+        assert on_each_backend(getattr(kernels, name), values) == [expect, expect]
+    assert fastcount.heights_321([2, 1]) == (1, 0)
+
+
+def test_heights_of_an_iterator_as_of_its_tuple(on_each_backend):
+    rho = (4, 3, 5, 1, 2)
+    for name in ("heights_312", "heights_321"):
+        fn = getattr(kernels, name)
+        assert on_each_backend(lambda: fn(iter(rho))) == [fn(rho)] * 2
+
+
+def test_path_parse_matches_pure_on_every_short_word(on_each_backend):
+    def parse(word):
+        return paths.validate(word), _outcome(paths.path_info, word)
+
+    for length in range(9):
+        for letters in itertools.product("UDJx", repeat=length):
+            word = "".join(letters)
+            compiled, pure = on_each_backend(parse, word)
+            assert compiled == pure, word
+
+
+def test_path_parse_of_non_str_as_pure(fastcount, on_each_backend):
+    assert fastcount.scan_path(["U", "D"]) is None
+    compiled, pure = on_each_backend(paths.path_info, ["U", "D"])
+    assert compiled == pure and compiled.heights == (0,)
+
+
+def test_compiled_path_build_matches_pure_on_s8_images(fastcount):
+    for rho in itertools.permutations(range(1, 9)):
+        for heights in (_purecount.heights_312(rho), _purecount.heights_321(rho)):
+            assert fastcount.path_from_heights(heights) == _purecount.path_from_heights(heights)
+    assert fastcount.path_from_heights(()) == "" and fastcount.path_from_heights([0]) == "UD"
+
+
+@pytest.mark.parametrize("heights", [(-1,), (0, 2), (1, -1, 0), (2, 1), (0, 0, 1), (1.0, 0), (2**70, 0), 5])
+def test_path_build_rejects_as_pure(fastcount, on_each_backend, heights):
+    assert fastcount.path_from_heights(heights) is None
+    compiled, pure = on_each_backend(paths.path_from_down_heights, heights)
+    assert compiled == pure
+    if heights in ((-1,), (0, 2), (1, -1, 0), (2, 1), (0, 0, 1)):
+        assert compiled[0] is paths.PathError

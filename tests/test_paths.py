@@ -152,6 +152,18 @@ class TestTranslation:
             paths.path_from_down_heights((-1,))
 
 
+class TestRunningHeights:
+    def test_levels(self):
+        assert paths.running_heights("UUJDUD") == (1, 2, 1, 0, 1, 0)
+        assert paths.running_heights("") == ()
+
+    def test_rejects_non_step_characters(self):
+        # "x" used to count as a down move: (1, 0, -1)
+        message = "invalid step character 'x' at index 1"
+        with pytest.raises(PathError, match=f"^{re.escape(message)}$"):
+            paths.running_heights("UxD")
+
+
 class TestWeight:
     def test_examples(self):
         assert paths.weight_exponent("UUDD") == 4
