@@ -18,10 +18,10 @@
  * permutation, touches no Python object and runs with the interpreter lock
  * released.
  *
- * The encoder primitives return None for any input they do not handle (a
- * permutation longer than MAXN, anything but a permutation, an invalid path
- * or height vector); permdyck.kernels then runs the pure one, which names
- * the fault.  heights_321 is derived from the (3,1,2) heights rather than
+ * count_pair and the encoder primitives return None for any input they do
+ * not handle (a permutation longer than MAXN, anything but a permutation, an
+ * invalid path or height vector); permdyck.kernels then runs the pure one,
+ * which names the fault.  heights_321 is derived from the (3,1,2) heights rather than
  * counted: h321_i = h312_m - (i - m) - h312_i for an entry i that is not a
  * left-to-right maximum, m being the preceding maximum (see
  * permdyck.perms.heights_321).
@@ -102,38 +102,6 @@ walk(const slot *s, int m, int c312, int c321, long long *h312, long long *h321)
     }
 }
 
-/* Copy the entries of a sequence of at most MAXN ints into p.  Returns the
- * length, or -1 with an exception set. */
-static Py_ssize_t
-read_ints(PyObject *obj, int *p, const char *what)
-{
-    PyObject *seq = PySequence_Fast(obj, "expected a sequence of ints");
-    if (seq == NULL)
-        return -1;
-    Py_ssize_t len = PySequence_Fast_GET_SIZE(seq);
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    if (len > MAXN) {
-        PyErr_Format(PyExc_ValueError, "%s: kernel supports length <= %d", what, MAXN);
-        len = -1;
-    }
-    for (Py_ssize_t i = 0; i < len; i++) {
-        int overflow;
-        long v = PyLong_AsLongAndOverflow(items[i], &overflow);
-        if (v == -1 && PyErr_Occurred()) {
-            len = -1;
-            break;
-        }
-        if (overflow || v < INT_MIN || v > INT_MAX) {
-            PyErr_Format(PyExc_ValueError, "%s: entry %R out of range", what, items[i]);
-            len = -1;
-            break;
-        }
-        p[i] = (int)v;
-    }
-    Py_DECREF(seq);
-    return len;
-}
-
 static PyObject *
 hist_to_list(const long long *hist, int size)
 {
@@ -151,22 +119,25 @@ hist_to_list(const long long *hist, int size)
     return list;
 }
 
-/* Read a permutation of 1..n, n <= MAXN, from a tuple or list of ints into
- * p.  Returns n, or -1 for anything else (no exception set). */
+/* Read a tuple or list of distinct ints in 1..top, top <= MAXN, into p; a
+ * negative top stands for the length, so that only a permutation of 1..n
+ * reads.  Returns the length, or -1 for anything else (no exception set). */
 static Py_ssize_t
-read_perm(PyObject *obj, int *p)
+read_perm(PyObject *obj, int *p, Py_ssize_t top)
 {
     if (!PyTuple_Check(obj) && !PyList_Check(obj))
         return -1;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(obj);
     PyObject **items = PySequence_Fast_ITEMS(obj);
     char used[MAXN + 1] = {0};
-    if (n > MAXN)
+    if (top < 0)
+        top = n;
+    if (n > top || top > MAXN)
         return -1;
     for (Py_ssize_t i = 0; i < n; i++) {
         int overflow;
         long v = PyLong_Check(items[i]) ? PyLong_AsLongAndOverflow(items[i], &overflow) : 0;
-        if (v < 1 || v > n || used[v])
+        if (v < 1 || v > top || used[v])
             return -1;
         used[v] = 1;
         p[i] = (int)v;
@@ -209,7 +180,7 @@ static PyObject *
 heights_312(PyObject *module, PyObject *values)
 {
     int p[MAXN];
-    Py_ssize_t h[MAXN], n = read_perm(values, p);
+    Py_ssize_t h[MAXN], n = read_perm(values, p, -1);
     if (n < 0)
         Py_RETURN_NONE;
     heights_312_c(p, (int)n, h);
@@ -226,7 +197,7 @@ static PyObject *
 heights_321(PyObject *module, PyObject *values)
 {
     int p[MAXN];
-    Py_ssize_t h[MAXN], n = read_perm(values, p);
+    Py_ssize_t h[MAXN], n = read_perm(values, p, -1);
     if (n < 0)
         Py_RETURN_NONE;
     heights_312_c(p, (int)n, h);
@@ -348,17 +319,18 @@ path_from_heights(PyObject *module, PyObject *heights)
 }
 
 PyDoc_STRVAR(count_pair_doc,
-"count_pair(values) -> (c312, c321)\n\n"
-"Number of (3,1,2)- and of (3,2,1)-occurrences in a permutation of 1..n.");
+"count_pair(values) -> (c312, c321) | None\n\n"
+"Number of (3,1,2)- and of (3,2,1)-occurrences in a permutation of 1..n;\n"
+"None as for heights_312.");
 
 static PyObject *
 count_pair(PyObject *module, PyObject *values)
 {
     int p[MAXN];
     long long c312, c321;
-    Py_ssize_t n = read_ints(values, p, "count_pair");
+    Py_ssize_t n = read_perm(values, p, -1);
     if (n < 0)
-        return NULL;
+        Py_RETURN_NONE;
     count_pair_c(p, (int)n, &c312, &c321);
     return Py_BuildValue("(LL)", c312, c321);
 }
@@ -373,7 +345,7 @@ static PyObject *
 histogram_pair(PyObject *module, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "prefix", NULL};
-    int n, p[MAXN], used[MAXN + 1] = {0}, c312 = 0, c321 = 0;
+    int n, p[MAXN], c312 = 0, c321 = 0;
     long long h312[MAX_HIST] = {0}, h321[MAX_HIST] = {0};
     PyObject *prefix = NULL, *l312, *l321;
 
@@ -381,14 +353,9 @@ histogram_pair(PyObject *module, PyObject *args, PyObject *kwargs)
         return NULL;
     if (n < 0 || n > MAXN)
         return PyErr_Format(PyExc_ValueError, "kernel supports 0 <= n <= %d", MAXN);
-    Py_ssize_t q = prefix == NULL ? 0 : read_ints(prefix, p, "prefix");
+    Py_ssize_t q = prefix == NULL ? 0 : read_perm(prefix, p, n);
     if (q < 0)
-        return NULL;
-    for (Py_ssize_t i = 0; i < q; i++) {
-        if (i >= n || p[i] < 1 || p[i] > n || used[p[i]])
-            return PyErr_Format(PyExc_ValueError, "bad prefix %R for n=%d", prefix, n);
-        used[p[i]] = 1;
-    }
+        return PyErr_Format(PyExc_ValueError, "bad prefix %R for n=%d", prefix, n);
 
     int size = n >= 3 ? n * (n - 1) * (n - 2) / 6 + 1 : 1;
     Py_BEGIN_ALLOW_THREADS

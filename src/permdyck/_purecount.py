@@ -37,6 +37,7 @@ def count_pair(values: Sequence[int]) -> tuple[int, int]:
 
     ``values`` must be a permutation of 1..n.
     """
+    values = tuple(values)
     n = len(values)
     c312 = 0
     c321 = 0

@@ -480,6 +480,7 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
     _guard(n, limit)
     tau = as_pattern(tau)
     encode = bijections.psi312 if key == "312" else bijections.psi321
+    decode = bijections.decode_312_avoiding if key == "312" else bijections.decode_321_avoiding
     heights_fn = heights_312 if key == "312" else heights_321
 
     failures: dict[str, str] = {}
@@ -533,11 +534,7 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
             avoider_images.add(path)
             if path != bijections.psi_avoiding(rho):
                 fail("avoider-staircase-agreement", f"{rho}")
-            decoded = (
-                bijections.decode_312_avoiding(path)
-                if key == "312"
-                else bijections.decode_321_avoiding(path)
-            )
+            decoded = decode(path)
             if decoded != rho:
                 fail("decode-roundtrip", f"{rho} -> {path} -> {decoded}")
 
@@ -571,7 +568,6 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
         fail("avoider-image-is-all-dyck", f"missing {sorted(dyck - avoider_images)[:3]}")
 
     # decoding every Dyck path yields an avoider that encodes back to it
-    decode = bijections.decode_312_avoiding if key == "312" else bijections.decode_321_avoiding
     for path in dyck:
         rho = decode(path)
         if count_occurrences_fast(rho, tau) != 0 or encode(rho) != path:

@@ -18,10 +18,17 @@ counts by its two-branch definition; the compiled one derives it from the
 (3,1,2) heights by the identity h321_i = h312_m - (i - m) - h312_i for an
 entry i that is not a left-to-right maximum, m being the preceding
 maximum, and h321_i = h312_i for a maximum, so again the two are
-independent.  The compiled primitives return None for an input they do not
-handle (a permutation longer than ``MAXN``, a rejected path or height
-vector, a value that is no int); the wrappers here then run the pure one,
-which also names the fault of a rejected input by raising ``Rejected``.
+independent.
+
+One hand-over rule holds for ``count_pair`` and the four encoder
+primitives: the compiled one returns None for an input it does not handle,
+and the wrapper here then runs the pure one, which also names the fault of
+a rejected path or height vector by raising ``Rejected``.  The compiled
+``count_pair``, ``heights_312`` and ``heights_321`` handle a tuple or list
+holding a permutation of 1..n with n <= ``MAXN``; ``scan_path`` a str
+holding a valid path; ``path_from_heights`` a tuple or list of nonnegative
+ints that ends at 0.  ``histogram_pair`` hands nothing over: the compiled
+one raises ``ValueError`` for n > ``MAXN``, as both do for a bad prefix.
 With the compiled kernel selected, the pure module is imported only when a
 first input is handed over, and ``kernels.Rejected`` only then resolves.
 """
@@ -63,16 +70,10 @@ def __getattr__(name: str):
 
 histogram_pair = _impl.histogram_pair
 
-# the compiled kernel uses fixed-size stack arrays; larger inputs take the
-# pure path, which has no size limit
-_COMPILED_MAX_N = 20
-
 
 def count_pair(values: Sequence[int]) -> tuple[int, int]:
-    vals = tuple(values)
-    if len(vals) > _COMPILED_MAX_N:
-        return _pure().count_pair(vals)
-    return tuple(_impl.count_pair(vals))
+    got = _impl.count_pair(values)
+    return _pure().count_pair(values) if got is None else got
 
 
 def heights_312(values: Sequence[int]) -> tuple[int, ...]:

@@ -15,8 +15,11 @@ Conventions used throughout the package:
   construction (ranks, ``itertools.permutations``, a decoder's pops).
 - Occurrences of every length-3 pattern are counted, but the encoders, the
   generating functions and the census handle only (3,1,2) and (3,2,1).
-  ``_pattern_key`` is their one pattern check: it maps a pattern argument
-  to ``"312"`` or ``"321"`` and raises ``PatternError`` for any other.
+  ``_PATTERNS`` is the one pattern map: it takes each length-3 pattern to
+  its representative's key, ``"312"`` or ``"321"``, and the host symmetry
+  that leads there.  ``count_occurrences_fast`` counts by it, and
+  ``_pattern_key``, the one pattern check of the rest, accepts only the
+  two representatives and raises ``PatternError`` for any other pattern.
 """
 
 from __future__ import annotations
@@ -134,16 +137,29 @@ def as_pattern(tau) -> Permutation:
     return Permutation(tau)
 
 
+# Each length-3 pattern -> (its representative's key, the host symmetry).
+# Reversing the host's positions reverses a pattern and complementing its
+# values complements it, both one to one on occurrences, so every pattern of
+# S_3 is counted as (3,1,2) or (3,2,1) (Simion and Schmidt 1985).
+_PATTERNS: dict[tuple[int, ...], tuple[str, str]] = {
+    (3, 1, 2): ("312", "identity"),
+    (3, 2, 1): ("321", "identity"),
+    (1, 3, 2): ("312", "complement"),
+    (1, 2, 3): ("321", "complement"),
+    (2, 1, 3): ("312", "reverse"),
+    (2, 3, 1): ("312", "reverse-complement"),
+}
+
+
 def _pattern_key(tau) -> str:
     """``"312"`` or ``"321"`` for the two patterns that the encoders, the
     generating functions and the census support; ``PatternError`` for any
     other pattern."""
     t = tuple(as_pattern(tau))
-    if t == (3, 1, 2):
-        return "312"
-    if t == (3, 2, 1):
-        return "321"
-    raise PatternError(f"only (3,1,2) and (3,2,1) are supported; got {t!r}")
+    key, symmetry = _PATTERNS.get(t, (None, None))
+    if symmetry != "identity":
+        raise PatternError(f"only (3,1,2) and (3,2,1) are supported; got {t!r}")
+    return key
 
 
 class HeightVector(tuple):
@@ -234,40 +250,30 @@ def count_occurrences(rho: Permutation, tau) -> int:
     return find_occurrences(rho, tau).count
 
 
-def _reverse(rho: Sequence[int]) -> tuple[int, ...]:
-    return tuple(reversed(rho))
-
-
-def _complement(rho: Sequence[int]) -> tuple[int, ...]:
-    n = len(rho)
-    return tuple(n + 1 - v for v in rho)
-
-
 def count_occurrences_fast(rho: Sequence[int], tau) -> int:
     """Count occurrences of a length-3 pattern in O(n^2).
 
-    All six patterns of S_3 are supported by reducing to the (3,1,2) and
-    (3,2,1) kernels via reversal/complementation of the host:
-    reversing positions reverses the pattern, complementing values
-    complements it, and both are occurrence-count-preserving bijections.
+    All six patterns of S_3 are counted by the (3,1,2) and (3,2,1) kernels
+    on the host taken through the symmetry that ``_PATTERNS`` names.  A host
+    that is not a ``Permutation`` is standardised first, so a word of
+    distinct values counts as ``find_occurrences`` does, and a word with a
+    repeated value raises ``PatternError``.
+
+    >>> count_occurrences_fast((5, 2, 4), "321"), count_occurrences_fast((5, 2, 4), "312")
+    (0, 1)
     """
     tau = as_pattern(tau)
-    if tau.n != 3:
+    key, symmetry = _PATTERNS.get(tau, (None, None))
+    if key is None:
         raise PatternError(f"fast counting supports length-3 patterns only, got {tau!r}")
-    t = tuple(tau)
-    if t == (3, 1, 2):
-        return kernels.count_pair(rho)[0]
-    if t == (3, 2, 1):
-        return kernels.count_pair(rho)[1]
-    if t == (1, 2, 3):
-        return kernels.count_pair(_complement(rho))[1]
-    if t == (1, 3, 2):
-        return kernels.count_pair(_complement(rho))[0]
-    if t == (2, 1, 3):
-        return kernels.count_pair(_reverse(rho))[0]
-    if t == (2, 3, 1):
-        return kernels.count_pair(_complement(_reverse(rho)))[0]
-    raise PatternError(f"unrecognised length-3 pattern {tau!r}")  # pragma: no cover
+    host = rho if isinstance(rho, Permutation) else standardize(rho)
+    if "reverse" in symmetry:
+        host = host[::-1]
+    if "complement" in symmetry:
+        top = len(host) + 1
+        host = tuple(top - v for v in host)
+    c312, c321 = kernels.count_pair(host)
+    return c312 if key == "312" else c321
 
 
 def left_to_right_maxima(rho: Sequence[int]) -> tuple[int, ...]:

@@ -48,7 +48,6 @@ __all__ = [
     "monomial",
     "from_x_poly",
     "sqrt_one_minus_4x",
-    "inv_sqrt_one_minus_4x",
     "catalan",
     "catalan_number",
     "gf",
@@ -144,9 +143,6 @@ class Series:
             if self.coeffs[k] != other.coeffs[k]:
                 return k
         return None
-
-    def agrees_with(self, other: "Series") -> bool:
-        return self.first_mismatch(other) is None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -298,11 +294,6 @@ def from_x_poly(coeffs_by_xdeg: dict[int, Coef] | Sequence[Coef], order: int = D
 @lru_cache(maxsize=32)
 def sqrt_one_minus_4x(order: int = DEFAULT_ORDER) -> Series:
     return from_x_poly({0: 1, 1: -4}, order).sqrt()
-
-
-@lru_cache(maxsize=32)
-def inv_sqrt_one_minus_4x(order: int = DEFAULT_ORDER) -> Series:
-    return one(order) / sqrt_one_minus_4x(order)
 
 
 @lru_cache(maxsize=32)
@@ -714,10 +705,11 @@ def check_assemblies(order: int = 40) -> AssemblyReport:
         mism = lhs.truncate(order).first_mismatch(rhs.truncate(order))
         checks.append(AssemblyCheck(name=name, passed=mism is None, first_mismatch=mism))
 
-    # Catalan basics
+    # Catalan basics; w.c is the sqrt(1-4x) construction, _cpow(1, .) the
+    # ballot numbers, built without it
     record("catalan.functional-equation", w.c, w.one + w.c2x)
     record("catalan.reciprocal", w.one / w.c, w.one - w.cx)
-    record("catalan.sqrt-form", w.c, catalan(order))
+    record("catalan.sqrt-form", w.c, _cpow(1, order))
 
     # climbing segments against their closed forms
     for k, l in ((0, 0), (0, 3), (1, 2), (2, 2), (2, 5), (3, 4)):

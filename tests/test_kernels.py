@@ -100,12 +100,27 @@ def test_bad_arguments_rejected_by_both(fastcount, n, prefix):
 
 
 def test_compiled_size_limit(fastcount):
-    assert fastcount.MAXN == kernels._COMPILED_MAX_N == 20
+    assert fastcount.MAXN == 20
     with pytest.raises(ValueError):
         fastcount.histogram_pair(21)
-    with pytest.raises(ValueError):
-        fastcount.count_pair(tuple(range(1, 22)))
+    assert fastcount.count_pair(tuple(range(1, 22))) is None
     assert kernels.count_pair(tuple(range(21, 0, -1))) == (0, 1330)
+
+
+_PER_INPUT = ("count_pair", "heights_312", "heights_321", "scan_path", "path_from_heights")
+_LONG = tuple(range(21, 0, -1))[::2] + tuple(range(21, 0, -1))[1::2]  # length MAXN + 1
+
+
+@pytest.mark.parametrize("name", _PER_INPUT)
+@pytest.mark.parametrize(
+    "value", [_LONG, (2, 2, 1), (0, 1), (1, 3), (2**70, 1), (1.0,), [3, 1, 2, 4, 4], 5, None, {1: 1}]
+)
+def test_compiled_primitives_hand_over(fastcount, on_each_backend, name, value):
+    # one contract: None, never an exception, for an input the compiled
+    # kernel does not handle, and ``kernels`` returns the pure outcome
+    assert getattr(fastcount, name)(value) is None
+    expect = _outcome(getattr(_purecount, name), value)
+    assert on_each_backend(getattr(kernels, name), value) == [expect, expect]
 
 
 def test_count_pair_matches_oracle_exhaustive():
@@ -216,7 +231,7 @@ def test_heights_of_non_permutations_as_pure(fastcount, on_each_backend, values)
 
 def test_heights_of_an_iterator_as_of_its_tuple(on_each_backend):
     rho = (4, 3, 5, 1, 2)
-    for name in ("heights_312", "heights_321"):
+    for name in ("heights_312", "heights_321", "count_pair"):
         fn = getattr(kernels, name)
         assert on_each_backend(lambda: fn(iter(rho))) == [fn(rho)] * 2
 

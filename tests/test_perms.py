@@ -184,6 +184,20 @@ class TestFastCount:
         for tau in S3:
             assert count_occurrences_fast(rho, tau) == count_occurrences(rho, tau)
 
+    def test_words_of_distinct_values_match_oracle(self):
+        for k in range(3, 6):
+            for word in itertools.permutations(range(1, 8), k):
+                for tau in S3:
+                    expect = find_occurrences(word, tau).count
+                    assert count_occurrences_fast(word, tau) == expect, (word, tau)
+        assert count_occurrences_fast((5, 2, 4), "321") == 0
+
+    @pytest.mark.parametrize("word", [(1, 1, 2), (3, 1, 2, 3), (2, 2)])
+    def test_repeated_values_rejected(self, word):
+        for tau in S3:
+            with pytest.raises(PatternError, match="distinct"):
+                count_occurrences_fast(word, tau)
+
 
 class TestLeftToRightMaxima:
     def test_examples(self):
