@@ -23,6 +23,7 @@ _EXPORTS = {
         "OccurrenceSet",
         "PatternError",
         "Permutation",
+        "catalan_number",
         "count_occurrences",
         "count_occurrences_fast",
         "find_occurrences",
@@ -62,7 +63,6 @@ _EXPORTS = {
     "series": (
         "Series",
         "catalan",
-        "catalan_number",
         "check_assemblies",
         "check_general_form",
         "count_closed_form",

@@ -18,11 +18,13 @@
  * permutation, touches no Python object and runs with the interpreter lock
  * released.
  *
- * count_pair and the encoder primitives return None for any input they do
- * not handle (a permutation longer than MAXN, anything but a permutation, an
- * invalid path or height vector); permdyck.kernels then runs the pure one,
- * which names the fault.  heights_321 is derived from the (3,1,2) heights rather than
- * counted: h321_i = h312_m - (i - m) - h312_i for an entry i that is not a
+ * count_pair, the encoder primitives (heights_312, heights_321, scan_path,
+ * path_from_heights) and the decoder primitive perm_from_heights, which
+ * inverts the inversion table heights_312, return None for any input they
+ * do not handle (a permutation or height vector longer than MAXN, anything
+ * but a permutation, an invalid path, height vector or inversion table);
+ * permdyck.kernels then runs the pure one, which names the fault.
+ * heights_321 is derived from the (3,1,2) heights rather than counted: h321_i = h312_m - (i - m) - h312_i for an entry i that is not a
  * left-to-right maximum, m being the preceding maximum (see
  * permdyck.perms.heights_321).
  *
@@ -318,6 +320,36 @@ path_from_heights(PyObject *module, PyObject *heights)
     return path;
 }
 
+PyDoc_STRVAR(perm_from_heights_doc,
+"perm_from_heights(heights) -> tuple | None\n\n"
+"The permutation of 1..n whose inversion table is heights: the entry at\n"
+"position i is the (heights[i] + 1)-th smallest value not used before it.\n"
+"None for anything but a tuple or list of n <= MAXN ints, the i-th\n"
+"(from 1) in 0..n - i.");
+
+static PyObject *
+perm_from_heights(PyObject *module, PyObject *heights)
+{
+    if (!PyTuple_Check(heights) && !PyList_Check(heights))
+        Py_RETURN_NONE;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(heights), unused[MAXN], out[MAXN];
+    PyObject **items = PySequence_Fast_ITEMS(heights);
+    if (n > MAXN)
+        Py_RETURN_NONE;
+    for (Py_ssize_t i = 0; i < n; i++)
+        unused[i] = i + 1;
+    /* unused[0 .. n - i) holds the values not yet placed, in increasing order */
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int overflow;
+        long h = PyLong_Check(items[i]) ? PyLong_AsLongAndOverflow(items[i], &overflow) : -1;
+        if (h < 0 || h >= n - i)
+            Py_RETURN_NONE;
+        out[i] = unused[h];
+        memmove(unused + h, unused + h + 1, (n - i - 1 - h) * sizeof *unused);
+    }
+    return to_tuple(out, n, 0);
+}
+
 PyDoc_STRVAR(count_pair_doc,
 "count_pair(values) -> (c312, c321) | None\n\n"
 "Number of (3,1,2)- and of (3,2,1)-occurrences in a permutation of 1..n;\n"
@@ -393,13 +425,14 @@ static PyMethodDef fastcount_methods[] = {
     {"heights_321", (PyCFunction)heights_321, METH_O, heights_321_doc},
     {"scan_path", (PyCFunction)scan_path, METH_O, scan_path_doc},
     {"path_from_heights", (PyCFunction)path_from_heights, METH_O, path_from_heights_doc},
+    {"perm_from_heights", (PyCFunction)perm_from_heights, METH_O, perm_from_heights_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef fastcount_module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "permdyck._fastcount",
-    .m_doc = "Compiled counting kernels and encoder primitives; same contract as permdyck._purecount.",
+    .m_doc = "Compiled counting kernels, encoder and decoder primitives; same contract as permdyck._purecount.",
     .m_size = -1,
     .m_methods = fastcount_methods,
 };

@@ -11,11 +11,12 @@ triple, running over i < k,
   middle entry p_k (descents into it times smaller entries after it).
 
 The encoder primitives (``heights_312``, ``heights_321``, ``scan_path``,
-``path_from_heights``) are the definitions that ``perms`` and ``paths``
-wrap.  Where the compiled kernel returns None for an input it does not
-handle, these run instead; ``scan_path`` and ``path_from_heights`` raise
-``Rejected``, naming the fault, for a step string or height vector that is
-not a path's.
+``path_from_heights``) and the decoder primitive ``perm_from_heights``
+are the definitions that ``perms``, ``paths`` and ``bijections`` wrap.
+Where the compiled kernel returns None for an input it does not handle,
+these run instead; ``scan_path``, ``path_from_heights`` and
+``perm_from_heights`` raise ``Rejected``, naming the fault, for a step
+string or height vector that is not a path's or an inversion table's.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ UP, DOWN, JUMP = "U", "D", "J"
 
 class Rejected(ValueError):
     """A step string that is not a valid path, or a height vector that is
-    not a path's; ``args`` name the fault."""
+    not a path's or an inversion table's; ``args`` name the fault."""
 
 
 def count_pair(values: Sequence[int]) -> tuple[int, int]:
@@ -59,11 +60,16 @@ def histogram_pair(n: int, prefix: tuple[int, ...] = ()) -> tuple[list[int], lis
     """Occurrence-count histograms over all permutations of 1..n whose first
     ``len(prefix)`` entries equal ``prefix``: (hist for (3,1,2), hist for
     (3,2,1)), each indexed by occurrence count up to binom(n, 3).  A negative
-    n, or a prefix with a repeated or out-of-range value, raises ValueError.
+    n raises ValueError, and so does a prefix that is not a tuple or list of
+    distinct ints in 1..n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if len(set(prefix)) != len(prefix) or not all(1 <= v <= n for v in prefix):
+    if (
+        not isinstance(prefix, (tuple, list))
+        or not all(isinstance(v, int) and 1 <= v <= n for v in prefix)
+        or len(set(prefix)) != len(prefix)
+    ):
         raise ValueError(f"bad prefix {prefix!r} for n={n}")
     rest = [v for v in range(1, n + 1) if v not in prefix]
     size = n * (n - 1) * (n - 2) // 6 + 1 if n >= 3 else 1
@@ -123,6 +129,23 @@ def heights_321(values: Sequence[int]) -> tuple[int, ...]:
                 if v < w < running_max:
                     h += 1
         out.append(h)
+    return tuple(out)
+
+
+def perm_from_heights(heights: Sequence[int]) -> tuple[int, ...]:
+    """The permutation whose inversion table is ``heights``: the entry at
+    position i is the (h_i + 1)-th smallest value not used before it.
+    Raises ``Rejected`` for a negative h_i or one above n - i."""
+    heights = tuple(heights)
+    n = len(heights)
+    free = list(range(1, n + 1))
+    out = []
+    for i, h in enumerate(heights, 1):
+        if h < 0:
+            raise Rejected(f"negative height {h} at entry {i}")
+        if h > n - i:
+            raise Rejected(f"height {h} at entry {i} exceeds n - i = {n - i}")
+        out.append(free.pop(h))
     return tuple(out)
 
 

@@ -29,9 +29,9 @@ occurrence sets.
 from __future__ import annotations
 
 import bisect
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from permdyck import paths
+from permdyck import kernels, paths
 from permdyck.paths import Jump, PathError
 from permdyck.perms import (
     Permutation,
@@ -220,16 +220,11 @@ def _decode_psi312(info: paths.PathInfo) -> Permutation:
     """``decode_psi312`` on the parsed path ``info``."""
     if not info.psi_shaped:
         raise NotInImageError("jumps must be sandwiched between down-steps")
-    heights = info.heights
-    n = len(heights)
-    free = list(range(1, n + 1))
-    out = []
-    for i, h in enumerate(heights, 1):
-        if h > n - i:
-            raise NotInImageError(f"height {h} at entry {i} exceeds n - i = {n - i}")
-        out.append(free.pop(h))
-    # each of 1..n popped exactly once
-    return Permutation._of(out)
+    try:
+        # an inversion table decodes to a permutation of 1..n
+        return Permutation._of(kernels.perm_from_heights(info.heights))
+    except kernels.Rejected as exc:
+        raise NotInImageError(*exc.args) from None
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +318,41 @@ def analyze_jumps(rho: Permutation, tau) -> tuple[JumpAnalysis, ...]:
     one or two occurrences in total the union over jumps is exhaustive
     (verified against brute force in the test suite).
     """
-    return _analyze(rho, *_encoded(rho, tau))
+    key, info = _encoded(rho, tau)
+    analyses = []
+    for jn, (span, pm, causing, before, forced, extra) in enumerate(_jump_pieces(rho, key, info)):
+        pos, d, m, l = span.position, span.depth, span.m, span.l
+        before = tuple(map(MaximumBeforeJump._make, before))
+        if key == "312":
+            threshold = next((g for g, rec in enumerate(before, 1) if rec.steps_between < m), None)
+        elif jn == 0:
+            threshold = next(
+                (g for g, rec in enumerate(before, 1) if rec.height - d - rec.steps_between > 0),
+                None,
+            )
+        else:
+            threshold = None
+        triples = tuple(sorted(forced | extra))
+        prediction = OccurrencePrediction(
+            base=d * l,
+            before_downs=m * d * l if key == "312" else 0,
+            maxima_sum=len(extra),
+            total=len(triples),
+            triples=triples,
+        )
+        context = JumpContext(
+            jump=Jump(position=pos, depth=d),
+            m=m,
+            l=l,
+            pre_run=tuple(range(pos - m + 1, pos + 1)),
+            post_run=tuple(range(pos + 1, pos + l + 1)),
+            causing=causing,
+            preceding_max=pm,
+            maxima_before=before,
+            threshold_index=threshold,
+        )
+        analyses.append(JumpAnalysis(context=context, prediction=prediction))
+    return tuple(analyses)
 
 
 def _encoded(rho: Permutation, tau) -> tuple[str, paths.PathInfo]:
@@ -332,9 +361,13 @@ def _encoded(rho: Permutation, tau) -> tuple[str, paths.PathInfo]:
     return key, paths.path_info(psi312(rho) if key == "312" else psi321(rho))
 
 
-def _analyze(rho: Permutation, key: str, info: paths.PathInfo) -> tuple[JumpAnalysis, ...]:
-    """``analyze_jumps`` on the parsed image ``info`` of ``rho`` under the
-    encoder for the pattern ``key``, ``"312"`` or ``"321"``."""
+def _jump_pieces(rho: Permutation, key: str, info: paths.PathInfo) -> Iterator[tuple]:
+    """Per jump of the parsed image ``info`` of ``rho`` under the encoder for
+    the pattern ``key``, ``"312"`` or ``"321"``, left to right:
+    (its ``JumpSpan``, the preceding maximum's position, the causing
+    positions, the maxima before it as (position, value, height,
+    steps_between), the set of base and down-run triples, the set of
+    maxima-sum triples); ``analyze_jumps`` builds its records from these."""
     n = len(rho)
     maxima = left_to_right_maxima(rho)
     mx = set(maxima)
@@ -344,11 +377,9 @@ def _analyze(rho: Permutation, key: str, info: paths.PathInfo) -> tuple[JumpAnal
     for i, (g, h) in enumerate(zip((0, *heights), heights), 1):
         step = max(0, h + 1 - g) if key == "312" else 1
         between.append(between[-1] + step - (i in mx))
-    analyses = []
     for jn, span in enumerate(info.spans):
-        pos, d, m, l = span.position, span.depth, span.m, span.l
-        pre_run = tuple(range(pos - m + 1, pos + 1))
-        post_run = tuple(range(pos + 1, pos + l + 1))
+        pos, m, l = span.position, span.m, span.l
+        post_run = range(pos + 1, pos + l + 1)
         k_pm = bisect.bisect_right(maxima, pos)
         pm = maxima[k_pm - 1]
         # (3,1,2) sums over the maxima before the preceding one, (3,2,1) up to it
@@ -360,58 +391,31 @@ def _analyze(rho: Permutation, key: str, info: paths.PathInfo) -> tuple[JumpAnal
             causing = tuple(k for k in range(pos + 1, n + 1) if rho[k - 1] < rho[pos])
             left = maxima[:k_pm]
         before = tuple(
-            MaximumBeforeJump(ig, rho[ig - 1], heights[ig - 1], between[pos] - between[ig])
-            for ig in left
+            (g, rho[g - 1], heights[g - 1], between[pos] - between[g]) for g in left
         )
-        triples = {(pm, j, k) for j in post_run for k in causing}
-        before_downs = 0
+        forced = {(pm, j, k) for j in post_run for k in causing}
         if key == "312":
-            threshold = next((g for g, rec in enumerate(before, 1) if rec.steps_between < m), None)
-            before_downs = m * d * l
-            triples |= {(g, j, k) for g in pre_run for j in post_run for k in causing}
+            forced |= {(g, j, k) for g in range(pos - m + 1, pos + 1) for j in post_run for k in causing}
             extra = {
-                (rec.position, j, k)
-                for rec in before
+                (g, j, k)
+                for g, value, _, _ in before
                 for j in post_run
                 for k in causing
-                if rho[k - 1] < rec.value
+                if rho[k - 1] < value
             }
         elif jn == 0:
-            threshold = next(
-                (g for g, rec in enumerate(before, 1) if rec.height - d - rec.steps_between > 0),
-                None,
-            )
             # the maxima before the threshold reach no following entry
+            d = span.depth
             extra = {
-                (rec.position, j, k)
-                for rec in before
-                for j in post_run[: max(0, min(rec.height - d - rec.steps_between, l))]
-                if rho[j - 1] < rec.value
+                (g, j, k)
+                for g, value, height, steps in before
+                for j in post_run[: max(0, min(height - d - steps, l))]
+                if rho[j - 1] < value
                 for k in causing
             }
         else:
-            threshold, extra = None, set()
-        triples = tuple(sorted(triples | extra))
-        prediction = OccurrencePrediction(
-            base=d * l,
-            before_downs=before_downs,
-            maxima_sum=len(extra),
-            total=len(triples),
-            triples=triples,
-        )
-        context = JumpContext(
-            jump=Jump(position=pos, depth=d),
-            m=m,
-            l=l,
-            pre_run=pre_run,
-            post_run=post_run,
-            causing=causing,
-            preceding_max=pm,
-            maxima_before=before,
-            threshold_index=threshold,
-        )
-        analyses.append(JumpAnalysis(context=context, prediction=prediction))
-    return tuple(analyses)
+            extra = set()
+        yield span, pm, causing, before, forced, extra
 
 
 def predicted_occurrences(rho: Permutation, tau) -> tuple[tuple[int, int, int], ...]:
@@ -420,10 +424,12 @@ def predicted_occurrences(rho: Permutation, tau) -> tuple[tuple[int, int, int], 
 
 
 def _predict(rho: Permutation, key: str, info: paths.PathInfo) -> tuple[tuple[int, int, int], ...]:
-    """``predicted_occurrences`` on the parsed image ``info``, as in ``_analyze``."""
-    out = set()
-    for analysis in _analyze(rho, key, info):
-        out.update(analysis.prediction.triples)
+    """``predicted_occurrences`` on the parsed image ``info``, as in
+    ``_jump_pieces``."""
+    out: set[tuple[int, int, int]] = set()
+    for *_, forced, extra in _jump_pieces(rho, key, info):
+        out |= forced
+        out |= extra
     return tuple(sorted(out))
 
 

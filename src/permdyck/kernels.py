@@ -1,4 +1,5 @@
-"""Backend selection for the counting kernels and the encoder primitives.
+"""Backend selection for the counting kernels and the encoder and decoder
+primitives.
 
 The compiled extension ``permdyck._fastcount`` (one hand-written C file,
 built by ``python setup.py build_ext --inplace`` or on install when a C
@@ -18,16 +19,19 @@ counts by its two-branch definition; the compiled one derives it from the
 (3,1,2) heights by the identity h321_i = h312_m - (i - m) - h312_i for an
 entry i that is not a left-to-right maximum, m being the preceding
 maximum, and h321_i = h312_i for a maximum, so again the two are
-independent.
+independent.  The decoder primitive ``perm_from_heights`` inverts
+``heights_312``: it rebuilds a permutation from its inversion table.
 
-One hand-over rule holds for ``count_pair`` and the four encoder
-primitives: the compiled one returns None for an input it does not handle,
-and the wrapper here then runs the pure one, which also names the fault of
-a rejected path or height vector by raising ``Rejected``.  The compiled
-``count_pair``, ``heights_312`` and ``heights_321`` handle a tuple or list
-holding a permutation of 1..n with n <= ``MAXN``; ``scan_path`` a str
-holding a valid path; ``path_from_heights`` a tuple or list of nonnegative
-ints that ends at 0.  ``histogram_pair`` hands nothing over: the compiled
+One hand-over rule holds for ``count_pair``, the four encoder primitives
+and the decoder primitive: the compiled one returns None for an input it
+does not handle, and the wrapper here then runs the pure one, which also
+names the fault of a rejected path, height vector or inversion table by
+raising ``Rejected``.  The compiled ``count_pair``, ``heights_312`` and
+``heights_321`` handle a tuple or list holding a permutation of 1..n with
+n <= ``MAXN``; ``scan_path`` a str holding a valid path;
+``path_from_heights`` a tuple or list of nonnegative ints that ends at 0;
+``perm_from_heights`` a tuple or list of n <= ``MAXN`` ints whose i-th
+(from 1) lies in 0..n - i.  ``histogram_pair`` hands nothing over: the compiled
 one raises ``ValueError`` for n > ``MAXN``, as both do for a bad prefix.
 With the compiled kernel selected, the pure module is imported only when a
 first input is handed over, and ``kernels.Rejected`` only then resolves.
@@ -94,3 +98,8 @@ def scan_path(path: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[
 def path_from_heights(heights: Sequence[int]) -> str:
     got = _impl.path_from_heights(heights)
     return _pure().path_from_heights(heights) if got is None else got
+
+
+def perm_from_heights(heights: Sequence[int]) -> tuple[int, ...]:
+    got = _impl.perm_from_heights(heights)
+    return _pure().perm_from_heights(heights) if got is None else got

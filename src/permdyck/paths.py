@@ -150,8 +150,12 @@ def path_info(path: str) -> PathInfo:
     """
     info = _scan(path)
     if isinstance(info, Validation):
-        raise PathError(f"invalid path: {info.reason} (prefix {info.prefix})")
+        raise _invalid(info.reason, info.prefix)
     return info
+
+
+def _invalid(reason: str, prefix: int) -> PathError:
+    return PathError(f"invalid path: {reason} (prefix {prefix})")
 
 
 def validate(path: str) -> Validation:
@@ -214,7 +218,17 @@ def down_steps(path: str) -> tuple[DownStep, ...]:
 
 
 def down_step_heights(path: str) -> tuple[int, ...]:
-    return path_info(path).heights
+    """The height each down-step lands on, left to right; raises
+    ``PathError`` as ``path_info`` does.
+
+    >>> down_step_heights("UUUUDDUDJDUD")
+    (3, 2, 2, 0, 0)
+    """
+    # the parse's heights alone, without building a ``PathInfo``
+    try:
+        return kernels.scan_path(path)[0]
+    except kernels.Rejected as exc:
+        raise _invalid(*exc.args) from None
 
 
 class Jump(NamedTuple):

@@ -20,14 +20,18 @@ Conventions used throughout the package:
   that leads there.  ``count_occurrences_fast`` counts by it, and
   ``_pattern_key``, the one pattern check of the rest, accepts only the
   two representatives and raises ``PatternError`` for any other pattern.
+- ``_matcher`` states the one test of relative order: ``find_occurrences``
+  runs it on every subword, and the bijection audit on each predicted
+  triple.
 """
 
 from __future__ import annotations
 
 import itertools
 import numbers
+from math import comb
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from permdyck import kernels
 
@@ -41,6 +45,7 @@ __all__ = [
     "as_pattern",
     "standardize",
     "find_occurrences",
+    "catalan_number",
     "count_occurrences",
     "count_occurrences_fast",
     "left_to_right_maxima",
@@ -60,7 +65,7 @@ class PatternError(ValueError):
 def _integers(values: Iterable, error: type, what: str) -> tuple[int, ...]:
     """``int`` of every value; ``error`` for a number that is not integral."""
     raw = tuple(values)
-    ints = tuple(int(v) for v in raw)
+    ints = tuple(map(int, raw))
     if ints != raw:
         for v, i in zip(raw, ints):
             if isinstance(v, numbers.Number) and v != i:
@@ -211,15 +216,24 @@ class OccurrenceSet(NamedTuple):
         return tuple(tuple(rho[i - 1] for i in pos) for pos in self.positions)
 
 
-def find_occurrences(rho: Permutation, tau) -> OccurrenceSet:
-    """Enumerate every occurrence of ``tau`` in ``rho`` by scanning all
-    position k-subsets.  This is the slow, obviously-correct reference used
-    as ground truth for the fast counters, so it uses nothing from
-    ``kernels``.
+def _matcher(tau: Permutation) -> Callable[[tuple[int, ...]], bool]:
+    """The test that a subword of distinct values has the relative order of
+    ``tau`` (length >= 2): picking the (tau_1, ..., tau_k)-th smallest of
+    its entries gives it back.
 
-    A subword ``sub`` has the relative order of ``tau`` iff picking the
-    (tau_1, ..., tau_k)-th smallest of its entries gives ``sub`` back:
-    ``itemgetter(*(t - 1 for t in tau))(sorted(sub)) == sub``.
+    >>> matches = _matcher(Permutation((3, 1, 2)))
+    >>> matches((5, 2, 4)), matches((2, 5, 4))
+    (True, False)
+    """
+    pick = itemgetter(*(t - 1 for t in tau))
+    return lambda sub: pick(sorted(sub)) == sub
+
+
+def find_occurrences(rho: Permutation, tau) -> OccurrenceSet:
+    """Enumerate every occurrence of ``tau`` in ``rho`` by testing every
+    position k-subset with ``_matcher``.  This is the slow, obviously-correct
+    reference used as ground truth for the fast counters, so it uses nothing
+    from ``kernels``.
 
     >>> find_occurrences((1, 5, 2, 4, 3), "312").positions
     ((2, 3, 4), (2, 3, 5))
@@ -233,15 +247,10 @@ def find_occurrences(rho: Permutation, tau) -> OccurrenceSet:
         # the first subword holding a repeat raises, as it would standardise
         for sub in itertools.combinations(vals, k):
             standardize(sub)
-    pick = itemgetter(*(t - 1 for t in tau))
-    hits = [
-        pos
-        for pos, sub in zip(
-            itertools.combinations(range(1, len(vals) + 1), k),
-            itertools.combinations(vals, k),
-        )
-        if pick(sorted(sub)) == sub
-    ]
+    hits = itertools.compress(
+        itertools.combinations(range(1, len(vals) + 1), k),
+        map(_matcher(tau), itertools.combinations(vals, k)),
+    )
     return OccurrenceSet(pattern=tau, positions=tuple(hits))
 
 
@@ -274,6 +283,16 @@ def count_occurrences_fast(rho: Sequence[int], tau) -> int:
         host = tuple(top - v for v in host)
     c312, c321 = kernels.count_pair(host)
     return c312 if key == "312" else c321
+
+
+def catalan_number(n: int) -> int:
+    """The n-th Catalan number: |D_n|, and the number of avoiders in S_n
+    of each length-3 pattern.
+
+    >>> [catalan_number(n) for n in range(7)]
+    [1, 1, 2, 5, 14, 42, 132]
+    """
+    return comb(2 * n, n) // (n + 1)
 
 
 def left_to_right_maxima(rho: Sequence[int]) -> tuple[int, ...]:

@@ -38,7 +38,7 @@ from itertools import chain, count
 from math import comb, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from permdyck.perms import _pattern_key
+from permdyck.perms import _pattern_key, catalan_number
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -307,10 +307,6 @@ def catalan(order: int = DEFAULT_ORDER) -> Series:
     work = order + 2
     num = one(work) - sqrt_one_minus_4x(work)
     return (num.shift(-2) / 2).truncate(order)
-
-
-def catalan_number(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
 
 
 # ---------------------------------------------------------------------------

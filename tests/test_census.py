@@ -366,6 +366,88 @@ class TestAuditRoute:
         assert not checks["predicted-total"].passed
         assert checks["predicted-subset"].passed
 
+    @staticmethod
+    def _appending(monkeypatch, extra):
+        """Make ``_predict`` append ``extra(rho, tau)`` (when not None) to the
+        prediction of each host with three or more occurrences, so that
+        ``predicted-total`` still holds; returns the (rho, prediction)
+        pairs it gave, in call order."""
+        original = bijections._predict
+        given = []
+
+        def appended(rho, key, info):
+            out = original(rho, key, info)
+            if perms.count_occurrences_fast(rho, key) >= 3:
+                triple = extra(rho, key)
+                out += (triple,) if triple is not None else ()
+            given.append((rho, out))
+            return out
+
+        monkeypatch.setattr(bijections, "_predict", appended)
+        return given
+
+    @staticmethod
+    def _non_occurrences(rho, tau):
+        occ = set(perms.find_occurrences(rho, tau).positions)
+        return [t for t in itertools.combinations(range(1, len(rho) + 1), 3) if t not in occ]
+
+    def _first_non_occurrence(self, rho, tau):
+        return next(iter(self._non_occurrences(rho, tau)), None)
+
+    def _in_pattern_order(self, rho, tau):
+        # the positions of a non-occurrence, reordered so that their values
+        # read as the pattern: only the position check can refuse them
+        triple = self._first_non_occurrence(rho, tau)
+        if triple is None:
+            return None
+        by_value = sorted(triple, key=lambda i: rho[i - 1])
+        return tuple(by_value[t - 1] for t in perms.as_pattern(tau))
+
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    @pytest.mark.parametrize("kind", ["non-occurrence", "positions-in-pattern-order"])
+    def test_wrong_prediction_fails_subset_only(self, monkeypatch, tau, kind):
+        extra = self._first_non_occurrence if kind == "non-occurrence" else self._in_pattern_order
+        given = self._appending(monkeypatch, extra)
+        report = census.audit_bijections(6, tau)
+        assert [c.name for c in report.checks if not c.passed] == ["predicted-subset"]
+        # the counterexample the audit gave when it compared with the full
+        # occurrence set: the first host's set difference
+        rho, diff = next(
+            (rho, diff)
+            for rho, predicted in given
+            if (diff := sorted(set(predicted) - set(perms.find_occurrences(rho, tau).positions)))
+        )
+        checks = {c.name: c for c in report.checks}
+        assert checks["predicted-subset"].counterexample == f"{rho}: {diff}"
+        if kind == "positions-in-pattern-order":
+            # the values pass the oracle's test; only the positions are wrong
+            matches = perms._matcher(perms.as_pattern(tau))
+            assert all(list(t) != sorted(t) and matches(tuple(rho[i - 1] for i in t)) for t in diff)
+
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    def test_predictions_build_no_analysis_records(self, monkeypatch, tau):
+        # ``_predict`` unions the triples of the per-jump pieces; only
+        # ``analyze_jumps`` builds records from them
+        def refused(*args, **kwargs):
+            raise AssertionError("a record was built")
+
+        for name in ("JumpAnalysis", "JumpContext", "OccurrencePrediction", "MaximumBeforeJump"):
+            monkeypatch.setattr(bijections, name, refused)
+        assert census.audit_bijections(6, tau).passed
+
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    def test_oracle_runs_once_per_single_occurrence_host(self, monkeypatch, tau):
+        original = census.find_occurrences
+        calls = []
+
+        def counted(rho, pattern):
+            calls.append(rho)
+            return original(rho, pattern)
+
+        monkeypatch.setattr(census, "find_occurrences", counted)
+        assert census.audit_bijections(6, tau).passed
+        assert calls == [rho for rho in perms.all_permutations(6) if perms.count_occurrences_fast(rho, tau) == 1]
+
     def test_wrong_base_fails_single_occurrence_base(self, monkeypatch):
         # ``tau_base`` derives its result through ``_base_of``; so does the audit
         monkeypatch.setattr(perms, "_base_of", lambda rho, occ: Permutation((1, 2, 3)))

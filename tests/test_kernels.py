@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permdyck import _purecount, census, kernels, paths
+from permdyck import _purecount, bijections, census, kernels, paths
 from permdyck.perms import Permutation, all_permutations, find_occurrences
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "permdyck" / "_fastcount.c"
@@ -99,6 +99,13 @@ def test_bad_arguments_rejected_by_both(fastcount, n, prefix):
             backend.histogram_pair(n, prefix)
 
 
+@pytest.mark.parametrize("prefix", [(1.0,), 5, [1, "a"], (0,), (1, 1), (True,)])
+def test_prefix_checked_alike_by_both(fastcount, prefix):
+    # a tuple or list of distinct ints in 1..n (bool is an int) is swept,
+    # anything else raises the same ValueError
+    assert _outcome(fastcount.histogram_pair, 4, prefix) == _outcome(_purecount.histogram_pair, 4, prefix)
+
+
 def test_compiled_size_limit(fastcount):
     assert fastcount.MAXN == 20
     with pytest.raises(ValueError):
@@ -107,13 +114,13 @@ def test_compiled_size_limit(fastcount):
     assert kernels.count_pair(tuple(range(21, 0, -1))) == (0, 1330)
 
 
-_PER_INPUT = ("count_pair", "heights_312", "heights_321", "scan_path", "path_from_heights")
+_PER_INPUT = ("count_pair", "heights_312", "heights_321", "scan_path", "path_from_heights", "perm_from_heights")
 _LONG = tuple(range(21, 0, -1))[::2] + tuple(range(21, 0, -1))[1::2]  # length MAXN + 1
 
 
 @pytest.mark.parametrize("name", _PER_INPUT)
 @pytest.mark.parametrize(
-    "value", [_LONG, (2, 2, 1), (0, 1), (1, 3), (2**70, 1), (1.0,), [3, 1, 2, 4, 4], 5, None, {1: 1}]
+    "value", [_LONG, (2, 2, 1), (0, 1), (1, 3), (2**70, 1), (1.0,), [3, 1, 2, 4, 4], 5, None, {1: 1}, (-1, 0)]
 )
 def test_compiled_primitives_hand_over(fastcount, on_each_backend, name, value):
     # one contract: None, never an exception, for an input the compiled
@@ -267,3 +274,45 @@ def test_path_build_rejects_as_pure(fastcount, on_each_backend, heights):
     assert compiled == pure
     if heights in ((-1,), (0, 2), (1, -1, 0), (2, 1), (0, 0, 1)):
         assert compiled[0] is paths.PathError
+
+
+# -- decoder primitive ------------------------------------------------------
+
+
+def test_compiled_decoder_matches_pure_on_s0_to_s7(fastcount):
+    for n in range(8):
+        for rho in itertools.permutations(range(1, n + 1)):
+            h = _purecount.heights_312(rho)
+            assert fastcount.perm_from_heights(h) == _purecount.perm_from_heights(h) == rho
+    assert fastcount.perm_from_heights([2, 0, 0]) == (3, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "heights, text",
+    [
+        ((0, 1), "height 1 at entry 2 exceeds n - i = 0"),
+        ([3, 0, 0], "height 3 at entry 1 exceeds n - i = 2"),
+        ((1, -1, 0), "negative height -1 at entry 2"),
+    ],
+)
+def test_pure_decoder_names_the_fault(heights, text):
+    with pytest.raises(_purecount.Rejected) as exc:
+        _purecount.perm_from_heights(heights)
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize(
+    "path, text",
+    [
+        ("UUUDJD", "height 2 at entry 1 exceeds n - i = 1"),
+        ("UDUUUDJD", "height 2 at entry 2 exceeds n - i = 1"),
+        ("UUJD", "jumps must be sandwiched between down-steps"),
+    ],
+)
+def test_decode_psi312_rejects_as_before(on_each_backend, path, text):
+    assert on_each_backend(bijections.decode_psi312, path) == [(bijections.NotInImageError, text)] * 2
+
+
+def test_decode_psi312_inverts_psi312_on_s8():
+    for rho in all_permutations(8):
+        assert bijections.decode_psi312(bijections.psi312(rho)) == rho

@@ -13,7 +13,7 @@ import permdyck
 # what ``permdyck`` re-exports, by home module
 EXPORTS = {
     "perms": """PATTERN_312 PATTERN_321 HeightVector OccurrenceSet PatternError
-        Permutation count_occurrences count_occurrences_fast find_occurrences
+        Permutation catalan_number count_occurrences count_occurrences_fast find_occurrences
         heights_312 heights_321 left_to_right_maxima reflect_anti_diag
         reflect_main_diag rotate_quarter standardize tau_base""",
     "paths": """Jump PathError Validation count_paths down_step_heights
@@ -21,7 +21,7 @@ EXPORTS = {
     "bijections": """NotInImageError analyze_jumps check_jumpsum
         decode_312_avoiding decode_321_avoiding decode_psi312 psi312 psi321
         psi_avoiding psi_tau""",
-    "series": """Series catalan catalan_number check_assemblies
+    "series": """Series catalan check_assemblies
         check_general_form count_closed_form gf""",
     "census": """CacheError DistributionTable ResourceGuardError audit_bijections
         bounded_distributions brute_distribution enumerate_class
@@ -73,3 +73,26 @@ def test_names_and_submodules_resolve_after_plain_import():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_catalan_number_still_resolves_from_series():
+    from permdyck import perms, series
+
+    assert series.catalan_number is perms.catalan_number is permdyck.catalan_number
+
+
+def test_audit_loads_no_series():
+    """The audit reads the Catalan number from ``perms``: it loads neither
+    ``permdyck.series`` nor ``fractions``, in a fresh interpreter."""
+    code = (
+        "import sys\n"
+        "from permdyck import census\n"
+        "assert census.audit_bijections(4, '312').passed\n"
+        "print(sorted({'permdyck.series', 'fractions'} & set(sys.modules)))\n"
+    )
+    src = str(Path(permdyck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
