@@ -1,10 +1,10 @@
-/* Compiled occurrence-counting kernels: the hot loop of the exhaustive census.
+/* Compiled kernels: occurrence counting, the encoder primitives and the
+ * decoder primitive.  permdyck.kernels states their contract and the
+ * hand-over to permdyck._purecount.
  *
- * Same contract as permdyck._purecount, by a different algorithm.
- * count_pair runs the quadratic counting identity of that module.
- * histogram_pair walks the tree of placements depth first, building each
- * permutation left to right, and carries the state of the bounded census
- * (permdyck.census): for every unplaced value u, in increasing order,
+ * count_pair and histogram_pair both build a permutation left to right and
+ * carry the state of the bounded census (permdyck.census): for every
+ * unplaced value u, in increasing order,
  *
  *   above(u)   the number of placed values greater than u,
  *   two312(u)  the pairs of placed entries that u, placed later, completes
@@ -12,19 +12,16 @@
  *
  * Placing v adds two312(v) and two321(v) to the running counts; then every
  * u < v gains 1 in above(u) and above(v) in two321(u) (a pair a > v > u),
- * and every u > v gains above(u) in two312(u) (a pair a > u > v).  With
- * one value left, a permutation's counts are read off in O(1).  Every
- * prefix is shared by the permutations below it, so a sweep costs O(1) per
- * permutation, touches no Python object and runs with the interpreter lock
- * released.
+ * and every u > v gains above(u) in two312(u) (a pair a > u > v).
+ * count_pair places every entry of its permutation (place_prefix).
+ * histogram_pair places its prefix the same way, then walks the tree of
+ * the remaining placements depth first; with one value left, a
+ * permutation's counts are read off in O(1).  Every prefix is shared by the
+ * permutations below it, so a sweep costs O(1) per permutation, touches no
+ * Python object and runs with the interpreter lock released.
  *
- * count_pair, the encoder primitives (heights_312, heights_321, scan_path,
- * path_from_heights) and the decoder primitive perm_from_heights, which
- * inverts the inversion table heights_312, return None for any input they
- * do not handle (a permutation or height vector longer than MAXN, anything
- * but a permutation, an invalid path, height vector or inversion table);
- * permdyck.kernels then runs the pure one, which names the fault.
- * heights_321 is derived from the (3,1,2) heights rather than counted: h321_i = h312_m - (i - m) - h312_i for an entry i that is not a
+ * heights_321 is derived from the (3,1,2) heights rather than counted:
+ * h321_i = h312_m - (i - m) - h312_i for an entry i that is not a
  * left-to-right maximum, m being the preceding maximum (see
  * permdyck.perms.heights_321).
  *
@@ -41,32 +38,13 @@
 #define MAXN 20
 #define MAX_HIST (MAXN * (MAXN - 1) * (MAXN - 2) / 6 + 1)
 
-static void
-count_pair_c(const int *p, int n, long long *out312, long long *out321)
-{
-    long long c312 = 0, c321 = 0;
-    for (int k = 1; k < n; k++) {
-        int vk = p[k], bigger = 0, acc = 0;
-        for (int i = 0; i < k; i++) {
-            if (p[i] > vk)
-                bigger++;
-            else if (p[i] < vk)
-                acc += bigger;
-        }
-        c312 += acc;
-        c321 += (long long)bigger * (vk - 1 - (k - bigger));
-    }
-    *out312 = c312;
-    *out321 = c321;
-}
-
 /* The census state of one unplaced value. */
 typedef struct {
     int above, two312, two321;
 } slot;
 
 /* Place the value in s[i] (of m unplaced values): write the other m - 1
- * states, updated, to out. */
+ * states, updated, to out, which may be s itself. */
 static void
 place(const slot *s, int m, int i, slot *out)
 {
@@ -80,6 +58,26 @@ place(const slot *s, int m, int i, slot *out)
         out[j - 1].above = s[j].above;
         out[j - 1].two312 = s[j].two312 + s[j].above;
         out[j - 1].two321 = s[j].two321;
+    }
+}
+
+/* Place p[0 .. q) into the empty state of n values: leave the state of the
+ * n - q unplaced values in s and the occurrences among the placed entries
+ * in *c312 and *c321. */
+static void
+place_prefix(const int *p, int q, int n, slot *s, int *c312, int *c321)
+{
+    memset(s, 0, n * sizeof *s);
+    *c312 = *c321 = 0;
+    for (int k = 0; k < q; k++) {
+        /* p[k]'s index among the unplaced values: those below it, less the
+         * placed ones */
+        int i = p[k] - 1;
+        for (int j = 0; j < k; j++)
+            i -= p[j] < p[k];
+        *c312 += s[i].two312;
+        *c321 += s[i].two321;
+        place(s, n - k, i, s);
     }
 }
 
@@ -358,13 +356,13 @@ PyDoc_STRVAR(count_pair_doc,
 static PyObject *
 count_pair(PyObject *module, PyObject *values)
 {
-    int p[MAXN];
-    long long c312, c321;
+    int p[MAXN], c312, c321;
+    slot state[MAXN];
     Py_ssize_t n = read_perm(values, p, -1);
     if (n < 0)
         Py_RETURN_NONE;
-    count_pair_c(p, (int)n, &c312, &c321);
-    return Py_BuildValue("(LL)", c312, c321);
+    place_prefix(p, (int)n, (int)n, state, &c312, &c321);
+    return Py_BuildValue("(ii)", c312, c321);
 }
 
 PyDoc_STRVAR(histogram_pair_doc,
@@ -377,7 +375,7 @@ static PyObject *
 histogram_pair(PyObject *module, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "prefix", NULL};
-    int n, p[MAXN], c312 = 0, c321 = 0;
+    int n, p[MAXN], c312, c321;
     long long h312[MAX_HIST] = {0}, h321[MAX_HIST] = {0};
     PyObject *prefix = NULL, *l312, *l321;
 
@@ -391,21 +389,9 @@ histogram_pair(PyObject *module, PyObject *args, PyObject *kwargs)
 
     int size = n >= 3 ? n * (n - 1) * (n - 2) / 6 + 1 : 1;
     Py_BEGIN_ALLOW_THREADS
-    /* place the prefix with the walk's update rule, then walk the rest */
-    slot state[MAXN] = {{0, 0, 0}}, next[MAXN];
-    int m = n;
-    for (Py_ssize_t k = 0; k < q; k++, m--) {
-        /* p[k]'s index among the unplaced values: those below it, less the
-         * placed ones */
-        int i = p[k] - 1;
-        for (Py_ssize_t j = 0; j < k; j++)
-            i -= p[j] < p[k];
-        c312 += state[i].two312;
-        c321 += state[i].two321;
-        place(state, m, i, next);
-        memcpy(state, next, (m - 1) * sizeof(slot));
-    }
-    walk(state, m, c312, c321, h312, h321);
+    slot state[MAXN];
+    place_prefix(p, (int)q, n, state, &c312, &c321);
+    walk(state, n - (int)q, c312, c321, h312, h321);
     Py_END_ALLOW_THREADS
 
     if ((l312 = hist_to_list(h312, size)) == NULL)
@@ -432,7 +418,7 @@ static PyMethodDef fastcount_methods[] = {
 static struct PyModuleDef fastcount_module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "permdyck._fastcount",
-    .m_doc = "Compiled counting kernels, encoder and decoder primitives; same contract as permdyck._purecount.",
+    .m_doc = "Compiled counting kernels, encoder and decoder primitives; see permdyck.kernels.",
     .m_size = -1,
     .m_methods = fastcount_methods,
 };

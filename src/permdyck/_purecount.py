@@ -1,8 +1,9 @@
-"""Pure-Python kernels: occurrence counting and the encoder primitives.
+"""Pure-Python kernels: occurrence counting, the encoder primitives and the
+decoder primitive.
 
-Used when the compiled extension is unavailable; same contract as
-``permdyck._fastcount``, and the reference it is tested against.  One
-quadratic pass yields both pattern counts: with k as the last index of a
+``permdyck.kernels`` states their contract and when they run.  One
+quadratic pass counts both patterns in a permutation; ``histogram_pair``
+runs it on every permutation it sweeps.  With k as the last index of a
 triple, running over i < k,
 
 - ``bigger`` counts entries before position k exceeding p_k, so adding it
@@ -10,12 +11,9 @@ triple, running over i < k,
 - ``bigger * (p_k - 1 - (k - bigger))`` counts the (3,2,1) triples with
   middle entry p_k (descents into it times smaller entries after it).
 
-The encoder primitives (``heights_312``, ``heights_321``, ``scan_path``,
-``path_from_heights``) and the decoder primitive ``perm_from_heights``
-are the definitions that ``perms``, ``paths`` and ``bijections`` wrap.
-Where the compiled kernel returns None for an input it does not handle,
-these run instead; ``scan_path``, ``path_from_heights`` and
-``perm_from_heights`` raise ``Rejected``, naming the fault, for a step
+The encoder and decoder primitives are the definitions that ``perms``,
+``paths`` and ``bijections`` wrap.  ``scan_path``, ``path_from_heights``
+and ``perm_from_heights`` raise ``Rejected``, naming the fault, for a step
 string or height vector that is not a path's or an inversion table's.
 """
 
@@ -26,6 +24,10 @@ from itertools import permutations
 from typing import Sequence
 
 UP, DOWN, JUMP = "U", "D", "J"
+
+# the largest n that ``histogram_pair`` sweeps, as in the compiled kernel,
+# whose 64-bit bins still hold 20!
+MAXN = 20
 
 
 class Rejected(ValueError):
@@ -59,12 +61,12 @@ def count_pair(values: Sequence[int]) -> tuple[int, int]:
 def histogram_pair(n: int, prefix: tuple[int, ...] = ()) -> tuple[list[int], list[int]]:
     """Occurrence-count histograms over all permutations of 1..n whose first
     ``len(prefix)`` entries equal ``prefix``: (hist for (3,1,2), hist for
-    (3,2,1)), each indexed by occurrence count up to binom(n, 3).  A negative
-    n raises ValueError, and so does a prefix that is not a tuple or list of
-    distinct ints in 1..n.
+    (3,2,1)), each indexed by occurrence count up to binom(n, 3).  An n
+    outside 0..MAXN raises ValueError, and so does a prefix that is not a
+    tuple or list of distinct ints in 1..n.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not 0 <= n <= MAXN:
+        raise ValueError(f"kernel supports 0 <= n <= {MAXN}")
     if (
         not isinstance(prefix, (tuple, list))
         or not all(isinstance(v, int) and 1 <= v <= n for v in prefix)
@@ -76,22 +78,8 @@ def histogram_pair(n: int, prefix: tuple[int, ...] = ()) -> tuple[list[int], lis
     h312 = [0] * size
     h321 = [0] * size
     pre = tuple(prefix)
-    rng = range(1, n)
     for suffix in permutations(rest):
-        p = pre + suffix
-        c312 = 0
-        c321 = 0
-        for k in rng:
-            vk = p[k]
-            bigger = 0
-            acc = 0
-            for i in range(k):
-                if p[i] > vk:
-                    bigger += 1
-                elif p[i] < vk:
-                    acc += bigger
-            c312 += acc
-            c321 += bigger * (vk - 1 - (k - bigger))
+        c312, c321 = count_pair(pre + suffix)
         h312[c312] += 1
         h321[c321] += 1
     return h312, h321

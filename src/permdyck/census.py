@@ -199,8 +199,12 @@ def _sweep(n: int) -> tuple[list[int], list[int]]:
 _memo: dict[int, tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]] = {}
 
 
+# the fields of a cache file that its checksum covers
+_CHECKSUMMED = ("n", "tau", "counts")
+
+
 def _cache_payload(n: int, key: str, counts: tuple[tuple[int, int], ...]) -> dict:
-    return {"n": n, "tau": key, "counts": {str(r): str(c) for r, c in counts}}
+    return dict(zip(_CHECKSUMMED, (n, key, {str(r): str(c) for r, c in counts}), strict=True))
 
 
 def _checksum(payload: dict) -> str:
@@ -227,8 +231,7 @@ def _cache_load(cache_dir: str | Path, key: str, n: int) -> Optional[tuple[tuple
         raise CacheError(f"malformed cache file {path}: not a JSON object")
     if data.get("version") != CODE_VERSION:
         return None
-    payload = {"n": data.get("n"), "tau": data.get("tau"), "counts": data.get("counts")}
-    if data.get("checksum") != _checksum(payload):
+    if data.get("checksum") != _checksum({field: data.get(field) for field in _CHECKSUMMED}):
         raise CacheError(f"checksum mismatch in {path}")
     if data.get("n") != n or data.get("tau") != key:
         return None

@@ -92,7 +92,7 @@ def test_compiled_count_pair_matches_pure(fastcount, p):
     assert fastcount.count_pair(p) == _purecount.count_pair(p)
 
 
-@pytest.mark.parametrize("n, prefix", [(5, (2, 2)), (5, (0,)), (5, (6,)), (2, (1, 2, 1)), (-1, ())])
+@pytest.mark.parametrize("n, prefix", [(5, (2, 2)), (5, (0,)), (5, (6,)), (2, (1, 2, 1)), (-1, ()), (21, ())])
 def test_bad_arguments_rejected_by_both(fastcount, n, prefix):
     for backend in (fastcount, _purecount):
         with pytest.raises(ValueError):
@@ -107,7 +107,10 @@ def test_prefix_checked_alike_by_both(fastcount, prefix):
 
 
 def test_compiled_size_limit(fastcount):
-    assert fastcount.MAXN == 20
+    assert fastcount.MAXN == _purecount.MAXN == 20
+    for backend in (fastcount, _purecount):
+        assert backend.count_pair(tuple(range(20, 0, -1))) == (0, 1140)
+        assert backend.count_pair((20,) + tuple(range(1, 20))) == (171, 0)
     with pytest.raises(ValueError):
         fastcount.histogram_pair(21)
     assert fastcount.count_pair(tuple(range(1, 22))) is None
@@ -139,6 +142,16 @@ def test_count_pair_matches_oracle_exhaustive():
             )
             assert tuple(kernels.count_pair(tuple(rho))) == expect
             assert tuple(_purecount.count_pair(tuple(rho))) == expect
+
+
+def test_compiled_count_pair_matches_oracle_exhaustive(fastcount):
+    for n in range(7):
+        for rho in all_permutations(n):
+            expect = (
+                find_occurrences(rho, "312").count if n >= 3 else 0,
+                find_occurrences(rho, "321").count if n >= 3 else 0,
+            )
+            assert fastcount.count_pair(tuple(rho)) == expect
 
 
 @settings(deadline=None, max_examples=80)

@@ -96,3 +96,36 @@ def test_audit_loads_no_series():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# workflow steps that set up or run the suite itself rather than a check
+NOT_IN_README = {
+    "Install test dependencies",
+    "Check that the compiled kernel is selected",
+    "Tier-1 tests, default backend",
+    "Tier-1 tests, pure-Python backend",
+    "Benchmark smoke test",
+}
+
+
+def _workflow_steps() -> list[tuple[str, str]]:
+    """(name, command) of each step of the CI workflow that runs one."""
+    steps, name = [], None
+    for line in (ROOT / ".github" / "workflows" / "tests.yml").read_text().splitlines():
+        key, _, value = line.strip().removeprefix("- ").partition(": ")
+        if key == "name":
+            name = value.strip('"')
+        elif key == "run":
+            assert value[:1] not in "|>", f"step {name!r}: a multi-line command cannot be matched"
+            steps.append((name, value))
+    return steps
+
+
+def test_readme_lists_every_ci_check():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Tests and the acceptance suite", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    steps = _workflow_steps()
+    assert NOT_IN_README <= {name for name, _ in steps}
+    missing = [name for name, command in steps if name not in NOT_IN_README and command not in block]
+    assert not missing, f"CI steps whose command README's Tests block does not list: {missing}"
