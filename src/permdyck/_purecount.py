@@ -1,5 +1,5 @@
-"""Pure-Python kernels: occurrence counting, the encoder primitives and the
-decoder primitive.
+"""Pure-Python kernels: occurrence counting, the encoder primitives, the
+decoder primitive and the bounded census.
 
 ``permdyck.kernels`` states their contract and when they run.  One
 quadratic pass counts both patterns in a permutation; ``histogram_pair``
@@ -15,13 +15,19 @@ The encoder and decoder primitives are the definitions that ``perms``,
 ``paths`` and ``bijections`` wrap.  ``scan_path``, ``path_from_heights``
 and ``perm_from_heights`` raise ``Rejected``, naming the fault, for a step
 string or height vector that is not a path's or an inversion table's.
+
+``census_layers`` is the layered DP of the bounded census, which
+``permdyck.census`` explains, and ``bounded_census`` reads its counts off
+each layer.  It takes any n_max, so it also runs the n_max above 34 that
+the compiled census (128-bit counts, 34! < 2**128) hands over, and it is
+the oracle the compiled census is tested against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import permutations
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
 
 UP, DOWN, JUMP = "U", "D", "J"
 
@@ -202,3 +208,89 @@ def path_from_heights(heights: Sequence[int]) -> str:
     if cur != 0:
         raise Rejected(f"height vector does not return to 0: {tuple(heights)!r}")
     return path
+
+
+def census_layers(
+    n_max: int, key: str, r_max: int, limit: Optional[int]
+) -> Iterator[Optional[dict[bytes, list[int]]]]:
+    """Layers 0..n_max of the bounded census of ``permdyck.census`` for the
+    pattern ``key``: layer k maps each state after k placements to its
+    count vector.
+
+    A state is packed as ``bytes``: one byte ``above * base + two`` per
+    unplaced value, in increasing order of value; placing an entry rewrites
+    the entries below and above it with a translation table.  Each layer is
+    emptied while the next is built, so read a layer before asking for the
+    next.  A layer that would hold more than ``limit`` states (None: no
+    bound) is yielded as None, and ends the layers.
+    """
+    cap = r_max + 1
+    base = cap + 1
+
+    def table(update) -> bytes:
+        out = bytearray(256)
+        for b in range(base * base):
+            a, t = update(*divmod(b, base))
+            out[b] = min(a, cap) * base + min(t, cap)
+        return bytes(out)
+
+    above = bytes(b // base for b in range(256))
+    two = bytes(b % base for b in range(256))
+    if key == "321":
+        # a pair (a, v) with a > v > u: every u < v gains above(v)
+        lows = [table(lambda a, t, av=av: (a + 1, t + av)) for av in range(cap + 1)]
+    else:
+        low = table(lambda a, t: (a + 1, t))
+        # a pair (a, v) with a > u > v: every u > v gains above(u)
+        up = table(lambda a, t: (a, t + a))
+
+    layer = {bytes(n_max): [1] + [0] * r_max}
+    yield layer
+    for _ in range(n_max):
+        nxt: dict[bytes, list[int]] = {}
+        while layer:
+            state, vec = layer.popitem()
+            lo = next(c for c, v in enumerate(vec) if v)
+            pending = sum(state.translate(two))
+            for i, b in enumerate(state):
+                tv = two[b]
+                # placing v completes tv occurrences; the other values' two()
+                # then sum to pending - tv + gained, so an old count c survives
+                # iff c + pending + gained <= r_max
+                if key == "321":
+                    av = above[b]
+                    budget = r_max - pending - i * av
+                    if budget < lo:
+                        continue
+                    new = state[:i].translate(lows[av]) + state[i + 1 :]
+                else:
+                    upper = state[i + 1 :]
+                    budget = r_max - pending - sum(upper.translate(above))
+                    if budget < lo:
+                        continue
+                    new = state[:i].translate(low) + upper.translate(up)
+                out = nxt.get(new)
+                if out is None:
+                    if limit is not None and len(nxt) >= limit:
+                        yield None
+                        return
+                    out = nxt[new] = [0] * (r_max + 1)
+                for c in range(lo, budget + 1):
+                    out[c + tv] += vec[c]
+        layer = nxt
+        yield layer
+
+
+def bounded_census(
+    n_max: int, key: str, r_max: int, limit: Optional[int]
+) -> tuple[tuple[int, ...], ...] | int:
+    """Per n <= n_max, the numbers of permutations of 1..n with 0..r_max
+    occurrences of the pattern ``key``, "312" or "321", read off the
+    all-zero state of each layer of ``census_layers``; or the number of the
+    first layer that would hold more than ``limit`` states."""
+    counts = []
+    for k, layer in enumerate(census_layers(n_max, key, r_max, limit)):
+        if layer is None:
+            return k
+        counts.append(tuple(layer[bytes(n_max - k)]))
+    return tuple(counts)

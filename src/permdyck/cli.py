@@ -26,14 +26,13 @@ At start-up this module loads only ``census`` and ``perms`` (with
 mapping need.  The other handlers import what they call: ``verify`` and
 ``coeffs`` load ``series``, ``map`` and ``decode`` load ``bijections`` and
 ``paths``, and ``render`` loads ``paths``.  No command loads
-``dataclasses`` or ``inspect``, and only a cache read or write loads
-``hashlib``.
+``dataclasses`` or ``inspect``, only a cache read or write loads
+``hashlib``, and only JSON output or a cache read or write loads ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional, Sequence
@@ -88,6 +87,13 @@ def _emit(args, payload: str) -> None:
         print(payload)
 
 
+def _emit_json(args, doc, **options) -> None:
+    # imported here: only JSON output needs json
+    import json
+
+    _emit(args, json.dumps(doc, **options))
+
+
 def _cmd_table(args) -> int:
     ns = args.n
     limit = max(ns) if args.force else args.limit
@@ -107,7 +113,7 @@ def _cmd_table(args) -> int:
                 {"n": t.n, "counts": {str(r): str(c) for r, c in t.counts}} for t in tables
             ],
         }
-        _emit(args, json.dumps(doc, indent=1, sort_keys=True))
+        _emit_json(args, doc, indent=1, sort_keys=True)
     elif args.format == "csv":
         lines = ["n,r,count"]
         for t in tables:
@@ -172,7 +178,7 @@ def _cmd_verify(args) -> int:
                 checks.append(f"{tag}tau={pattern} r={r}: FAIL ({rep.detail})")
                 passed = False
     if args.format == "json":
-        _emit(args, json.dumps({"passed": passed, "checks": checks}, indent=1))
+        _emit_json(args, {"passed": passed, "checks": checks}, indent=1)
     else:
         _emit(args, "\n".join(checks + ["PASS" if passed else "FAIL"]))
     return EXIT_OK if passed else EXIT_MISMATCH
@@ -187,7 +193,7 @@ def _cmd_map(args) -> int:
     else:
         path = bijections.psi_tau(rho, args.tau)
     if args.format == "json":
-        _emit(args, json.dumps({"perm": rho.to_text(), "tau": args.tau, "path": path}))
+        _emit_json(args, {"perm": rho.to_text(), "tau": args.tau, "path": path})
     else:
         _emit(args, path)
     return EXIT_OK
@@ -204,7 +210,7 @@ def _cmd_decode(args) -> int:
     else:
         rho = bijections.decode_psi312(path)
     if args.format == "json":
-        _emit(args, json.dumps({"path": path, "mode": args.mode, "perm": rho.to_text()}))
+        _emit_json(args, {"path": path, "mode": args.mode, "perm": rho.to_text()})
     else:
         _emit(args, rho.to_text())
     return EXIT_OK
@@ -218,7 +224,7 @@ def _cmd_bases(args) -> int:
             "r": catalog.r,
             "bases": [list(b) for b in catalog.bases],
         }
-        _emit(args, json.dumps(doc, indent=1))
+        _emit_json(args, doc, indent=1)
     elif args.format == "csv":
         lines = ["base"] + [b.to_text() for b in catalog.bases]
         _emit(args, "\n".join(lines))
@@ -279,7 +285,7 @@ def _cmd_render(args) -> int:
         with open(args.svg, "w") as fh:
             fh.write(render_svg(path))
     if args.format == "json":
-        _emit(args, json.dumps({"path": path, "ascii": picture, "heights": heights}))
+        _emit_json(args, {"path": path, "ascii": picture, "heights": heights})
     else:
         heights_text = ",".join(str(h) for h in heights)
         _emit(args, picture + f"\ndown-step heights: {heights_text}")
@@ -295,7 +301,7 @@ def _cmd_coeffs(args) -> int:
         lines = ["n,coefficient"] + [f"{n},{c}" for n, c in enumerate(coeffs)]
         _emit(args, "\n".join(lines))
     else:
-        _emit(args, json.dumps(coeffs))
+        _emit_json(args, coeffs)
     return EXIT_OK
 
 

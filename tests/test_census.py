@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from permdyck import bijections, census, kernels, paths, perms, series
+from permdyck import _purecount, bijections, census, kernels, paths, perms, series
 from permdyck.census import CacheError, ResourceGuardError
 from permdyck.perms import (
     PATTERN_312,
@@ -520,7 +520,7 @@ class TestBoundedCensus:
     def test_state_entries_are_capped(self, tau):
         r_max = 2
         base = r_max + 2
-        for k, layer in enumerate(census._census_layers(12, tau, r_max, False)):
+        for k, layer in enumerate(_purecount.census_layers(12, tau, r_max, None)):
             for state in layer:
                 assert len(state) == 12 - k
                 assert all(b // base <= r_max + 1 and b % base <= r_max for b in state), (k, state)

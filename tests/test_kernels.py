@@ -190,6 +190,58 @@ def test_tiny_sizes():
         assert sum(h321) == math.factorial(n)
 
 
+# -- bounded census ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("tau", ["312", "321"])
+@pytest.mark.parametrize("r_max", range(5))
+def test_compiled_census_matches_pure(fastcount, tau, r_max):
+    # one pure pass at n_max = 14 serves every smaller n_max
+    expect = _purecount.bounded_census(14, tau, r_max, None)
+    for n_max in range(15):
+        assert fastcount.bounded_census(n_max, tau, r_max, None) == expect[: n_max + 1], n_max
+
+
+@pytest.mark.parametrize("tau", ["312", "321"])
+@pytest.mark.parametrize("r_max", range(5))
+def test_compiled_census_layers_as_pure(fastcount, tau, r_max):
+    # a bound one below each new largest layer trips at that layer on both
+    # backends, so the compiled layers hold as many states as the pure ones
+    sizes = [len(layer) for layer in _purecount.census_layers(10, tau, r_max, None)]
+    for k in range(1, 11):
+        if sizes[k] > max(sizes[1:k], default=0):
+            for backend in (fastcount, _purecount):
+                assert backend.bounded_census(10, tau, r_max, sizes[k] - 1) == k
+    largest = max(sizes[1:])
+    assert fastcount.bounded_census(10, tau, r_max, largest) == _purecount.bounded_census(10, tau, r_max, None)
+
+
+def test_compiled_census_past_64_bits(fastcount):
+    # the (3,2,1) count at n = 34, r = 3, from the pure census: above 2**64
+    count = 19188792325382167600
+    assert count > 2**64
+    assert fastcount.bounded_census(34, "321", 3, None)[34][3] == count
+
+
+@pytest.mark.parametrize(
+    "args", [(35, "312", 0, None), (35, "321", 0, None), (6, "321", 2, 5.0), (6, "321", 2, "5"), (6, "21", 2, None)]
+)
+def test_compiled_census_hands_over(fastcount, on_each_backend, args):
+    # n_max above 34 (34! < 2**128), or a limit or key it does not take
+    assert fastcount.bounded_census(*args) is None
+    expect = _outcome(_purecount.bounded_census, *args)
+    assert on_each_backend(kernels.bounded_census, *args) == [expect, expect]
+
+
+def test_census_guard_alike_on_both_backends(on_each_backend, monkeypatch):
+    monkeypatch.setattr(census, "MAX_STATES", 400)
+    text = "layer 4 of the bounded census (n <= 9, r <= 3) holds more than 400 states; lift the state bound to proceed"
+    assert on_each_backend(census.bounded_distributions, 9, "312", 3) == [(census.ResourceGuardError, text)] * 2
+    monkeypatch.setattr(census, "MAX_STATES", 2**70)
+    expect = _purecount.bounded_census(9, "312", 3, None)
+    assert on_each_backend(census.bounded_distributions, 9, "312", 3) == [expect, expect]
+
+
 # -- encoder primitives ----------------------------------------------------
 
 

@@ -98,6 +98,26 @@ def test_audit_loads_no_series():
     assert proc.stdout == "[]\n"
 
 
+def test_text_verify_loads_no_json():
+    """Only JSON output and the distribution cache need ``json``: neither
+    building the parser nor a text-format ``verify`` loads it, in a fresh
+    interpreter."""
+    code = (
+        "import sys\n"
+        "from permdyck import cli\n"
+        "cli.build_parser()\n"
+        "assert 'json' not in sys.modules\n"
+        "assert cli.main(['verify', '--formulas', '--n-max', '5']) == 0\n"
+        "print('json' in sys.modules)\n"
+    )
+    src = str(Path(permdyck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("PASS\nFalse\n")
+
+
 ROOT = Path(__file__).resolve().parents[1]
 # workflow steps that set up or run the suite itself rather than a check
 NOT_IN_README = {
