@@ -1,6 +1,7 @@
 /* Compiled kernels: occurrence counting, the encoder primitives, the
- * decoder primitive and the bounded census.  permdyck.kernels states their
- * contract and the hand-over to permdyck._purecount.
+ * decoder primitives, the jump predictions and the bounded census.
+ * permdyck.kernels states their contract and the hand-over to
+ * permdyck._purecount.
  *
  * count_pair and histogram_pair both build a permutation left to right and
  * carry the state of the bounded census (permdyck.census): for every
@@ -24,6 +25,15 @@
  * h321_i = h312_m - (i - m) - h312_i for an entry i that is not a
  * left-to-right maximum, m being the preceding maximum (see
  * permdyck.perms.heights_321).
+ *
+ * decode_psi312 inverts psi312 in one pass over the path: it checks the
+ * steps, the height and the sandwich of each jump run as it reads them and
+ * keeps only the down-step heights, which it then decodes as an inversion
+ * table (decode_table, shared with perm_from_heights).
+ *
+ * predicted_triples is the compiled twin of permdyck._purecount's
+ * jump_pieces, the one statement of the occurrence triples each jump
+ * forces; it marks them in a bitset over (a, b, c), see below.
  *
  * bounded_census runs the layers of the bounded census with its own code
  * (below) and the interpreter lock released, for n_max <= 34: its counts
@@ -324,6 +334,46 @@ path_from_heights(PyObject *module, PyObject *heights)
     return path;
 }
 
+/* Read a tuple or list of at most max ints, each in lo..hi (lo >= 0), into
+ * v.  Returns the length, or -1 for anything else (no exception set). */
+static Py_ssize_t
+read_ints(PyObject *obj, long *v, Py_ssize_t max, long lo, long hi)
+{
+    if (!PyTuple_Check(obj) && !PyList_Check(obj))
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(obj);
+    PyObject **items = PySequence_Fast_ITEMS(obj);
+    if (n > max)
+        return -1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int overflow;
+        /* an overflowing int reads as -1, below lo */
+        v[i] = PyLong_Check(items[i]) ? PyLong_AsLongAndOverflow(items[i], &overflow) : -1;
+        if (v[i] < lo || v[i] > hi)
+            return -1;
+    }
+    return n;
+}
+
+/* The permutation whose inversion table is h[0 .. n), n <= MAXN, into out:
+ * out[i] is the (h[i] + 1)-th smallest value not used before it.  Returns
+ * 0 if some h[i] lies outside 0..n - 1 - i. */
+static int
+decode_table(const long *h, Py_ssize_t n, Py_ssize_t *out)
+{
+    Py_ssize_t unused[MAXN];
+    for (Py_ssize_t i = 0; i < n; i++)
+        unused[i] = i + 1;
+    /* unused[0 .. n - i) holds the values not yet placed, in increasing order */
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (h[i] < 0 || h[i] >= n - i)
+            return 0;
+        out[i] = unused[h[i]];
+        memmove(unused + h[i], unused + h[i] + 1, (n - i - 1 - h[i]) * sizeof *unused);
+    }
+    return 1;
+}
+
 PyDoc_STRVAR(perm_from_heights_doc,
 "perm_from_heights(heights) -> tuple | None\n\n"
 "The permutation of 1..n whose inversion table is heights: the entry at\n"
@@ -334,24 +384,170 @@ PyDoc_STRVAR(perm_from_heights_doc,
 static PyObject *
 perm_from_heights(PyObject *module, PyObject *heights)
 {
-    if (!PyTuple_Check(heights) && !PyList_Check(heights))
+    long h[MAXN];
+    Py_ssize_t out[MAXN], n = read_ints(heights, h, MAXN, 0, MAXN);
+    if (n < 0 || !decode_table(h, n, out))
         Py_RETURN_NONE;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(heights), unused[MAXN], out[MAXN];
-    PyObject **items = PySequence_Fast_ITEMS(heights);
-    if (n > MAXN)
-        Py_RETURN_NONE;
-    for (Py_ssize_t i = 0; i < n; i++)
-        unused[i] = i + 1;
-    /* unused[0 .. n - i) holds the values not yet placed, in increasing order */
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int overflow;
-        long h = PyLong_Check(items[i]) ? PyLong_AsLongAndOverflow(items[i], &overflow) : -1;
-        if (h < 0 || h >= n - i)
-            Py_RETURN_NONE;
-        out[i] = unused[h];
-        memmove(unused + h, unused + h + 1, (n - i - 1 - h) * sizeof *unused);
-    }
     return to_tuple(out, n, 0);
+}
+
+PyDoc_STRVAR(decode_psi312_doc,
+"decode_psi312(path) -> tuple | None\n\n"
+"The permutation whose psi312 image is path, in one pass: the path is\n"
+"parsed, its jumps checked to be sandwiched between down-steps and its\n"
+"down-step heights decoded as an inversion table.  None for anything but\n"
+"a str holding a valid path with at most MAXN down-steps, every jump run\n"
+"sandwiched, whose heights are an inversion table.");
+
+static PyObject *
+decode_psi312(PyObject *module, PyObject *path)
+{
+    if (!PyUnicode_Check(path))
+        Py_RETURN_NONE;
+    Py_ssize_t len = PyUnicode_GET_LENGTH(path), n = 0, out[MAXN];
+    int kind = PyUnicode_KIND(path);
+    const void *data = PyUnicode_DATA(path);
+    long h = 0, heights[MAXN];
+    Py_UCS4 prev = 0;
+    for (Py_ssize_t i = 0; i < len; i++) {
+        Py_UCS4 ch = PyUnicode_READ(kind, data, i);
+        if (ch == 'U' && prev != 'J') {
+            h++;
+        } else if (ch == 'D' && n < MAXN) {
+            heights[n++] = --h;
+        } else if (ch == 'J' && (prev == 'D' || prev == 'J')) {
+            h--;
+        } else {
+            /* another character, a jump not sandwiched, or n > MAXN */
+            Py_RETURN_NONE;
+        }
+        if (h < 0)
+            Py_RETURN_NONE;
+        prev = ch;
+    }
+    if (h != 0 || prev == 'J' || !decode_table(heights, n, out))
+        Py_RETURN_NONE;
+    return to_tuple(out, n, 0);
+}
+
+/* ---- jump predictions (permdyck.bijections.analyze_jumps) --------------
+ *
+ * The rule is stated once in Python, permdyck._purecount.jump_pieces; this
+ * is its compiled twin, tested against it.  The triples (a, b, c) of one
+ * host, each in 1..n, are marked in a bitset indexed by
+ * ((a - 1) n + b - 1) n + c - 1, which drops duplicates and is read out in
+ * sorted order. */
+
+/* bounds every height and jump-run field, so that the sums below fit */
+#define FIELD_MAX (1L << 30)
+
+static void
+mark(uint64_t *bits, Py_ssize_t n, int a, int b, int c)
+{
+    size_t i = ((size_t)(a - 1) * n + (b - 1)) * n + (c - 1);
+    bits[i / 64] |= (uint64_t)1 << (i % 64);
+}
+
+PyDoc_STRVAR(predicted_triples_doc,
+"predicted_triples(rho, key, heights, spans) -> tuple | None\n\n"
+"The sorted, distinct occurrence triples forced by the jumps of the image\n"
+"of the permutation rho under the encoder for the pattern key, \"312\" or\n"
+"\"321\", given the image's down-step heights and jump runs (start, end,\n"
+"position, m, l).  None for rho not as count_pair takes it, any other key,\n"
+"anything but n heights in 0..2**30, or a run that is not five ints in\n"
+"0..2**30 with 1 <= position < n, m <= position and position + l <= n.");
+
+static PyObject *
+predicted_triples(PyObject *module, PyObject *args)
+{
+    PyObject *rho, *key, *heights, *spans;
+    if (!PyArg_UnpackTuple(args, "predicted_triples", 4, 4, &rho, &key, &heights, &spans))
+        return NULL;
+    int p[MAXN];
+    long h[MAXN];
+    Py_ssize_t n = read_perm(rho, p, -1);
+    if (n < 0 || read_ints(heights, h, MAXN, 0, FIELD_MAX) != n || !PyUnicode_Check(key)
+        || (!PyTuple_Check(spans) && !PyList_Check(spans)))
+        Py_RETURN_NONE;
+    int is321 = PyUnicode_CompareWithASCIIString(key, "321") == 0;
+    if (!is321 && PyUnicode_CompareWithASCIIString(key, "312") != 0)
+        Py_RETURN_NONE;
+
+    /* the left-to-right maxima; between[i] counts the non-maximum steps up
+     * to down-step i (see permdyck.bijections.MaximumBeforeJump) */
+    int maxima[MAXN], nmax = 0, top = 0;
+    long long between[MAXN + 1] = {0};
+    for (int i = 1; i <= n; i++) {
+        int is_max = p[i - 1] > top;
+        if (is_max)
+            maxima[nmax++] = i, top = p[i - 1];
+        long step = is321 ? 1 : h[i - 1] + 1 - (i > 1 ? h[i - 2] : 0);
+        between[i] = between[i - 1] + (step > 0 ? step : 0) - is_max;
+    }
+
+    uint64_t bits[(MAXN * MAXN * MAXN + 63) / 64] = {0};
+    Py_ssize_t s = PySequence_Fast_GET_SIZE(spans);
+    PyObject **runs = PySequence_Fast_ITEMS(spans);
+    for (Py_ssize_t jn = 0; jn < s; jn++) {
+        long f[5];
+        if (read_ints(runs[jn], f, 5, 0, FIELD_MAX) != 5)
+            Py_RETURN_NONE;
+        long d = f[1] - f[0], pos = f[2], m = f[3], l = f[4];
+        if (pos < 1 || pos >= n || m > pos || pos + l > n)
+            Py_RETURN_NONE;
+        /* maxima[0 .. k_pm) lie at or before pos; the last is the preceding one */
+        int k_pm = 0, pm, causing[MAXN], nc = 0;
+        while (k_pm < nmax && maxima[k_pm] <= pos)
+            k_pm++;
+        pm = maxima[k_pm - 1];
+        for (int k = pos + 1; k <= n; k++)
+            if (is321 ? p[k - 1] < p[pos] : p[pos] < p[k - 1] && p[k - 1] < p[pos - 1])
+                causing[nc++] = k;
+        /* the base triples, and for (3,1,2) those of the down-run before the jump */
+        for (int j = pos + 1; j <= pos + l; j++)
+            for (int c = 0; c < nc; c++) {
+                mark(bits, n, pm, j, causing[c]);
+                for (int g = pos - m + 1; !is321 && g <= pos; g++)
+                    mark(bits, n, g, j, causing[c]);
+            }
+        if (!is321) {
+            /* each maximum before the preceding one, over the causing entries below it */
+            for (int q = 0; q < k_pm - 1; q++)
+                for (int j = pos + 1; j <= pos + l; j++)
+                    for (int c = 0; c < nc; c++)
+                        if (p[causing[c] - 1] < p[maxima[q] - 1])
+                            mark(bits, n, maxima[q], j, causing[c]);
+        } else if (jn == 0) {
+            /* each maximum up to the preceding one reaches min(height - d -
+             * steps, l) following entries; those before the threshold none */
+            for (int q = 0; q < k_pm; q++) {
+                int g = maxima[q];
+                long long reach = h[g - 1] - d - (between[pos] - between[g]);
+                for (int j = pos + 1; j <= pos + (reach < l ? reach : l); j++)
+                    if (p[j - 1] < p[g - 1])
+                        for (int c = 0; c < nc; c++)
+                            mark(bits, n, g, j, causing[c]);
+            }
+        }
+    }
+
+    size_t words = ((size_t)n * n * n + 63) / 64, total = 0;
+    for (size_t w = 0; w < words; w++)
+        total += __builtin_popcountll(bits[w]);
+    Py_ssize_t *triples = PyMem_New(Py_ssize_t, 3 * total + 1);
+    if (triples == NULL)
+        return PyErr_NoMemory();
+    Py_ssize_t *t = triples;
+    for (size_t w = 0; w < words; w++)
+        for (uint64_t b = bits[w]; b; b &= b - 1) {
+            Py_ssize_t i = 64 * w + __builtin_ctzll(b);
+            *t++ = i / (n * n) + 1;
+            *t++ = i / n % n + 1;
+            *t++ = i % n + 1;
+        }
+    PyObject *result = to_tuple(triples, total, 3);
+    PyMem_Free(triples);
+    return result;
 }
 
 PyDoc_STRVAR(count_pair_doc,
@@ -726,6 +922,8 @@ static PyMethodDef fastcount_methods[] = {
     {"scan_path", (PyCFunction)scan_path, METH_O, scan_path_doc},
     {"path_from_heights", (PyCFunction)path_from_heights, METH_O, path_from_heights_doc},
     {"perm_from_heights", (PyCFunction)perm_from_heights, METH_O, perm_from_heights_doc},
+    {"decode_psi312", (PyCFunction)decode_psi312, METH_O, decode_psi312_doc},
+    {"predicted_triples", (PyCFunction)predicted_triples, METH_VARARGS, predicted_triples_doc},
     {"bounded_census", (PyCFunction)bounded_census, METH_VARARGS, bounded_census_doc},
     {NULL, NULL, 0, NULL},
 };
@@ -733,7 +931,7 @@ static PyMethodDef fastcount_methods[] = {
 static struct PyModuleDef fastcount_module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "permdyck._fastcount",
-    .m_doc = "Compiled counting kernels, encoder and decoder primitives; see permdyck.kernels.",
+    .m_doc = "Compiled counting kernels, encoder and decoder primitives, jump predictions; see permdyck.kernels.",
     .m_size = -1,
     .m_methods = fastcount_methods,
 };

@@ -1,5 +1,5 @@
 """Pure-Python kernels: occurrence counting, the encoder primitives, the
-decoder primitive and the bounded census.
+decoder primitives, the jump predictions and the bounded census.
 
 ``permdyck.kernels`` states their contract and when they run.  One
 quadratic pass counts both patterns in a permutation; ``histogram_pair``
@@ -15,6 +15,13 @@ The encoder and decoder primitives are the definitions that ``perms``,
 ``paths`` and ``bijections`` wrap.  ``scan_path``, ``path_from_heights``
 and ``perm_from_heights`` raise ``Rejected``, naming the fault, for a step
 string or height vector that is not a path's or an inversion table's.
+``decode_psi312`` composes ``scan_path``, the sandwich check and
+``perm_from_heights``, and raises what they raise.
+
+``jump_pieces`` is the one statement of the structure theory's rule for
+the occurrence triples each jump forces: ``bijections.analyze_jumps``
+builds its records from it, and ``predicted_triples``, their sorted union,
+is the oracle the compiled predictor is tested against.
 
 ``census_layers`` is the layered DP of the bounded census, which
 ``permdyck.census`` explains, and ``bounded_census`` reads its counts off
@@ -25,7 +32,7 @@ the oracle the compiled census is tested against.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
@@ -143,6 +150,18 @@ def perm_from_heights(heights: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def decode_psi312(path: str) -> tuple[int, ...]:
+    """The permutation whose ``psi312`` image is ``path``: parse it, check
+    that every jump run is sandwiched between down-steps, and decode its
+    heights as an inversion table.  Raises ``Rejected(reason, prefix)`` as
+    ``scan_path`` does for a string that is not a valid path, and
+    ``Rejected(reason)`` for a valid path that is not an image."""
+    heights, _, spans = scan_path(path)
+    if not all(m and l for *_, m, l in spans):
+        raise Rejected("jumps must be sandwiched between down-steps")
+    return perm_from_heights(heights)
+
+
 def scan_path(path: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """One left-to-right pass over a valid path: per down-step, the height it
     lands on and the 1-based index of the peak weakly to its left (0 when
@@ -208,6 +227,83 @@ def path_from_heights(heights: Sequence[int]) -> str:
     if cur != 0:
         raise Rejected(f"height vector does not return to 0: {tuple(heights)!r}")
     return path
+
+
+def jump_pieces(
+    rho: Sequence[int], key: str, heights: Sequence[int], spans: Sequence[Sequence[int]]
+) -> Iterator[tuple]:
+    """The occurrence triples each jump of an encoder image forces, as
+    ``permdyck.bijections.analyze_jumps`` states them: per jump run
+    (start, end, position, m, l) of ``spans``, left to right, on the image
+    of ``rho`` with down-step ``heights`` under the encoder for the pattern
+    ``key``, "312" or "321": (the run, the preceding maximum's position,
+    the causing positions, the maxima before it as (position, value,
+    height, steps_between), the set of base and down-run triples, the set
+    of maxima-sum triples)."""
+    n = len(rho)
+    maxima = []
+    top = 0
+    for i, v in enumerate(rho, 1):
+        if v > top:
+            maxima.append(i)
+            top = v
+    mx = set(maxima)
+    # between[i]: non-maximum steps up to down-step i (see
+    # bijections.MaximumBeforeJump)
+    between = [0]
+    for i, (g, h) in enumerate(zip((0, *heights), heights), 1):
+        step = max(0, h + 1 - g) if key == "312" else 1
+        between.append(between[-1] + step - (i in mx))
+    for jn, span in enumerate(spans):
+        start, end, pos, m, l = span
+        post_run = range(pos + 1, pos + l + 1)
+        k_pm = bisect_right(maxima, pos)
+        pm = maxima[k_pm - 1]
+        # (3,1,2) sums over the maxima before the preceding one, (3,2,1) up to it
+        if key == "312":
+            lo, hi = rho[pos], rho[pos - 1]
+            causing = tuple(k for k in range(pos + 1, n + 1) if lo < rho[k - 1] < hi)
+            left = maxima[: k_pm - 1]
+        else:
+            causing = tuple(k for k in range(pos + 1, n + 1) if rho[k - 1] < rho[pos])
+            left = maxima[:k_pm]
+        before = tuple(
+            (g, rho[g - 1], heights[g - 1], between[pos] - between[g]) for g in left
+        )
+        forced = {(pm, j, k) for j in post_run for k in causing}
+        if key == "312":
+            forced |= {(g, j, k) for g in range(pos - m + 1, pos + 1) for j in post_run for k in causing}
+            extra = {
+                (g, j, k)
+                for g, value, _, _ in before
+                for j in post_run
+                for k in causing
+                if rho[k - 1] < value
+            }
+        elif jn == 0:
+            # the maxima before the threshold reach no following entry
+            d = end - start
+            extra = {
+                (g, j, k)
+                for g, value, height, steps in before
+                for j in post_run[: max(0, min(height - d - steps, l))]
+                if rho[j - 1] < value
+                for k in causing
+            }
+        else:
+            extra = set()
+        yield span, pm, causing, before, forced, extra
+
+
+def predicted_triples(
+    rho: Sequence[int], key: str, heights: Sequence[int], spans: Sequence[Sequence[int]]
+) -> tuple[tuple[int, int, int], ...]:
+    """The distinct triples of every jump's ``jump_pieces``, sorted."""
+    out: set[tuple[int, int, int]] = set()
+    for *_, forced, extra in jump_pieces(rho, key, heights, spans):
+        out |= forced
+        out |= extra
+    return tuple(sorted(out))
 
 
 def census_layers(

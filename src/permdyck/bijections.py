@@ -23,13 +23,15 @@ permutation, and every left-to-right maximum becomes a peak of the path.
 following down-run l, preceding down-run m, preceding left-to-right
 maximum, the d "causing" entries) together with the occurrence triples
 those statistics force, and is validated exhaustively against brute-force
-occurrence sets.
+occurrence sets.  The rule for those triples is written once, as
+``_purecount.jump_pieces``; ``predicted_occurrences`` takes their union
+from the selected kernel (``kernels.predicted_triples``).
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from permdyck import kernels, paths
 from permdyck.paths import Jump, PathError
@@ -213,18 +215,18 @@ def decode_psi312(path: str) -> Permutation:
     >>> decode_psi312("UUUUDDUDJDUD")
     Permutation(4, 3, 5, 1, 2)
     """
-    return _decode_psi312(paths.path_info(path))
+    try:
+        return Permutation._of(kernels.decode_psi312(path))
+    except kernels.Rejected as exc:
+        # a fault of the step string comes with its prefix, one of an image alone
+        if len(exc.args) == 2:
+            raise paths._invalid(*exc.args) from None
+        raise NotInImageError(*exc.args) from None
 
 
 def _decode_psi312(info: paths.PathInfo) -> Permutation:
-    """``decode_psi312`` on the parsed path ``info``."""
-    if not info.psi_shaped:
-        raise NotInImageError("jumps must be sandwiched between down-steps")
-    try:
-        # an inversion table decodes to a permutation of 1..n
-        return Permutation._of(kernels.perm_from_heights(info.heights))
-    except kernels.Rejected as exc:
-        raise NotInImageError(*exc.args) from None
+    """``decode_psi312`` of the parsed path ``info``, as the audit calls it."""
+    return decode_psi312(info.path)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +320,12 @@ def analyze_jumps(rho: Permutation, tau) -> tuple[JumpAnalysis, ...]:
     one or two occurrences in total the union over jumps is exhaustive
     (verified against brute force in the test suite).
     """
+    from permdyck._purecount import jump_pieces
+
     key, info = _encoded(rho, tau)
     analyses = []
-    for jn, (span, pm, causing, before, forced, extra) in enumerate(_jump_pieces(rho, key, info)):
+    pieces = jump_pieces(rho, key, info.heights, info.spans)
+    for jn, (span, pm, causing, before, forced, extra) in enumerate(pieces):
         pos, d, m, l = span.position, span.depth, span.m, span.l
         before = tuple(map(MaximumBeforeJump._make, before))
         if key == "312":
@@ -361,76 +366,14 @@ def _encoded(rho: Permutation, tau) -> tuple[str, paths.PathInfo]:
     return key, paths.path_info(psi312(rho) if key == "312" else psi321(rho))
 
 
-def _jump_pieces(rho: Permutation, key: str, info: paths.PathInfo) -> Iterator[tuple]:
-    """Per jump of the parsed image ``info`` of ``rho`` under the encoder for
-    the pattern ``key``, ``"312"`` or ``"321"``, left to right:
-    (its ``JumpSpan``, the preceding maximum's position, the causing
-    positions, the maxima before it as (position, value, height,
-    steps_between), the set of base and down-run triples, the set of
-    maxima-sum triples); ``analyze_jumps`` builds its records from these."""
-    n = len(rho)
-    maxima = left_to_right_maxima(rho)
-    mx = set(maxima)
-    heights = info.heights
-    # between[i]: non-maximum steps up to down-step i (see MaximumBeforeJump)
-    between = [0]
-    for i, (g, h) in enumerate(zip((0, *heights), heights), 1):
-        step = max(0, h + 1 - g) if key == "312" else 1
-        between.append(between[-1] + step - (i in mx))
-    for jn, span in enumerate(info.spans):
-        pos, m, l = span.position, span.m, span.l
-        post_run = range(pos + 1, pos + l + 1)
-        k_pm = bisect.bisect_right(maxima, pos)
-        pm = maxima[k_pm - 1]
-        # (3,1,2) sums over the maxima before the preceding one, (3,2,1) up to it
-        if key == "312":
-            lo, hi = rho[pos], rho[pos - 1]
-            causing = tuple(k for k in range(pos + 1, n + 1) if lo < rho[k - 1] < hi)
-            left = maxima[: k_pm - 1]
-        else:
-            causing = tuple(k for k in range(pos + 1, n + 1) if rho[k - 1] < rho[pos])
-            left = maxima[:k_pm]
-        before = tuple(
-            (g, rho[g - 1], heights[g - 1], between[pos] - between[g]) for g in left
-        )
-        forced = {(pm, j, k) for j in post_run for k in causing}
-        if key == "312":
-            forced |= {(g, j, k) for g in range(pos - m + 1, pos + 1) for j in post_run for k in causing}
-            extra = {
-                (g, j, k)
-                for g, value, _, _ in before
-                for j in post_run
-                for k in causing
-                if rho[k - 1] < value
-            }
-        elif jn == 0:
-            # the maxima before the threshold reach no following entry
-            d = span.depth
-            extra = {
-                (g, j, k)
-                for g, value, height, steps in before
-                for j in post_run[: max(0, min(height - d - steps, l))]
-                if rho[j - 1] < value
-                for k in causing
-            }
-        else:
-            extra = set()
-        yield span, pm, causing, before, forced, extra
-
-
 def predicted_occurrences(rho: Permutation, tau) -> tuple[tuple[int, int, int], ...]:
     """Union of the occurrence triples predicted for all jumps of psi_tau(rho)."""
     return _predict(rho, *_encoded(rho, tau))
 
 
 def _predict(rho: Permutation, key: str, info: paths.PathInfo) -> tuple[tuple[int, int, int], ...]:
-    """``predicted_occurrences`` on the parsed image ``info``, as in
-    ``_jump_pieces``."""
-    out: set[tuple[int, int, int]] = set()
-    for *_, forced, extra in _jump_pieces(rho, key, info):
-        out |= forced
-        out |= extra
-    return tuple(sorted(out))
+    """``predicted_occurrences`` on the parsed image ``info``."""
+    return kernels.predicted_triples(rho, key, info.heights, info.spans)
 
 
 def _jumps_within_occurrences(s: int, r: int) -> bool:

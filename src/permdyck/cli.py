@@ -19,7 +19,10 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error (an
 among them), 3 resource guard tripped (``table``: n above ``--limit``;
 ``verify``: a census layer above ``census.MAX_STATES`` states; ``--force``
 lifts both), 4 corrupt distribution cache file (one that does not parse,
-has the wrong shape or fails its checksum; delete it to recompute).
+has the wrong shape or fails its checksum; delete it to recompute), 141
+stdout closed by its reader before the output was written (as in ``|
+head -1``; 128 + SIGPIPE, what a shell reports for a writer the signal
+ends), with nothing printed on stderr.
 
 At start-up this module loads only ``census`` and ``perms`` (with
 ``kernels``) of the package, which ``table``, ``bases`` and the error
@@ -45,6 +48,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_CACHE = 4
+EXIT_PIPE = 141
 
 ENV_CACHE_DIR = "PERMDYCK_CACHE"
 
@@ -400,7 +404,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # output still buffered for a pipe meets a closed reader here, not
+        # in the interpreter's flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull, so that the
+        # flush at exit writes the rest of the buffer nowhere, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except census.ResourceGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

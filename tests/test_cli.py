@@ -10,7 +10,7 @@ import pytest
 
 import permdyck
 from permdyck import census
-from permdyck.cli import EXIT_CACHE, EXIT_USAGE, build_parser, main, render_svg
+from permdyck.cli import EXIT_CACHE, EXIT_PIPE, EXIT_USAGE, build_parser, main, render_svg
 from permdyck.paths import PathError
 
 
@@ -385,6 +385,43 @@ class TestUnwritablePath:
         blocker.write_text("")
         argv = ("table", "--tau", "312", "--n", "4", "--cache-dir", str(blocker / "cache"))
         assert self._assert_usage_error(capsys, *argv) == ""
+
+
+class TestClosedPipe:
+    """A reader that closes stdout before the output is written, as ``|
+    head -1`` does, ends the command with exit 141 and nothing on stderr."""
+
+    @staticmethod
+    def _cli(*argv, stdout):
+        src = str(Path(permdyck.__file__).resolve().parents[1])
+        return subprocess.Popen(
+            [sys.executable, "-m", "permdyck.cli", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+
+    def test_reader_closes_after_the_first_line(self, capsys):
+        # about 0.7 MB of picture, far more than a pipe holds, so the command
+        # is still writing when the reader goes
+        path = "U" * 700 + "D" * 700
+        _, out, _ = run(capsys, "render", path)
+        with self._cli("render", path, stdout=subprocess.PIPE) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == EXIT_PIPE == 141
+        assert err == b""
+        assert first.decode() == out.splitlines(keepends=True)[0]
+
+    def test_table_into_a_closed_pipe(self):
+        read, write = os.pipe()
+        os.close(read)
+        with self._cli("table", "--tau", "312", "--n", "0..9", "--cache-dir", "", stdout=write) as proc:
+            os.close(write)
+            err = proc.stderr.read()
+        assert proc.returncode == EXIT_PIPE
+        assert err == b""
 
 
 def loaded_modules(code: str) -> set[str]:

@@ -1,6 +1,8 @@
-"""Equivalence of the compiled and pure-Python kernels: occurrence counting
-and the encoder primitives."""
+"""Equivalence of the compiled and pure-Python kernels: occurrence counting,
+the encoder and decoder primitives, the jump predictions and the bounded
+census."""
 
+import hashlib
 import importlib.util
 import itertools
 import math
@@ -117,7 +119,15 @@ def test_compiled_size_limit(fastcount):
     assert kernels.count_pair(tuple(range(21, 0, -1))) == (0, 1330)
 
 
-_PER_INPUT = ("count_pair", "heights_312", "heights_321", "scan_path", "path_from_heights", "perm_from_heights")
+_PER_INPUT = (
+    "count_pair",
+    "heights_312",
+    "heights_321",
+    "scan_path",
+    "path_from_heights",
+    "perm_from_heights",
+    "decode_psi312",
+)
 _LONG = tuple(range(21, 0, -1))[::2] + tuple(range(21, 0, -1))[1::2]  # length MAXN + 1
 
 
@@ -366,18 +376,155 @@ def test_pure_decoder_names_the_fault(heights, text):
     assert str(exc.value) == text
 
 
+_N21 = "UD" * 19 + "UUUDJD"  # 21 down-steps; h_20 = 2 exceeds n - 20 = 1
+
+
 @pytest.mark.parametrize(
     "path, text",
     [
         ("UUUDJD", "height 2 at entry 1 exceeds n - i = 1"),
         ("UDUUUDJD", "height 2 at entry 2 exceeds n - i = 1"),
         ("UUJD", "jumps must be sandwiched between down-steps"),
+        ("UUDJUD", "jumps must be sandwiched between down-steps"),
+        ("UUDJ", "jumps must be sandwiched between down-steps"),
+        (_N21, "height 2 at entry 20 exceeds n - i = 1"),
     ],
 )
-def test_decode_psi312_rejects_as_before(on_each_backend, path, text):
+def test_decode_psi312_rejects_as_before(fastcount, on_each_backend, path, text):
+    # the compiled one-pass decoder hands a rejected path over, and the pure
+    # one names its fault as the sandwich check and the table did
+    assert fastcount.decode_psi312(path) is None
     assert on_each_backend(bijections.decode_psi312, path) == [(bijections.NotInImageError, text)] * 2
+
+
+@pytest.mark.parametrize(
+    "path, text",
+    [
+        ("UDDU", "invalid path: path goes below the horizontal axis (prefix 3)"),
+        ("UxD", "invalid path: invalid step character 'x' (prefix 1)"),
+        ("UUD", "invalid path: path ends at height 1, not 0 (prefix 3)"),
+    ],
+)
+def test_decode_psi312_path_faults_as_before(fastcount, on_each_backend, path, text):
+    assert fastcount.decode_psi312(path) is None
+    assert on_each_backend(bijections.decode_psi312, path) == [(paths.PathError, text)] * 2
 
 
 def test_decode_psi312_inverts_psi312_on_s8():
     for rho in all_permutations(8):
         assert bijections.decode_psi312(bijections.psi312(rho)) == rho
+
+
+def test_one_pass_decoder_inverts_psi312_on_s8_on_each_backend(on_each_backend):
+    images = [(rho, bijections.psi312(rho)) for rho in all_permutations(8)]
+
+    def all_invert():
+        return all(bijections.decode_psi312(path) == rho for rho, path in images)
+
+    assert on_each_backend(all_invert) == [True, True]
+
+
+def test_one_pass_decoder_hands_over_n21(fastcount, on_each_backend):
+    rho = Permutation(_LONG)
+    path = bijections.psi312(rho)
+    assert fastcount.decode_psi312(path) is None
+    assert on_each_backend(bijections.decode_psi312, path) == [rho, rho]
+
+
+# -- jump predictions -------------------------------------------------------
+
+
+def _image(rho, key):
+    """The heights and jump runs of ``rho``'s image under the encoder for
+    ``key``, as ``scan_path`` gives them."""
+    heights = (_purecount.heights_312 if key == "312" else _purecount.heights_321)(rho)
+    scanned = _purecount.scan_path(_purecount.path_from_heights(heights))
+    return scanned[0], scanned[2]
+
+
+def test_compiled_predictions_match_pure_on_s0_to_s7(fastcount):
+    hosts = 0
+    for n in range(8):
+        for rho in itertools.permutations(range(1, n + 1)):
+            for key in ("312", "321"):
+                heights, spans = _image(rho, key)
+                if spans:
+                    hosts += 1
+                    got = fastcount.predicted_triples(rho, key, heights, spans)
+                    assert got == _purecount.predicted_triples(rho, key, heights, spans), (rho, key)
+    # every image but an avoider's has a jump: 5,914 permutations, 626 avoiders
+    assert hosts == 2 * (5914 - 626)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_perms_up_to(20), st.sampled_from(["312", "321"]))
+def test_compiled_predictions_match_pure_random(fastcount, p, key):
+    heights, spans = _image(p, key)
+    assert fastcount.predicted_triples(p, key, heights, spans) == _purecount.predicted_triples(p, key, heights, spans)
+
+
+_HOST = (4, 3, 5, 1, 2)  # psi312: one jump, at position 3 with m = l = 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (_LONG, "312", *_image(_LONG, "312")),  # n = 21 > MAXN
+        (_LONG, "321", *_image(_LONG, "321")),
+        (_HOST, "213", *_image(_HOST, "312")),  # a key other than "312" or "321"
+        (_HOST, 312, *_image(_HOST, "312")),
+        (_HOST, "312", (3, 2, 2, 0, 0), ((8, 9, 3, 1, 3),)),  # a run past n: 3 + 3 > 5
+        (_HOST, "312", (3, 2, 2, 0, 0), ((8, 9, 5, 1, 0),)),  # position n
+        (_HOST, "312", (3, 2, 2, 0, 0), ((8, 9, 0, 0, 1),)),  # position 0
+        (_HOST, "312", (3, 2, 2, 0, 0), ((8, 9, 1, 2, 1),)),  # m > position
+        (_HOST, "312", (3, 2, 2, 0), ((8, 9, 3, 1, 1),)),  # heights not n long
+        (_HOST, "312", (3, 2, 2, 0, -1), ((8, 9, 3, 1, 1),)),  # a negative height
+        (_HOST, "312", (3, 2, 2, 0, 2**31), ((8, 9, 3, 1, 1),)),  # a height above 2**30
+        (_HOST, "312", (3, 2, 2, 0, 0), ((8, 9, 3, 1),)),  # a run of four fields
+        (_HOST, "312", (3, 2, 2, 0, 0), ((8, 9, 3, 1, 1.0),)),
+        (_HOST, "312", (3, 2, 2, 0, 0), 5),
+        ((4, 3, 5, 1, 1), "312", (3, 2, 2, 0, 0), ((8, 9, 3, 1, 1),)),  # not a permutation
+    ],
+)
+def test_compiled_predictions_hand_over(fastcount, on_each_backend, args):
+    # the predictor's hand-over cases; it takes four arguments, so the
+    # one-argument cases of ``test_compiled_primitives_hand_over`` do not fit it
+    assert fastcount.predicted_triples(*args) is None
+    expect = _outcome(_purecount.predicted_triples, *args)
+    assert on_each_backend(kernels.predicted_triples, *args) == [expect, expect]
+
+
+def test_compiled_predictions_of_a_known_host(fastcount):
+    heights, spans = _image(_HOST, "312")
+    assert (heights, spans) == ((3, 2, 2, 0, 0), ((8, 9, 3, 1, 1),))
+    # the base triple and the down-run's, both (3, 4, 5), once; and the
+    # earlier maximum 4's (1, 4, 5), sorted first
+    expect = ((1, 4, 5), (3, 4, 5))
+    for backend in (fastcount, _purecount):
+        assert backend.predicted_triples(_HOST, "312", heights, spans) == expect
+        assert backend.predicted_triples(list(_HOST), "312", list(heights), list(map(list, spans))) == expect
+
+
+# analyze_jumps and predicted_occurrences over S_0..S_7, as the sha256 of
+# their reprs in order: the digests of the code that kept the rule in
+# ``bijections`` and predicted in Python
+_JUMP_DIGESTS = {
+    "312": (
+        "042e0ed20beee522fbc3e5ceb938b94e80216d3a6b357063c24aa88c7003a7a8",
+        "a51cae37413bc84ea8175606358dc70f86dcc2772e457eb2142be4c1a9c3443e",
+    ),
+    "321": (
+        "801a6edaab4d63c4573b9cb99ad8a1407c46b5e42c0c82923e192b0377ae015a",
+        "8c1a4d34458d48284fcdf219a9c12c306e79ac7ea5240835348240706307d078",
+    ),
+}
+
+
+@pytest.mark.parametrize("tau", ["312", "321"])
+def test_jump_analyses_and_predictions_as_before(tau):
+    analyses, predictions = hashlib.sha256(), hashlib.sha256()
+    for n in range(8):
+        for rho in all_permutations(n):
+            analyses.update(repr(bijections.analyze_jumps(rho, tau)).encode())
+            predictions.update(repr(bijections.predicted_occurrences(rho, tau)).encode())
+    assert (analyses.hexdigest(), predictions.hexdigest()) == _JUMP_DIGESTS[tau]
