@@ -60,12 +60,12 @@ _EXPORTS = {
         "psi_avoiding",
         "psi_tau",
     ),
+    "recorded": ("count_closed_form",),
     "series": (
         "Series",
         "catalan",
         "check_assemblies",
         "check_general_form",
-        "count_closed_form",
         "gf",
     ),
     "census": (

@@ -524,9 +524,8 @@ predicted_triples(PyObject *module, PyObject *args)
                 int g = maxima[q];
                 long long reach = h[g - 1] - d - (between[pos] - between[g]);
                 for (int j = pos + 1; j <= pos + (reach < l ? reach : l); j++)
-                    if (p[j - 1] < p[g - 1])
-                        for (int c = 0; c < nc; c++)
-                            mark(bits, n, g, j, causing[c]);
+                    for (int c = 0; c < nc; c++)
+                        mark(bits, n, g, j, causing[c]);
             }
         }
     }

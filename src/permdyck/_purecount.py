@@ -285,9 +285,8 @@ def jump_pieces(
             d = end - start
             extra = {
                 (g, j, k)
-                for g, value, height, steps in before
+                for g, _, height, steps in before
                 for j in post_run[: max(0, min(height - d - steps, l))]
-                if rho[j - 1] < value
                 for k in causing
             }
         else:

@@ -72,9 +72,9 @@ Importing this module loads only ``perms`` and ``kernels`` of the package,
 and none of ``json``, ``hashlib`` (a cache read or write imports both) and
 ``concurrent.futures`` (a sweep above S_9 does).
 ``audit_bijections`` imports ``bijections`` and ``paths`` when it runs,
-and ``verify_formulas`` and ``verify_conjectures`` import ``series``, so
-the brute sweep and the bounded census never load them, and the audit
-never loads ``series``.
+and ``verify_formulas`` and ``verify_conjectures`` import ``recorded``
+(the recorded rows, expanded in integers), so the brute sweep and the
+bounded census never load them, and no function here loads ``series``.
 """
 
 from __future__ import annotations
@@ -598,7 +598,7 @@ class VerificationReport(NamedTuple):
 def verify_formulas(n_max: int, *, force: bool = False) -> VerificationReport:
     """Bounded-census counts against the proven closed-form counts, r = 0, 1,
     2, both patterns, for every n <= n_max."""
-    from permdyck import series
+    from permdyck import recorded
 
     counts = {key: bounded_distributions(n_max, key, 2, force=force) for key in ("312", "321")}
     rows = []
@@ -611,7 +611,7 @@ def verify_formulas(n_max: int, *, force: bool = False) -> VerificationReport:
                         r=r,
                         n=n,
                         brute=counts[key][n][r],
-                        predicted=series.count_closed_form(key, r, n),
+                        predicted=recorded.count_closed_form(key, r, n),
                     )
                 )
     return VerificationReport(kind="formulas", rows=tuple(rows))
@@ -619,11 +619,11 @@ def verify_formulas(n_max: int, *, force: bool = False) -> VerificationReport:
 
 def verify_conjectures(n_max: int, *, force: bool = False) -> VerificationReport:
     """Bounded-census counts against the conjectured generating functions,
-    the (pattern, r) pairs of ``series.CONJECTURAL``, for every n <= n_max.
+    the (pattern, r) pairs of ``recorded.CONJECTURAL``, for every n <= n_max.
     Each pattern takes one census, at its largest conjectured r."""
-    from permdyck import series
+    from permdyck import recorded
 
-    pairs = sorted(series.CONJECTURAL)
+    pairs = sorted(recorded.CONJECTURAL)
     # the pairs are sorted, so each pattern keeps its largest r
     counts = {
         key: bounded_distributions(n_max, key, r_max, force=force)
@@ -631,7 +631,7 @@ def verify_conjectures(n_max: int, *, force: bool = False) -> VerificationReport
     }
     rows = []
     for key, r in pairs:
-        g = series.gf(key, r, 2 * n_max)
+        predicted = recorded.coefficients(key, r, n_max)
         for n in range(n_max + 1):
             rows.append(
                 VerificationRow(
@@ -639,7 +639,7 @@ def verify_conjectures(n_max: int, *, force: bool = False) -> VerificationReport
                     r=r,
                     n=n,
                     brute=counts[key][n][r],
-                    predicted=int(g.x_coeff(n)),
+                    predicted=predicted[n],
                 )
             )
     return VerificationReport(kind="conjectures", rows=tuple(rows))

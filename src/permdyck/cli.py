@@ -26,9 +26,12 @@ ends), with nothing printed on stderr.
 
 At start-up this module loads only ``census`` and ``perms`` (with
 ``kernels``) of the package, which ``table``, ``bases`` and the error
-mapping need.  The other handlers import what they call: ``verify`` and
-``coeffs`` load ``series``, ``map`` and ``decode`` load ``bijections`` and
-``paths``, and ``render`` loads ``paths``.  No command loads
+mapping need.  The other handlers import what they call: ``verify
+--formulas``, ``verify --conjectures`` and ``coeffs`` load ``recorded``
+(the recorded rows, expanded in integers, with no series arithmetic),
+``verify --assemblies`` and ``verify --general-form`` load ``series``,
+``map`` and ``decode`` load ``bijections`` and ``paths``, and ``render``
+loads ``paths``.  No command loads
 ``dataclasses`` or ``inspect``, only a cache read or write loads
 ``hashlib``, and only JSON output or a cache read or write loads ``json``.
 """
@@ -133,7 +136,7 @@ def _cmd_table(args) -> int:
 
 
 def _report_lines(report: census.VerificationReport) -> list[str]:
-    from permdyck import series
+    from permdyck import recorded
 
     lines = []
     by_pair: dict[tuple[str, int], list[census.VerificationRow]] = {}
@@ -141,7 +144,7 @@ def _report_lines(report: census.VerificationReport) -> list[str]:
         by_pair.setdefault((row.pattern, row.r), []).append(row)
     for (pattern, r), rows in sorted(by_pair.items()):
         bad = [row for row in rows if not row.passed]
-        tag = "CONJECTURE " if (pattern, r) in series.CONJECTURAL else ""
+        tag = "CONJECTURE " if (pattern, r) in recorded.CONJECTURAL else ""
         if bad:
             first = bad[0]
             lines.append(
@@ -154,8 +157,6 @@ def _report_lines(report: census.VerificationReport) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    from permdyck import series
-
     checks: list[str] = []
     passed = True
     if args.formulas or args.conjectures:
@@ -164,11 +165,15 @@ def _cmd_verify(args) -> int:
         checks.extend(_report_lines(report))
         passed = report.passed
     elif args.assemblies:
+        from permdyck import series
+
         order = args.order if args.order is not None else 40
         report = series.check_assemblies(order)
         checks.extend(str(c) for c in report.checks)
         passed = report.passed
     else:  # general form
+        from permdyck import series
+
         order = args.order if args.order is not None else 80
         for pattern, r in sorted(series.GF_PQ):
             rep = series.check_general_form(pattern, r, order)
@@ -297,10 +302,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    from permdyck import series
+    from permdyck import recorded
 
-    g = series.gf(args.tau, args.r, 2 * args.n_max)
-    coeffs = series.coefficients_as_strings(g)[: args.n_max + 1]
+    coeffs = [str(c) for c in recorded.coefficients(args.tau, args.r, args.n_max)]
     if args.format == "csv":
         lines = ["n,coefficient"] + [f"{n},{c}" for n, c in enumerate(coeffs)]
         _emit(args, "\n".join(lines))

@@ -1,4 +1,5 @@
-"""Exact truncated formal power series and the closed-form counting results.
+"""Exact truncated formal power series, and the derivations of the
+recorded counting results.
 
 Series live in the variable t with x = t**2, so the half-integer powers of
 x that appear in path weights (sqrt(x) per up/down step) and in the
@@ -12,19 +13,19 @@ counting series all do, and ``x_coefficients`` checks it.
 The module provides:
 
 - the Catalan series c = (1 - sqrt(1-4x)) / (2x) and sqrt(1-4x) itself;
-- ``GF_PQ``: the one table of recorded generating functions, each as the
-  polynomials P, Q of F = (P(x) + sqrt(1-4x) Q(x)) / D, where
-  D = sqrt(1-4x)^(2r-1) for (3,1,2) with r >= 1 and D = 2 x^(2r+1)
-  otherwise; rows exist for tau in {(3,1,2), (3,2,1)} and r = 0, 1, 2, plus
-  the conjectured r = 3, 4 forms for (3,2,1) (the pairs in ``CONJECTURAL``);
 - ``gf(tau, r, order)``: the generating function of the number of
-  n-permutations with exactly r occurrences of tau, built from its row;
-- ``count_closed_form(tau, r, n)``: the matching binomial formulas;
+  n-permutations with exactly r occurrences of tau, built with series
+  arithmetic from its row of ``GF_PQ``, the independent oracle of
+  ``recorded.coefficients``;
 - the climbing-segment series and the piecewise assembly identities that
   re-derive the r = 1, 2 generating functions from path decompositions
   (``check_assemblies``);
 - ``check_general_form``: reconstruction of the polynomials P, Q of a row
   directly from the coefficients of ``gf``.
+
+``GF_PQ``, ``CONJECTURAL`` and ``count_closed_form`` live in
+``permdyck.recorded``, with the rule for a row's denominator D; they are
+re-exported here as the same objects.
 
 Every ``tau`` argument is checked by ``perms._pattern_key``: a pattern
 other than (3,1,2) and (3,2,1) raises ``PatternError``.
@@ -39,6 +40,7 @@ from math import comb, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from permdyck.perms import _pattern_key, catalan_number
+from permdyck.recorded import CONJECTURAL, GF_PQ, count_closed_form, denominator
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -61,7 +63,6 @@ __all__ = [
     "check_assemblies",
     "GeneralFormReport",
     "check_general_form",
-    "coefficients_as_strings",
 ]
 
 DEFAULT_ORDER = 80  # in t, i.e. 40 x-coefficients
@@ -310,46 +311,16 @@ def catalan(order: int = DEFAULT_ORDER) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# closed forms
-
-# (pattern, r) -> (P, Q), each {x-degree: coefficient}, with
-# F = (P(x) + sqrt(1-4x) Q(x)) / D and D from ``_denominator``.  r = 0 is
-# recorded once, as (3,2,1): both patterns have the Catalan series there.
-GF_PQ: dict[tuple[str, int], tuple[dict[int, Coef], dict[int, Coef]]] = {
-    ("312", 1): ({0: Fraction(1, 2), 1: Fraction(-3, 2)}, {0: Fraction(-1, 2), 1: Fraction(1, 2)}),
-    ("312", 2): (
-        {0: 1, 1: Fraction(-15, 2), 2: Fraction(29, 2), 3: -2, 4: 1},
-        {0: -1, 1: Fraction(11, 2), 2: Fraction(-11, 2), 3: -2},
-    ),
-    ("321", 0): ({0: 1}, {0: -1}),
-    ("321", 1): ({0: 1, 1: -6, 2: 9, 3: -2}, {0: -1, 1: 4, 2: -3}),
-    ("321", 2): (
-        {0: 1, 1: -8, 2: 20, 3: -17, 4: 7, 5: -5},
-        {0: -1, 1: 6, 2: -10, 3: 5, 4: -3, 5: 1},
-    ),
-    ("321", 3): (
-        {0: 1, 1: -10, 2: 33, 3: -32, 4: -31, 5: 70, 6: -35, 8: 2},
-        {0: -1, 1: 8, 2: -19, 3: 6, 4: 27, 5: -28, 6: 7, 7: 2},
-    ),
-    # The sign of the sqrt part of the r = 4 form is pinned by brute force:
-    # the variant below reproduces the counts 1, 9, 74, 507, 3008, 16151 at
-    # n = 4..9 exactly, and the opposite sign does not even give a power
-    # series (the numerator would have a nonzero constant term).
-    ("321", 4): (
-        {0: 1, 1: -12, 2: 50, 3: -65, 4: -107, 5: 437, 6: -588, 7: 492, 8: -314, 9: 108, 10: -3},
-        {0: -1, 1: 10, 2: -32, 3: 17, 4: 107, 5: -245, 6: 256, 7: -192, 8: 102, 9: -18, 10: -1},
-    ),
-}
-
-CONJECTURAL = frozenset((("321", 3), ("321", 4)))
+# generating functions of the recorded rows
 
 
 def _denominator(key: str, r: int, order: int) -> tuple[Series, str]:
-    """The denominator D of gf(key, r) to t**order, and its label:
-    sqrt(1-4x)^(2r-1) for (3,1,2) with r >= 1, else 2 x^(2r+1)."""
-    if key == "312" and r >= 1:
-        return sqrt_one_minus_4x(order) ** (2 * r - 1), f"sqrt(1-4x)^{2 * r - 1}"
-    return monomial(4 * r + 2, order, 2), f"2 x^{2 * r + 1}"
+    """The denominator D of gf(key, r) to t**order, and its label, by the
+    rule of ``recorded.denominator``."""
+    c, e, m = denominator(key, r)
+    if m:
+        return sqrt_one_minus_4x(order) ** m, f"sqrt(1-4x)^{m}"
+    return monomial(2 * e, order, c), f"{c} x^{e}"
 
 
 def gf(tau, r: int, order: int = DEFAULT_ORDER) -> Series:
@@ -380,44 +351,6 @@ def _gf_cached(key: str, r: int, order: int) -> Series:
         if not isinstance(c, int) or c < 0:
             raise AssertionError(f"gf({key},{r}) has a bad x^{n} coefficient: {c}")
     return out
-
-
-def count_closed_form(tau, r: int, n: int) -> int:
-    """The exact count #S_n(tau, r) from the binomial formulas, with the
-    conventions for n = 0, 1 and vanishing binomials handled exactly.
-
-    >>> [count_closed_form("321", 1, n) for n in range(8)]
-    [0, 0, 0, 1, 6, 27, 110, 429]
-    """
-    key = _pattern_key(tau)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-
-    def comb0(a: int, b: int) -> int:
-        if b < 0 or a < 0 or b > a:
-            return 0
-        return comb(a, b)
-
-    if n <= 1:
-        return 1 if r == 0 else 0
-    if r == 0:
-        return catalan_number(n)
-    if key == "312" and r == 1:
-        return comb0(2 * n - 3, n - 3)
-    if key == "312" and r == 2:
-        val = Fraction(comb0(2 * n - 6, n - 4)) * Fraction(
-            n**3 + 17 * n**2 - 80 * n + 80, 2 * n * (n - 1)
-        )
-    elif key == "321" and r == 1:
-        val = Fraction(3, n) * comb0(2 * n, n - 3)
-    elif key == "321" and r == 2:
-        val = Fraction(59 * n**2 + 117 * n + 100, 2 * n * (2 * n - 1) * (n + 5)) * comb0(
-            2 * n, n - 4
-        )
-    else:
-        raise ValueError(f"no closed-form count recorded for ({key}, r={r})")
-    assert val.denominator == 1, (key, r, n, val)
-    return int(val)
 
 
 # ---------------------------------------------------------------------------
@@ -874,8 +807,3 @@ def check_general_form(tau, r: int, order: int = DEFAULT_ORDER) -> GeneralFormRe
     return GeneralFormReport(
         key, r, not detail, denominator, tuple(p), tuple(q), conjectural, detail
     )
-
-
-def coefficients_as_strings(series: Series) -> list[str]:
-    """The x-coefficients as exact decimal strings (CLI dump format)."""
-    return [str(c) for c in series.x_coefficients()]

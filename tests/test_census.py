@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from permdyck import _purecount, bijections, census, kernels, paths, perms, series
+from permdyck import _purecount, bijections, census, kernels, paths, perms, recorded, series
 from permdyck.census import CacheError, ResourceGuardError
 from permdyck.perms import (
     PATTERN_312,
@@ -469,7 +469,7 @@ class TestVerification:
         assert {row.r for row in report.rows} == {3, 4}
 
     def test_conjectures_follow_the_conjectural_set(self, monkeypatch):
-        monkeypatch.setattr(series, "CONJECTURAL", series.CONJECTURAL | {("321", 2)})
+        monkeypatch.setattr(recorded, "CONJECTURAL", recorded.CONJECTURAL | {("321", 2)})
         report = census.verify_conjectures(7)
         assert report.passed
         assert [(row.pattern, row.r) for row in report.rows[::8]] == [

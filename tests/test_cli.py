@@ -458,11 +458,22 @@ class TestStartupImports:
         assert {"permdyck.cli", "permdyck.census", "permdyck.perms"} <= loaded
         assert not loaded & self.LATE
 
-    def test_coeffs_loads_series_only(self):
-        code = "from permdyck import cli\ncli.main(['coeffs', '--tau', '321', '--r', '2'])"
-        loaded = loaded_submodules(code)
-        assert "permdyck.series" in loaded
-        assert not loaded & {"permdyck.bijections", "permdyck.paths"}
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--tau", "321", "--r", "2"],
+            ["verify", "--formulas", "--n-max", "6"],
+            ["verify", "--conjectures", "--n-max", "6"],
+        ],
+    )
+    def test_recorded_rows_load_no_series(self, argv):
+        loaded = loaded_submodules(f"from permdyck import cli\ncli.main({argv!r})")
+        assert "permdyck.recorded" in loaded
+        assert not loaded & self.LATE
+
+    def test_assemblies_load_series(self):
+        code = "from permdyck import cli\ncli.main(['verify', '--assemblies', '--order', '8'])"
+        assert "permdyck.series" in loaded_submodules(code)
 
     def test_cli_start_loads_no_dataclasses_inspect_or_hashlib(self):
         loaded = loaded_modules("import permdyck.cli as c\nc.build_parser()")

@@ -619,9 +619,3 @@ class TestDecomposition:
     def test_order_too_small(self):
         with pytest.raises(ValueError, match="too small"):
             series.check_general_form("321", 2, 40)
-
-
-class TestDump:
-    def test_strings(self):
-        got = series.coefficients_as_strings(series.gf("312", 1, 16))
-        assert got[:5] == ["0", "0", "0", "1", "5"]
