@@ -24,12 +24,16 @@
  * heights_321 is derived from the (3,1,2) heights rather than counted:
  * h321_i = h312_m - (i - m) - h312_i for an entry i that is not a
  * left-to-right maximum, m being the preceding maximum (see
- * permdyck.perms.heights_321).
+ * permdyck.perms.heights_321).  encode_path is psi312 or psi321 in one
+ * call: it reads the permutation, computes its heights and writes the path
+ * with the helpers of heights_312, heights_321 and path_from_heights.
+ * is_permutation is the check of permdyck.perms.Permutation on a tuple or
+ * list of exact ints.
  *
  * decode_psi312 inverts psi312 in one pass over the path: it checks the
  * steps, the height and the sandwich of each jump run as it reads them and
  * keeps only the down-step heights, which it then decodes as an inversion
- * table (decode_table, shared with perm_from_heights).
+ * table (decode_table).
  *
  * predicted_triples is the compiled twin of permdyck._purecount's
  * jump_pieces, the one statement of the occurrence triples each jump
@@ -203,6 +207,22 @@ heights_312(PyObject *module, PyObject *values)
     return to_tuple(h, n, 0);
 }
 
+/* Turn the (3,1,2) heights h of p into the (3,2,1) ones, in place. */
+static void
+heights_321_c(const int *p, int n, Py_ssize_t *h)
+{
+    /* hm keeps the (3,1,2) height of the maximum at m */
+    for (Py_ssize_t i = 0, m = 0, hm = 0, top = 0; i < n; i++) {
+        if (p[i] > top) {
+            top = p[i];
+            m = i;
+            hm = h[i];
+        } else {
+            h[i] = hm - (i - m) - h[i];
+        }
+    }
+}
+
 PyDoc_STRVAR(heights_321_doc,
 "heights_321(values) -> tuple | None\n\n"
 "Per entry of a permutation of 1..n: for a left-to-right maximum, the\n"
@@ -217,16 +237,7 @@ heights_321(PyObject *module, PyObject *values)
     if (n < 0)
         Py_RETURN_NONE;
     heights_312_c(p, (int)n, h);
-    /* hm keeps the (3,1,2) height of the maximum at m */
-    for (Py_ssize_t i = 0, m = 0, hm = 0, top = 0; i < n; i++) {
-        if (p[i] > top) {
-            top = p[i];
-            m = i;
-            hm = h[i];
-        } else {
-            h[i] = hm - (i - m) - h[i];
-        }
-    }
+    heights_321_c(p, (int)n, h);
     return to_tuple(h, n, 0);
 }
 
@@ -294,6 +305,32 @@ scan_path(PyObject *module, PyObject *path)
     return result;
 }
 
+/* The path whose i-th down-step lands on height h[i], i < n: before it,
+ * up-steps to h[i] + 1 if below it, else down-jumps.  The heights are
+ * nonnegative and end at 0. */
+static PyObject *
+path_of(const Py_ssize_t *h, Py_ssize_t n)
+{
+    Py_ssize_t len = n, cur = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        len += h[i] + 1 > cur ? h[i] + 1 - cur : cur - h[i] - 1;
+        cur = h[i];
+    }
+    PyObject *path = PyUnicode_New(len, 127);
+    if (path == NULL)
+        return NULL;
+    Py_UCS1 *out = PyUnicode_1BYTE_DATA(path);
+    cur = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_ssize_t step = h[i] + 1 - cur;
+        memset(out, step > 0 ? 'U' : 'J', step > 0 ? step : -step);
+        out += step > 0 ? step : -step;
+        *out++ = 'D';
+        cur = h[i];
+    }
+    return path;
+}
+
 PyDoc_STRVAR(path_from_heights_doc,
 "path_from_heights(heights) -> str | None\n\n"
 "The path whose i-th down-step lands on height heights[i]: before it, rise\n"
@@ -306,32 +343,74 @@ path_from_heights(PyObject *module, PyObject *heights)
 {
     if (!PyTuple_Check(heights) && !PyList_Check(heights))
         Py_RETURN_NONE;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(heights), len = n;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(heights);
     PyObject **items = PySequence_Fast_ITEMS(heights);
-    /* first pass: check the vector and size the path */
-    long cur = 0;
-    for (Py_ssize_t i = 0; i < n; i++) {
+    Py_ssize_t *h = PyMem_New(Py_ssize_t, n + 1), i = 0;
+    if (h == NULL)
+        return PyErr_NoMemory();
+    for (; i < n; i++) {
         int overflow;
-        long h = PyLong_Check(items[i]) ? PyLong_AsLongAndOverflow(items[i], &overflow) : -1;
-        if (h < 0 || h >= INT_MAX)
-            Py_RETURN_NONE;
-        len += labs(h + 1 - cur);
-        cur = h;
+        long v = PyLong_Check(items[i]) ? PyLong_AsLongAndOverflow(items[i], &overflow) : -1;
+        if (v < 0 || v >= INT_MAX)
+            break;
+        h[i] = v;
     }
-    if (cur != 0)
-        Py_RETURN_NONE;
-    PyObject *path = PyUnicode_New(len, 127);
-    if (path == NULL)
-        return NULL;
-    Py_UCS1 *out = PyUnicode_1BYTE_DATA(path);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        long h = PyLong_AsLong(items[i]), step = h + 1 - cur;
-        memset(out, step > 0 ? 'U' : 'J', labs(step));
-        out += labs(step);
-        *out++ = 'D';
-        cur = h;
-    }
+    PyObject *path = i < n || (n > 0 && h[n - 1] != 0) ? Py_NewRef(Py_None) : path_of(h, n);
+    PyMem_Free(h);
     return path;
+}
+
+/* 0 for the key "312", 1 for "321", -1 for anything else. */
+static int
+pattern_key(PyObject *key)
+{
+    if (!PyUnicode_Check(key))
+        return -1;
+    if (PyUnicode_CompareWithASCIIString(key, "321") == 0)
+        return 1;
+    return PyUnicode_CompareWithASCIIString(key, "312") == 0 ? 0 : -1;
+}
+
+PyDoc_STRVAR(encode_path_doc,
+"encode_path(values, key) -> str | None\n\n"
+"The image of a permutation of 1..n under the encoder for the pattern key,\n"
+"\"312\" or \"321\": path_from_heights of its heights_312 or heights_321.\n"
+"None for values as heights_312 hands them over, or any other key.");
+
+static PyObject *
+encode_path(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError, "encode_path expected 2 arguments, got %zd", nargs);
+    int p[MAXN], is321 = pattern_key(args[1]);
+    Py_ssize_t h[MAXN], n = is321 < 0 ? -1 : read_perm(args[0], p, -1);
+    if (n < 0)
+        Py_RETURN_NONE;
+    heights_312_c(p, (int)n, h);
+    if (is321)
+        heights_321_c(p, (int)n, h);
+    return path_of(h, n);
+}
+
+PyDoc_STRVAR(is_permutation_doc,
+"is_permutation(values) -> bool | None\n\n"
+"Whether a tuple or list of at most MAXN ints, each exactly an int (no\n"
+"bool), is a permutation of 1..n.  None for anything else.");
+
+static PyObject *
+is_permutation(PyObject *module, PyObject *values)
+{
+    if (!PyTuple_Check(values) && !PyList_Check(values))
+        Py_RETURN_NONE;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(values);
+    PyObject **items = PySequence_Fast_ITEMS(values);
+    if (n > MAXN)
+        Py_RETURN_NONE;
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (!PyLong_CheckExact(items[i]))
+            Py_RETURN_NONE;
+    int p[MAXN];
+    return PyBool_FromLong(read_perm(values, p, -1) == n);
 }
 
 /* Read a tuple or list of at most max ints, each in lo..hi (lo >= 0), into
@@ -372,23 +451,6 @@ decode_table(const long *h, Py_ssize_t n, Py_ssize_t *out)
         memmove(unused + h[i], unused + h[i] + 1, (n - i - 1 - h[i]) * sizeof *unused);
     }
     return 1;
-}
-
-PyDoc_STRVAR(perm_from_heights_doc,
-"perm_from_heights(heights) -> tuple | None\n\n"
-"The permutation of 1..n whose inversion table is heights: the entry at\n"
-"position i is the (heights[i] + 1)-th smallest value not used before it.\n"
-"None for anything but a tuple or list of n <= MAXN ints, the i-th\n"
-"(from 1) in 0..n - i.");
-
-static PyObject *
-perm_from_heights(PyObject *module, PyObject *heights)
-{
-    long h[MAXN];
-    Py_ssize_t out[MAXN], n = read_ints(heights, h, MAXN, 0, MAXN);
-    if (n < 0 || !decode_table(h, n, out))
-        Py_RETURN_NONE;
-    return to_tuple(out, n, 0);
 }
 
 PyDoc_STRVAR(decode_psi312_doc,
@@ -466,11 +528,9 @@ predicted_triples(PyObject *module, PyObject *args)
     int p[MAXN];
     long h[MAXN];
     Py_ssize_t n = read_perm(rho, p, -1);
-    if (n < 0 || read_ints(heights, h, MAXN, 0, FIELD_MAX) != n || !PyUnicode_Check(key)
+    int is321 = pattern_key(key);
+    if (n < 0 || read_ints(heights, h, MAXN, 0, FIELD_MAX) != n || is321 < 0
         || (!PyTuple_Check(spans) && !PyList_Check(spans)))
-        Py_RETURN_NONE;
-    int is321 = PyUnicode_CompareWithASCIIString(key, "321") == 0;
-    if (!is321 && PyUnicode_CompareWithASCIIString(key, "312") != 0)
         Py_RETURN_NONE;
 
     /* the left-to-right maxima; between[i] counts the non-maximum steps up
@@ -876,10 +936,8 @@ bounded_census(PyObject *module, PyObject *args)
     } else if (limit_obj != Py_None) {
         Py_RETURN_NONE;
     }
-    if (n < 0 || n > CENSUS_MAXN || r < 0 || r > CENSUS_MAXR || !PyUnicode_Check(key))
-        Py_RETURN_NONE;
-    int is321 = PyUnicode_CompareWithASCIIString(key, "321") == 0;
-    if (!is321 && PyUnicode_CompareWithASCIIString(key, "312") != 0)
+    int is321 = pattern_key(key);
+    if (n < 0 || n > CENSUS_MAXN || r < 0 || r > CENSUS_MAXR || is321 < 0)
         Py_RETURN_NONE;
 
     rules R;
@@ -920,7 +978,8 @@ static PyMethodDef fastcount_methods[] = {
     {"heights_321", (PyCFunction)heights_321, METH_O, heights_321_doc},
     {"scan_path", (PyCFunction)scan_path, METH_O, scan_path_doc},
     {"path_from_heights", (PyCFunction)path_from_heights, METH_O, path_from_heights_doc},
-    {"perm_from_heights", (PyCFunction)perm_from_heights, METH_O, perm_from_heights_doc},
+    {"encode_path", (PyCFunction)(void (*)(void))encode_path, METH_FASTCALL, encode_path_doc},
+    {"is_permutation", (PyCFunction)is_permutation, METH_O, is_permutation_doc},
     {"decode_psi312", (PyCFunction)decode_psi312, METH_O, decode_psi312_doc},
     {"predicted_triples", (PyCFunction)predicted_triples, METH_VARARGS, predicted_triples_doc},
     {"bounded_census", (PyCFunction)bounded_census, METH_VARARGS, bounded_census_doc},
@@ -930,7 +989,7 @@ static PyMethodDef fastcount_methods[] = {
 static struct PyModuleDef fastcount_module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "permdyck._fastcount",
-    .m_doc = "Compiled counting kernels, encoder and decoder primitives, jump predictions; see permdyck.kernels.",
+    .m_doc = "Compiled counting kernels, encoder and decoder primitives, jump predictions, the bounded census; see permdyck.kernels.",
     .m_size = -1,
     .m_methods = fastcount_methods,
 };

@@ -12,8 +12,11 @@ triple, running over i < k,
   middle entry p_k (descents into it times smaller entries after it).
 
 The encoder and decoder primitives are the definitions that ``perms``,
-``paths`` and ``bijections`` wrap.  ``scan_path``, ``path_from_heights``
-and ``perm_from_heights`` raise ``Rejected``, naming the fault, for a step
+``paths`` and ``bijections`` wrap.  ``encode_path`` composes
+``path_from_heights`` with ``heights_312`` or ``heights_321``, and
+``is_permutation`` is the check ``perms.Permutation`` runs on a tuple or
+list of exact ints.  ``scan_path``, ``path_from_heights`` and
+``perm_from_heights`` raise ``Rejected``, naming the fault, for a step
 string or height vector that is not a path's or an inversion table's.
 ``decode_psi312`` composes ``scan_path``, the sandwich check and
 ``perm_from_heights``, and raises what they raise.
@@ -131,6 +134,26 @@ def heights_321(values: Sequence[int]) -> tuple[int, ...]:
                     h += 1
         out.append(h)
     return tuple(out)
+
+
+def encode_path(values: Sequence[int], key: str) -> str:
+    """The image of ``values`` under the encoder for the pattern ``key``,
+    "312" or "321": the path of its ``heights_312`` or ``heights_321``."""
+    if key == "312":
+        return path_from_heights(heights_312(values))
+    if key == "321":
+        return path_from_heights(heights_321(values))
+    raise ValueError(f"no encoder for the pattern key {key!r}")
+
+
+def is_permutation(values) -> bool:
+    """Whether ``values`` is a tuple or list of ints, each exactly an int
+    (no bool), that is a permutation of 1..n."""
+    return (
+        isinstance(values, (tuple, list))
+        and all(type(v) is int for v in values)
+        and sorted(values) == list(range(1, len(values) + 1))
+    )
 
 
 def perm_from_heights(heights: Sequence[int]) -> tuple[int, ...]:

@@ -1,7 +1,8 @@
 """Encodings of permutations as Dyck paths with down-jumps, their inverses
 on pattern-avoiding permutations, and the jump/occurrence structure theory.
 
-Three encoders share one translation step (``paths.path_from_down_heights``):
+Three encoders share one translation step, from down-step heights to a
+path (``paths.path_from_down_heights``, the kernels' ``path_from_heights``):
 
 - ``psi_avoiding``: the staircase map defined on all of S_n.  Mark the
   left-to-right maxima of the permutation graph, take the region of cells
@@ -11,10 +12,11 @@ Three encoders share one translation step (``paths.path_from_down_heights``):
   at position k under that maximum has height h_m - (k - m)); the literal
   geometric construction is kept as ``psi_avoiding_by_rotation`` and the
   two are asserted equal in the test suite.
-- ``psi312`` / ``psi321``: translate ``heights_312`` / ``heights_321``.
-  Both are injections into the paths with down-jumps; they agree with
-  ``psi_avoiding`` exactly on the (3,1,2)- resp. (3,2,1)-avoiding
-  permutations, where the image is jump-free.
+- ``psi312`` / ``psi321``: translate ``heights_312`` / ``heights_321``, in
+  one kernel call each (``kernels.encode_path``).  Both are injections
+  into the paths with down-jumps; they agree with ``psi_avoiding`` exactly
+  on the (3,1,2)- resp. (3,2,1)-avoiding permutations, where the image is
+  jump-free.
 
 The i-th down-step of an image always corresponds to the i-th entry of the
 permutation, and every left-to-right maximum becomes a peak of the path.
@@ -40,8 +42,6 @@ from permdyck.perms import (
     _pattern_key,
     as_pattern,
     count_occurrences_fast,
-    heights_312,
-    heights_321,
     left_to_right_maxima,
 )
 
@@ -124,7 +124,10 @@ def psi312(rho: Permutation) -> str:
     >>> psi312(Permutation((4, 3, 5, 1, 2)))
     'UUUUDDUDJDUD'
     """
-    return paths.path_from_down_heights(heights_312(rho))
+    try:
+        return kernels.encode_path(rho, "312")
+    except kernels.Rejected as exc:
+        raise PathError(*exc.args) from None
 
 
 def psi321(rho: Permutation) -> str:
@@ -133,7 +136,10 @@ def psi321(rho: Permutation) -> str:
     >>> psi321(Permutation((4, 3, 5, 1, 2)))
     'UUUUDJJDUUUDDD'
     """
-    return paths.path_from_down_heights(heights_321(rho))
+    try:
+        return kernels.encode_path(rho, "321")
+    except kernels.Rejected as exc:
+        raise PathError(*exc.args) from None
 
 
 def psi_tau(rho: Permutation, tau) -> str:

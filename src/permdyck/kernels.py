@@ -1,7 +1,7 @@
 """The counting kernels, the encoder and decoder primitives, the jump
 predictions and the bounded census, from the selected backend.
 
-Two backends hold the same ten functions.  The compiled extension
+Two backends hold the same eleven functions.  The compiled extension
 ``permdyck._fastcount`` (one hand-written C file, built by ``python
 setup.py build_ext --inplace`` or on install when a C compiler is present)
 is preferred when importable; ``BACKEND`` is then ``"c"``.  Otherwise the
@@ -20,12 +20,15 @@ the other:
 - Encoding.  ``heights_312``, ``heights_321``, ``scan_path`` (the one-pass
   parse of a path) and ``path_from_heights`` back ``perms`` and ``paths``.
   The pure ``heights_321`` counts by its two-branch definition; the
-  compiled one derives it from the (3,1,2) heights.
-- Decoding.  ``perm_from_heights`` inverts ``heights_312``: it rebuilds a
-  permutation from its inversion table.  ``decode_psi312`` inverts
-  ``psi312``: it parses the path, checks that every jump is sandwiched
-  and decodes the heights.  The pure one composes ``scan_path``, that
-  check and ``perm_from_heights``; the compiled one does all three in one
+  compiled one derives it from the (3,1,2) heights.  ``encode_path(values,
+  key)`` is ``bijections.psi312`` (key "312") or ``psi321`` (key "321"):
+  ``path_from_heights`` of the permutation's heights, in one call.
+  ``is_permutation`` is the check of ``perms.Permutation``: whether a tuple
+  or list of ints, none of them a bool, is a permutation of 1..n.
+- Decoding.  ``decode_psi312`` inverts ``psi312``: it parses the path,
+  checks that every jump is sandwiched and decodes the heights as an
+  inversion table.  The pure one composes ``scan_path``, that check and
+  ``_purecount.perm_from_heights``; the compiled one does all three in one
   pass.
 - Jump predictions.  ``predicted_triples(rho, key, heights, spans)``
   returns the sorted, distinct occurrence triples that the jumps of an
@@ -42,26 +45,27 @@ the other:
   and hold the same states, the compiled one with its own code, not the
   sweep's: 128-bit counts, exact for n_max <= 34 (34! < 2**128).
 
-One hand-over rule holds for the nine per-input functions, ``count_pair``,
-the seven primitives and ``bounded_census``: the compiled one returns None
+One hand-over rule holds for the ten per-input functions, ``count_pair``,
+the eight primitives and ``bounded_census``: the compiled one returns None
 for an input it does not handle, and the function here then runs the pure
 one, which also names the fault of a rejected path, height vector or
-inversion table by raising ``Rejected``.  The compiled ``count_pair``,
-``heights_312`` and ``heights_321`` handle a tuple or list holding a
-permutation of 1..n with n <= ``MAXN`` = 20; ``scan_path`` a str holding a
-valid path; ``path_from_heights`` a tuple or list of nonnegative ints that
-ends at 0; ``perm_from_heights`` a tuple or list of n <= ``MAXN`` ints
-whose i-th (from 1) lies in 0..n - i; ``decode_psi312`` a str holding a
+inversion table by raising ``Rejected``.  The compiled ``count_pair``, ``heights_312`` and
+``heights_321`` handle a tuple or list holding a permutation of 1..n with
+n <= ``MAXN`` = 20; ``encode_path`` such a permutation and a key "312" or
+"321"; ``is_permutation`` a tuple or list of at most ``MAXN`` ints, each
+exactly an int (no bool), and answers True or False for it;
+``scan_path`` a str holding a valid path; ``path_from_heights`` a tuple or
+list of nonnegative ints that ends at 0; ``decode_psi312`` a str holding a
 valid path with at most ``MAXN`` down-steps whose jumps are sandwiched and
-whose heights are such a table; ``predicted_triples`` a permutation as
-``count_pair`` takes it, a key "312" or "321", n heights in 0..2**30 and a
-tuple or list of jump runs, each a tuple or list of five ints in 0..2**30
-with 1 <= position < n, m <= position and position + l <= n;
-``bounded_census`` an int n_max in 0..34, a key "312" or "321", an int
-r_max in 0..14 and a limit that is None or an int.  ``histogram_pair``
-hands nothing over: both backends sweep 0 <= n <= ``MAXN`` only (20!
-still fits the compiled 64-bit bins) and raise ``ValueError`` for any
-other n and for a bad prefix.  With the compiled kernel selected, the
+whose heights are an inversion table (the i-th, from 1, in 0..n - i);
+``predicted_triples`` a permutation as ``count_pair`` takes it, a key
+"312" or "321", n heights in 0..2**30 and a tuple or list of jump runs,
+each a tuple or list of five ints in 0..2**30 with 1 <= position < n,
+m <= position and position + l <= n; ``bounded_census`` an int n_max in
+0..34, a key "312" or "321", an int r_max in 0..14 and a limit that is
+None or an int.  ``histogram_pair`` hands nothing over: both backends
+sweep 0 <= n <= ``MAXN`` only (20! still fits the compiled 64-bit bins)
+and raise ``ValueError`` for any other n and for a bad prefix.  With the compiled kernel selected, the
 pure module is imported only when a first input is handed over, and
 ``kernels.Rejected`` only then resolves.
 """
@@ -120,7 +124,8 @@ heights_312 = _handing_over("heights_312")
 heights_321 = _handing_over("heights_321")
 scan_path = _handing_over("scan_path")
 path_from_heights = _handing_over("path_from_heights")
-perm_from_heights = _handing_over("perm_from_heights")
+encode_path = _handing_over("encode_path")
+is_permutation = _handing_over("is_permutation")
 decode_psi312 = _handing_over("decode_psi312")
 predicted_triples = _handing_over("predicted_triples")
 bounded_census = _handing_over("bounded_census")

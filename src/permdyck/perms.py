@@ -28,7 +28,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-import numbers
 from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -67,6 +66,8 @@ def _integers(values: Iterable, error: type, what: str) -> tuple[int, ...]:
     raw = tuple(values)
     ints = tuple(map(int, raw))
     if ints != raw:
+        import numbers
+
         for v, i in zip(raw, ints):
             if isinstance(v, numbers.Number) and v != i:
                 raise error(f"non-integral {what} {v!r} in {raw!r}")
@@ -76,7 +77,13 @@ def _integers(values: Iterable, error: type, what: str) -> tuple[int, ...]:
 class Permutation(tuple):
     """A permutation of {1, ..., n} in one-line notation.
 
-    The empty permutation (n = 0) and n = 1 are both legal.
+    The empty permutation (n = 0) and n = 1 are both legal.  A tuple or
+    list of ints (``type(v) is int``) that is a permutation is taken as it
+    is, checked by the kernel (``kernels.is_permutation``).  Anything else
+    goes through the full check: each value becomes ``int(v)``, so a bool,
+    an integral float or a digit string is accepted as its int, a
+    non-integral number raises ``PatternError``, and so does a result that
+    is not a permutation of 1..n.
 
     >>> Permutation((4, 3, 5, 1, 2)).n
     5
@@ -87,6 +94,10 @@ class Permutation(tuple):
     __slots__ = ()
 
     def __new__(cls, values: Iterable[int] = ()) -> "Permutation":
+        # only a tuple or list reaches the kernel: it would hand any other
+        # iterable over to the pure module
+        if isinstance(values, (tuple, list)) and kernels.is_permutation(values):
+            return tuple.__new__(cls, values)
         vals = _integers(values, PatternError, "value")
         if sorted(vals) != list(range(1, len(vals) + 1)):
             raise PatternError(f"not a permutation of 1..{len(vals)}: {vals!r}")

@@ -4,7 +4,9 @@
   polynomials P, Q of F = (P(x) + sqrt(1-4x) Q(x)) / D, with D from
   ``denominator``; rows exist for tau in {(3,1,2), (3,2,1)} and r = 0, 1,
   2, plus the conjectured r = 3, 4 forms for (3,2,1) (the pairs in
-  ``CONJECTURAL``);
+  ``CONJECTURAL``).  The rows are kept as integers over one denominator
+  each, and ``GF_PQ``, with its ``Fraction`` coefficients, is built from
+  them on first access;
 - ``denominator(key, r)``: the rule for D, sqrt(1-4x)^(2r-1) for (3,1,2)
   with r >= 1, else 2 x^(2r+1);
 - ``coefficients(tau, r, n_max)``: the x-coefficients of a row's F, by
@@ -20,29 +22,28 @@ argument is checked by ``perms._pattern_key``: a pattern other than
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from permdyck.perms import _pattern_key, catalan_number
 
 __all__ = ["GF_PQ", "CONJECTURAL", "denominator", "coefficients", "count_closed_form"]
 
-# (pattern, r) -> (P, Q), each {x-degree: coefficient}, with
-# F = (P(x) + sqrt(1-4x) Q(x)) / D and D from ``denominator``.  r = 0 is
-# recorded once, as (3,2,1): both patterns have the Catalan series there.
-GF_PQ: dict[tuple[str, int], tuple[dict[int, int | Fraction], dict[int, int | Fraction]]] = {
-    ("312", 1): ({0: Fraction(1, 2), 1: Fraction(-3, 2)}, {0: Fraction(-1, 2), 1: Fraction(1, 2)}),
-    ("312", 2): (
-        {0: 1, 1: Fraction(-15, 2), 2: Fraction(29, 2), 3: -2, 4: 1},
-        {0: -1, 1: Fraction(11, 2), 2: Fraction(-11, 2), 3: -2},
-    ),
-    ("321", 0): ({0: 1}, {0: -1}),
-    ("321", 1): ({0: 1, 1: -6, 2: 9, 3: -2}, {0: -1, 1: 4, 2: -3}),
+# (pattern, r) -> (den, P, Q), P and Q each {x-degree: integer numerator}
+# over the row's one denominator den, with F = (P(x) + sqrt(1-4x) Q(x)) /
+# (den D) and D from ``denominator``.  r = 0 is recorded once, as (3,2,1):
+# both patterns have the Catalan series there.
+_ROWS: dict[tuple[str, int], tuple[int, dict[int, int], dict[int, int]]] = {
+    ("312", 1): (2, {0: 1, 1: -3}, {0: -1, 1: 1}),
+    ("312", 2): (2, {0: 2, 1: -15, 2: 29, 3: -4, 4: 2}, {0: -2, 1: 11, 2: -11, 3: -4}),
+    ("321", 0): (1, {0: 1}, {0: -1}),
+    ("321", 1): (1, {0: 1, 1: -6, 2: 9, 3: -2}, {0: -1, 1: 4, 2: -3}),
     ("321", 2): (
+        1,
         {0: 1, 1: -8, 2: 20, 3: -17, 4: 7, 5: -5},
         {0: -1, 1: 6, 2: -10, 3: 5, 4: -3, 5: 1},
     ),
     ("321", 3): (
+        1,
         {0: 1, 1: -10, 2: 33, 3: -32, 4: -31, 5: 70, 6: -35, 8: 2},
         {0: -1, 1: 8, 2: -19, 3: 6, 4: 27, 5: -28, 6: 7, 7: 2},
     ),
@@ -51,10 +52,25 @@ GF_PQ: dict[tuple[str, int], tuple[dict[int, int | Fraction], dict[int, int | Fr
     # n = 4..9 exactly, and the opposite sign does not even give a power
     # series (the numerator would have a nonzero constant term).
     ("321", 4): (
+        1,
         {0: 1, 1: -12, 2: 50, 3: -65, 4: -107, 5: 437, 6: -588, 7: 492, 8: -314, 9: 108, 10: -3},
         {0: -1, 1: 10, 2: -32, 3: 17, 4: 107, 5: -245, 6: 256, 7: -192, 8: 102, 9: -18, 10: -1},
     ),
 }
+
+
+def __getattr__(name: str):
+    # ``GF_PQ``, the rows as (P, Q) with int or Fraction coefficients, is
+    # built on first access, so that ``coefficients`` never loads fractions
+    if name == "GF_PQ":
+        global GF_PQ
+        GF_PQ = {
+            row: tuple({i: _ratio(v, den) for i, v in poly.items()} for poly in pq)
+            for row, (den, *pq) in _ROWS.items()
+        }
+        return GF_PQ
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 CONJECTURAL = frozenset((("321", 3), ("321", 4)))
 
@@ -68,10 +84,15 @@ def denominator(key: str, r: int) -> tuple[int, int, int]:
     return 2, 2 * r + 1, 0
 
 
-def _ratio(num: int, den: int) -> int | Fraction:
-    """num / den, an int when den divides it; only error texts need this."""
+def _ratio(num: int, den: int):
+    """num / den, an int when den divides it, else a ``Fraction``; only
+    ``GF_PQ`` and error texts need this."""
     q, rem = divmod(num, den)
-    return Fraction(num, den) if rem else q
+    if not rem:
+        return q
+    from fractions import Fraction
+
+    return Fraction(num, den)
 
 
 def _binomial_series(m: int, n_max: int) -> list[int]:
@@ -88,9 +109,8 @@ def coefficients(tau, r: int, n_max: int) -> list[int]:
     """[x^n] of the generating function of #S_n(tau, r), for n = 0..n_max.
 
     With D = c x^e sqrt(1-4x)^m, F = (P S^(-m) + Q S^(1-m)) / (c x^e), where
-    S = sqrt(1-4x), so the row's P and Q, scaled to integers by the lcm of
-    their denominators, are convolved with the binomial series of S^(-m)
-    and S^(1-m).  The checks and texts are those of ``series.gf``: the
+    S = sqrt(1-4x), so the row's integer P and Q, over its denominator,
+    are convolved with the binomial series of S^(-m) and S^(1-m).  The checks and texts are those of ``series.gf``: the
     numerator must vanish below x^e, and every coefficient must be a
     nonnegative integer (``AssertionError`` otherwise).
 
@@ -98,18 +118,17 @@ def coefficients(tau, r: int, n_max: int) -> list[int]:
     [0, 0, 0, 1, 5, 21, 84, 330]
     """
     key = _pattern_key(tau)
-    row = GF_PQ.get((key, r) if r else ("321", 0))
+    row = _ROWS.get((key, r) if r else ("321", 0))
     if row is None:
         raise ValueError(f"no generating function recorded for ({key}, r={r})")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     c, e, m = denominator(key, r)
-    scale = lcm(*(v.denominator for poly in row for v in poly.values()))
+    scale, *pq = row
     top = n_max + e
     num = [0] * (top + 1)
-    for poly, power in zip(row, (_binomial_series(m, top), _binomial_series(m - 1, top))):
+    for poly, power in zip(pq, (_binomial_series(m, top), _binomial_series(m - 1, top))):
         for i, v in poly.items():
-            v = v.numerator * (scale // v.denominator)
             if v:
                 for k in range(i, top + 1):
                     num[k] += v * power[k - i]

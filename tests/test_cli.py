@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import permdyck
-from permdyck import census
+from permdyck import census, kernels
 from permdyck.cli import EXIT_CACHE, EXIT_PIPE, EXIT_USAGE, build_parser, main, render_svg
 from permdyck.paths import PathError
 
@@ -470,6 +470,23 @@ class TestStartupImports:
         loaded = loaded_submodules(f"from permdyck import cli\ncli.main({argv!r})")
         assert "permdyck.recorded" in loaded
         assert not loaded & self.LATE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--tau", "321", "--n", "0..6", "--cache-dir", ""],
+            ["verify", "--formulas", "--n-max", "6"],
+            ["verify", "--conjectures", "--n-max", "6"],
+            ["coeffs", "--tau", "321", "--r", "4"],
+        ],
+    )
+    def test_commands_load_no_pure_kernel_numbers_or_fractions(self, argv):
+        # the pure kernel is loaded only when it is the selected backend
+        loaded = loaded_modules(f"from permdyck import cli\ncli.main({argv!r})")
+        assert ("permdyck._purecount" in loaded) == (kernels.BACKEND == "python")
+        assert "numbers" not in loaded
+        if argv[0] != "table":
+            assert not loaded & {"fractions", "decimal"}
 
     def test_assemblies_load_series(self):
         code = "from permdyck import cli\ncli.main(['verify', '--assemblies', '--order', '8'])"

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permdyck import _purecount, bijections, census, kernels, paths
-from permdyck.perms import Permutation, all_permutations, find_occurrences
+from permdyck import _purecount, bijections, census, kernels, paths, perms
+from permdyck.perms import PatternError, Permutation, all_permutations, find_occurrences
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "permdyck" / "_fastcount.c"
 
@@ -119,16 +119,24 @@ def test_compiled_size_limit(fastcount):
     assert kernels.count_pair(tuple(range(21, 0, -1))) == (0, 1330)
 
 
-_PER_INPUT = (
-    "count_pair",
-    "heights_312",
-    "heights_321",
-    "scan_path",
-    "path_from_heights",
-    "perm_from_heights",
-    "decode_psi312",
-)
+# each per-input primitive, with the arguments that follow the input
+_PER_INPUT = {
+    "count_pair": (),
+    "heights_312": (),
+    "heights_321": (),
+    "scan_path": (),
+    "path_from_heights": (),
+    "encode_path": ("312",),
+    "is_permutation": (),
+    "decode_psi312": (),
+}
 _LONG = tuple(range(21, 0, -1))[::2] + tuple(range(21, 0, -1))[1::2]  # length MAXN + 1
+
+
+def _exact_ints(value):
+    """A tuple or list of at most MAXN ints, none of them a bool: the inputs
+    the compiled ``is_permutation`` answers itself."""
+    return isinstance(value, (tuple, list)) and len(value) <= 20 and all(type(v) is int for v in value)
 
 
 @pytest.mark.parametrize("name", _PER_INPUT)
@@ -137,10 +145,16 @@ _LONG = tuple(range(21, 0, -1))[::2] + tuple(range(21, 0, -1))[1::2]  # length M
 )
 def test_compiled_primitives_hand_over(fastcount, on_each_backend, name, value):
     # one contract: None, never an exception, for an input the compiled
-    # kernel does not handle, and ``kernels`` returns the pure outcome
-    assert getattr(fastcount, name)(value) is None
-    expect = _outcome(getattr(_purecount, name), value)
-    assert on_each_backend(getattr(kernels, name), value) == [expect, expect]
+    # kernel does not handle, and ``kernels`` returns the pure outcome;
+    # ``is_permutation`` answers False itself for the exact ints here
+    args = (value, *_PER_INPUT[name])
+    expect = _outcome(getattr(_purecount, name), *args)
+    got = getattr(fastcount, name)(*args)
+    if name == "is_permutation" and _exact_ints(value):
+        assert got is expect is False
+    else:
+        assert got is None
+    assert on_each_backend(getattr(kernels, name), *args) == [expect, expect]
 
 
 def test_count_pair_matches_oracle_exhaustive():
@@ -351,15 +365,107 @@ def test_path_build_rejects_as_pure(fastcount, on_each_backend, heights):
         assert compiled[0] is paths.PathError
 
 
+# -- one-call encoder and the permutation check -----------------------------
+
+
+def test_compiled_encoder_and_check_match_pure_on_s0_to_s8(fastcount):
+    for n in range(9):
+        for rho in itertools.permutations(range(1, n + 1)):
+            for key in ("312", "321"):
+                assert fastcount.encode_path(rho, key) == _purecount.encode_path(rho, key), (rho, key)
+            assert fastcount.is_permutation(rho) is _purecount.is_permutation(rho) is True
+    assert fastcount.encode_path([4, 3, 5, 1, 2], "321") == "UUUUDJJDUUUDDD"
+    assert fastcount.is_permutation([2, 1]) is True
+
+
+def test_compiled_check_matches_pure_on_every_short_word(fastcount):
+    # every word over 0..n + 1 of length n <= 5, permutation or not
+    for n in range(6):
+        for word in itertools.product(range(n + 2), repeat=n):
+            assert fastcount.is_permutation(word) is _purecount.is_permutation(word), word
+
+
+# inputs that the compiled encoder and check hand over, or answer False for,
+# as factories: a generator is read once
+_HANDED_OVER = {
+    "n21": lambda: _LONG,
+    "bool": lambda: (True, 2),
+    "one bool": lambda: [True],
+    "float": lambda: (1.0, 2),
+    "digits": lambda: ["1", "2"],
+    "repeat": lambda: (1, 1),
+    "zero": lambda: (0, 1),
+    "range": lambda: range(1, 4),
+    "generator": lambda: (v for v in (2, 3, 1)),
+    "letter": lambda: ("a",),
+    "str": lambda: "abc",
+}
+
+
+@pytest.mark.parametrize("case", _HANDED_OVER)
+def test_encoder_and_check_hand_over_as_pure(fastcount, on_each_backend, case):
+    make = _HANDED_OVER[case]
+    calls = [("is_permutation",)] + [("encode_path", key) for key in ("312", "321")]
+    for name, *rest in calls:
+        got = getattr(fastcount, name)(make(), *rest)
+        expect = _outcome(getattr(_purecount, name), make(), *rest)
+        if name == "is_permutation" and _exact_ints(make()):
+            assert got is expect is False
+        elif name == "encode_path" and case in ("bool", "one bool"):
+            # the encoder reads a bool as its int, as heights_312 does
+            assert got == expect
+        else:
+            assert got is None
+        assert on_each_backend(lambda: getattr(kernels, name)(make(), *rest)) == [expect, expect]
+
+
+def _made(value):
+    """A constructed value as its type, its items and their types."""
+    return type(value).__name__, tuple(value), tuple(type(v).__name__ for v in value)
+
+
+# ``Permutation`` of each input of ``_HANDED_OVER``: the values, item types
+# and exception texts of the check before the kernel took part in it
+_PERMUTATION_OF = {
+    "n21": _made(Permutation._of(_LONG)),
+    "bool": ("Permutation", (1, 2), ("int", "int")),
+    "one bool": ("Permutation", (1,), ("int",)),
+    "float": ("Permutation", (1, 2), ("int", "int")),
+    "digits": ("Permutation", (1, 2), ("int", "int")),
+    "repeat": (PatternError, "not a permutation of 1..2: (1, 1)"),
+    "zero": (PatternError, "not a permutation of 1..2: (0, 1)"),
+    "range": ("Permutation", (1, 2, 3), ("int", "int", "int")),
+    "generator": ("Permutation", (2, 3, 1), ("int", "int", "int")),
+    "letter": (ValueError, "invalid literal for int() with base 10: 'a'"),
+    "str": (ValueError, "invalid literal for int() with base 10: 'a'"),
+}
+
+
+@pytest.mark.parametrize("case", _HANDED_OVER)
+def test_permutation_check_as_before(on_each_backend, case):
+    make = _HANDED_OVER[case]
+    want = _PERMUTATION_OF[case]
+    assert on_each_backend(lambda: _made(Permutation(make()))) == [want, want]
+
+
+@pytest.mark.parametrize("case", _HANDED_OVER)
+def test_encoders_as_path_of_heights(on_each_backend, case):
+    # exceptions included: a str entry fails the (3,2,1) heights' comparison
+    make = _HANDED_OVER[case]
+    for encode, heights in ((bijections.psi312, perms.heights_312), (bijections.psi321, perms.heights_321)):
+        want = _outcome(lambda: paths.path_from_down_heights(heights(make())))
+        assert on_each_backend(lambda: _outcome(encode, make())) == [want, want]
+
+
 # -- decoder primitive ------------------------------------------------------
 
 
 def test_compiled_decoder_matches_pure_on_s0_to_s7(fastcount):
     for n in range(8):
         for rho in itertools.permutations(range(1, n + 1)):
-            h = _purecount.heights_312(rho)
-            assert fastcount.perm_from_heights(h) == _purecount.perm_from_heights(h) == rho
-    assert fastcount.perm_from_heights([2, 0, 0]) == (3, 1, 2)
+            path = _purecount.path_from_heights(_purecount.heights_312(rho))
+            assert fastcount.decode_psi312(path) == _purecount.decode_psi312(path) == rho
+    assert fastcount.decode_psi312("UUUDJDUD") == (3, 1, 2)
 
 
 @pytest.mark.parametrize(

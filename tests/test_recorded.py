@@ -3,7 +3,7 @@ oracle ``series.gf``."""
 
 import ast
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -17,11 +17,15 @@ ROWS = sorted(recorded.GF_PQ) + [("312", 0)]
 
 @pytest.fixture
 def patched_row(monkeypatch):
-    """Replace one row of ``GF_PQ`` for the test, with ``gf``'s cache clear
-    on both sides of it."""
+    """Replace one row of ``GF_PQ`` for the test, and the same row of the
+    integer table ``coefficients`` reads, with ``gf``'s cache clear on both
+    sides of it."""
 
     def patch(row, p, q):
         monkeypatch.setitem(recorded.GF_PQ, row, (p, q))
+        den = lcm(*(Fraction(v).denominator for poly in (p, q) for v in poly.values()))
+        ints = ({i: int(v * den) for i, v in poly.items()} for poly in (p, q))
+        monkeypatch.setitem(recorded._ROWS, row, (den, *ints))
 
     series._gf_cached.cache_clear()
     yield patch
