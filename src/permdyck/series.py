@@ -5,7 +5,8 @@ Series live in the variable t with x = t**2, so the half-integer powers of
 x that appear in path weights (sqrt(x) per up/down step) and in the
 climbing-segment generating functions are ordinary t-shifts.  Coefficients
 are exact rationals (plain ints wherever possible, ``fractions.Fraction``
-otherwise); nothing here is floating point.
+otherwise); nothing here is floating point, and a float coefficient raises
+``TypeError``.
 
 A series "lives in x" when all odd t-coefficients vanish; the public
 counting series all do, and ``x_coefficients`` checks it.
@@ -72,15 +73,22 @@ Coef = Union[int, Fraction]
 
 def _norm(v) -> Coef:
     """The stored form of a coefficient: a plain int is returned as is, an
-    integral Fraction collapses to int (to keep arithmetic fast), and any
-    other non-int becomes a Fraction."""
+    integral value of any other exact type (a bool, an integral Fraction)
+    becomes an int (to keep arithmetic fast), and any other becomes a
+    Fraction.  A float raises ``TypeError``: its binary fraction is not the
+    decimal it prints as."""
     if type(v) is int:
         return v
-    if not isinstance(v, (int, Fraction)):
+    if isinstance(v, float):
+        raise TypeError(f"series coefficients are exact: got the float {v!r}")
+    if not isinstance(v, Fraction):
         v = Fraction(v)
-    if isinstance(v, Fraction) and v.denominator == 1:
+    if v.denominator == 1:
         return int(v)
     return v
+
+
+_INT = {int}
 
 
 class Series:
@@ -93,7 +101,9 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Coef]):
-        cs = tuple(map(_norm, coeffs))
+        cs = tuple(coeffs)
+        if set(map(type, cs)) != _INT:
+            cs = tuple(map(_norm, cs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -175,7 +185,9 @@ class Series:
         convolution loops over nonzero coefficients only: the nonzero
         (j, b_j) of the second operand are listed once, and each row stops
         at the first j past the order.  A series in x has every odd
-        t-coefficient zero, so this skips at least half of each operand."""
+        t-coefficient zero, so this skips at least half of each operand.
+        ``__truediv__`` and ``sqrt`` run the same loop over their own
+        nonzero coefficients."""
         if isinstance(other, (int, Fraction)):
             return Series(c * other for c in self.coeffs)
         a, b, m = self._pair(other)
@@ -206,6 +218,15 @@ class Series:
         return result
 
     def __truediv__(self, other):
+        """The quotient, exact to the smaller operand order less the
+        divisor's valuation v (both are shifted down by t**v first).
+
+        Each quotient coefficient q_k, once known, is subtracted times the
+        divisor's nonzero coefficients b_j from the remainders k + j ahead,
+        as ``__mul__`` convolves: zero q_k and zero b_j cost nothing, so a
+        monomial divisor (``gf``'s 2 x^(2r+1)) divides in linear time.  An int
+        remainder over an int b_0 is divided exactly, and a ``Fraction`` is
+        built only for a quotient coefficient that is not an integer."""
         if isinstance(other, (int, Fraction)):
             inv = Fraction(1, 1) / other
             return Series(c * inv for c in self.coeffs)
@@ -218,22 +239,27 @@ class Series:
             )
         if self.order < v:
             raise ValueError(f"dividend truncated below divisor valuation {v}")
-        a = self.coeffs[v:]
-        b = other.coeffs[v:]
-        m = min(len(a), len(b)) - 1
+        m = min(self.order, other.order) - v
+        rem = list(self.coeffs[v : v + m + 1])
+        b = other.coeffs[v : v + m + 1]
+        nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj != 0][1:]
         b0 = b[0]
-        invb0 = None if b0 in (1, -1) else Fraction(1, 1) / b0
+        exact = type(b0) is int
         q: list[Coef] = []
         for k in range(m + 1):
-            acc = a[k] if k < len(a) else 0
-            for j in range(1, k + 1):
-                bj = b[j] if j < len(b) else 0
-                if bj != 0:
-                    acc -= bj * q[k - j]
-            if invb0 is None:
-                q.append(_norm(acc) if b0 == 1 else _norm(-acc))
+            acc = rem[k]
+            if exact and type(acc) is int:
+                qk = acc // b0 if acc % b0 == 0 else Fraction(acc, b0)
             else:
-                q.append(_norm(acc * invb0))
+                qk = _norm(acc / b0)
+            q.append(qk)
+            if qk == 0:
+                continue
+            last = m - k
+            for j, bj in nonzero_b:
+                if j > last:
+                    break
+                rem[k + j] -= bj * qk
         return Series(q)
 
     def shift(self, k: int) -> "Series":
@@ -245,15 +271,35 @@ class Series:
         return Series(self.coeffs[-k:])
 
     def sqrt(self) -> "Series":
-        """The square root with constant term 1 (requires a_0 = 1)."""
+        """The square root with constant term 1 (requires a_0 = 1).
+
+        With s_0 = 1, each s_k = (a_k - 2 P_k - s_{k/2}**2) / 2, where P_k
+        sums s_i s_{k-i} over the pairs 0 < i < k - i, and the square term
+        is there only for even k.  Each pair is summed once, when its larger
+        index becomes known, over nonzero entries only, into P at their
+        index sum; an even int is halved without a ``Fraction``."""
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires constant term 1")
+        m = self.order
         out: list[Coef] = [1]
-        for k in range(1, self.order + 1):
-            acc = self.coeffs[k]
-            for i in range(1, k):
-                acc -= out[i] * out[k - i]
-            out.append(_norm(Fraction(acc, 2) if isinstance(acc, int) else acc / 2))
+        pairs: list[Coef] = [0] * (m + 1)
+        nonzero: list[int] = []
+        for k in range(1, m + 1):
+            acc = self.coeffs[k] - 2 * pairs[k]
+            if k % 2 == 0:
+                acc -= out[k // 2] ** 2
+            if type(acc) is int:
+                sk = acc >> 1 if acc % 2 == 0 else Fraction(acc, 2)
+            else:
+                sk = _norm(acc / 2)
+            out.append(sk)
+            if sk == 0:
+                continue
+            for i in nonzero:
+                if i + k > m:
+                    break
+                pairs[i + k] += out[i] * sk
+            nonzero.append(k)
         return Series(out)
 
     def __repr__(self) -> str:
@@ -446,6 +492,8 @@ class _Workbench:
         self.inv_1_c2x = self.one / (self.one - self.c2x)
         self.inv_1_cx = self.one / (self.one - self.cx)
         self.inv_1_x = self.one / (self.one - self.x)
+        # the factor 1/((1-cx)(1-x)) that every (3,2,1) segment sum shares
+        self.inv_1_cx_1_x = self.inv_1_cx * self.inv_1_x
 
     def cpow(self, k: int) -> Series:
         return _cpow(k, self.N)
@@ -460,10 +508,11 @@ def _occ1_321_sum(w: _Workbench) -> Series:
     # (1/sqrt x) * ( c * c^2 t^7 / ((1-cx)(1-x))
     #              + sum_{l>=1} c^{l+2} t^{l+1} * c^2 t^{l+6} / ((1-cx)(1-x)) )
     # (the l = 0 piece carries t^7, outside the t^{l+6} pattern of l >= 1;
-    # the 1/sqrt x lowers every exponent by one)
-    base = w.inv_1_cx * w.inv_1_x * w.cpow(2)
-    terms = ((2 * l + 6, w.cpow(l + 2) * base) for l in count(1))
-    return _tsum(w.N, chain([(6, w.c * base)], terms))
+    # the 1/sqrt x lowers every exponent by one).  Every term shares the
+    # factor 1/((1-cx)(1-x)), so the powers c^3 t^6 and c^{l+4} t^{2l+6} are
+    # summed first and the factor multiplies the sum once.
+    terms = ((2 * l + 6, w.cpow(l + 4)) for l in count(1))
+    return _tsum(w.N, chain([(6, w.cpow(3))], terms)) * w.inv_1_cx_1_x
 
 
 def _S312_2_2_sum(w: _Workbench) -> Series:
@@ -492,17 +541,25 @@ def _S312_2_11_sum(w: _Workbench) -> Series:
 def _S321_2_2_sum(w: _Workbench) -> Series:
     # c * c^3 t^10 / ((1-cx)(1-x)) + c^3 t^3 * c^3 t^9 / ((1-cx)(1-x))
     #   + sum_{l>=2} c^{l+2} t^{l+1} t * c^3 t^{l+6} / ((1-cx)(1-x))
-    base = w.inv_1_cx * w.inv_1_x * w.cpow(3)
-    terms = ((2 * l + 8, w.cpow(l + 2) * base) for l in count(2))
-    return _tsum(w.N, chain([(10, w.c * base), (12, w.cpow(3) * base)], terms))
+    # The powers c^4 t^10, c^6 t^12 and c^{l+5} t^{2l+8} are summed first,
+    # and their shared factor 1/((1-cx)(1-x)) multiplies the sum once.
+    terms = ((2 * l + 8, w.cpow(l + 5)) for l in count(2))
+    return _tsum(w.N, chain([(10, w.cpow(4)), (12, w.cpow(6))], terms)) * w.inv_1_cx_1_x
+
+
+def _inner_sum(w: _Workbench, offset: int, cexp: int, tail: int, l: int) -> Series:
+    # sum_k t^{k+offset+l}/(1-x) * c^{k+cexp} * t^{k+tail}: the powers
+    # c^{k+cexp} t^{2k+offset+l+tail} are summed first, and their shared
+    # factor 1/(1-x) multiplies the sum once
+    terms = ((2 * k + offset + l + tail, w.cpow(k + cexp)) for k in count())
+    return _tsum(w.N, terms) * w.inv_1_x
 
 
 def _inner_sum_check(w: _Workbench, offset: int, cexp: int, tail: int, l: int) -> AssemblyCheck:
     """sum_k t^{k+offset+l}/(1-x) * c^{k+cexp} * t^{k+tail}
     == c^cexp t^{l+offset+tail} / ((1-cx)(1-x))."""
-    terms = ((2 * k + offset + l + tail, w.inv_1_x * w.cpow(k + cexp)) for k in count())
-    total = _tsum(w.N, terms)
-    rhs = (w.cpow(cexp) * w.inv_1_cx * w.inv_1_x).shift(l + offset + tail).truncate(w.N)
+    total = _inner_sum(w, offset, cexp, tail, l)
+    rhs = (w.cpow(cexp) * w.inv_1_cx_1_x).shift(l + offset + tail).truncate(w.N)
     mism = total.first_mismatch(rhs)
     return AssemblyCheck(
         name=f"inner-sum(c^{cexp}, l={l})", passed=mism is None, first_mismatch=mism

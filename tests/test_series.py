@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain, count
 from math import comb
 
 import pytest
@@ -102,6 +103,112 @@ class TestArithmetic:
         assert (h.sqrt() * h.sqrt()).first_mismatch(h) is None
 
 
+def schoolbook_quotient(f: Series, g: Series) -> Series:
+    """Long division with every j <= k, zero or not: after shifting both
+    operands down by the divisor's valuation v, q_k = (a_k - sum_{j=1}^{k}
+    b_j q_{k-j}) / b_0, each divided as a Fraction."""
+    v = g.valuation()
+    a, b = f.coeffs[v:], g.coeffs[v:]
+    q: list = []
+    for k in range(min(len(a), len(b))):
+        acc = a[k]
+        for j in range(1, k + 1):
+            acc -= b[j] * q[k - j]
+        q.append(Fraction(acc) / b[0])
+    return Series(q)
+
+
+def schoolbook_sqrt(f: Series) -> Series:
+    """s_0 = 1 and s_k = (a_k - sum_{i=1}^{k-1} s_i s_{k-i}) / 2, every pair
+    of the sum multiplied, each halving a Fraction."""
+    out: list = [1]
+    for k in range(1, f.order + 1):
+        acc = f.coeffs[k]
+        for i in range(1, k):
+            acc -= out[i] * out[k - i]
+        out.append(Fraction(acc) / 2)
+    return Series(out)
+
+
+coefficients = st.one_of(
+    st.just(0),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-20, max_value=20, max_denominator=9),
+)
+nonzero_coefficients = st.one_of(
+    st.sampled_from([1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]),
+    st.integers(min_value=-30, max_value=30).filter(bool),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool),
+)
+
+
+@st.composite
+def series_values(draw, head=coefficients, valuation=0, in_x=False, max_size=30):
+    """A series of valuation at least ``valuation`` whose first coefficient
+    past it is drawn from ``head``; ``in_x`` zeroes every odd
+    t-coefficient (``valuation`` must then be even)."""
+    cs = [draw(head)] + draw(st.lists(coefficients, max_size=max_size))
+    if in_x:
+        cs = [c for pair in zip(cs, [0] * len(cs)) for c in pair]
+    return Series([0] * valuation + cs)
+
+
+@st.composite
+def quotient_operands(draw):
+    """A dividend and a divisor of the same valuation v (even when both live
+    in x); the dividend may vanish to a higher order."""
+    in_x = draw(st.booleans())
+    v = draw(st.integers(min_value=0, max_value=4)) * (2 if in_x else 1)
+    g = draw(series_values(head=nonzero_coefficients, valuation=v, in_x=in_x))
+    f = draw(series_values(valuation=v, in_x=in_x))
+    return f, g
+
+
+class TestAgainstSchoolbook:
+    """Division and square root skip zero coefficients and divide ints
+    exactly; these compare them, coefficient and type, with the loops that
+    multiply every pair and divide every coefficient as a Fraction."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(quotient_operands())
+    def test_division(self, operands):
+        f, g = operands
+        got, want = f / g, schoolbook_quotient(f, g)
+        assert got.coeffs == want.coeffs
+        assert types(got) == types(want)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.booleans(), st.data())
+    def test_sqrt(self, in_x, data):
+        tail = data.draw(series_values(valuation=2 if in_x else 1, in_x=in_x))
+        f = one(tail.order) + tail
+        got, want = f.sqrt(), schoolbook_sqrt(f)
+        assert got.coeffs == want.coeffs
+        assert types(got) == types(want)
+
+    def test_recorded_denominators(self):
+        # the kinds of division ``gf`` and the assemblies run: by a monomial
+        # and by the x-series 1 - cx
+        s = series.sqrt_one_minus_4x(70)
+        num = from_x_poly({0: 1, 1: -5, 2: 3}, 70) + from_x_poly({0: -1, 1: 3}, 70) * s
+        cx = series.catalan(70) * from_x_poly({1: 1}, 70)
+        for f, den in ((num.shift(10), monomial(10, 80, 2)), (num, one(70) - cx)):
+            assert (f / den).coeffs == schoolbook_quotient(f, den).coeffs
+        assert s.coeffs == schoolbook_sqrt(from_x_poly({0: 1, 1: -4}, 70)).coeffs
+
+    def test_error_texts(self):
+        below = "^dividend valuation below divisor valuation 2: quotient is not a power series$"
+        with pytest.raises(ValueError, match=below):
+            monomial(1, 6) / monomial(2, 6)
+        with pytest.raises(ValueError, match="^dividend truncated below divisor valuation 3$"):
+            Series([0, 0]) / monomial(3, 6)
+        with pytest.raises(ZeroDivisionError, match="^division by the zero series$"):
+            one(4) / series.zero(4)
+        for f in (Series([2, 1]), Series([Fraction(1, 2)]), Series([0, 1])):
+            with pytest.raises(ValueError, match="^sqrt requires constant term 1$"):
+                f.sqrt()
+
+
 def schoolbook_product(f: Series, g: Series) -> Series:
     """The truncated convolution, every coefficient pair multiplied."""
     m = min(f.order, g.order)
@@ -136,6 +243,19 @@ class TestCoefficientTypes:
         f = Series([3, Fraction(4, 2), Fraction(1, 3), Fraction(0, 5)])
         assert f.coeffs == (3, 2, Fraction(1, 3), 0)
         assert types(f) == [int, int, Fraction, int]
+
+    def test_bools_become_ints(self):
+        f = Series([True, 0, 2, False])
+        assert f.coeffs == (1, 0, 2, 0)
+        assert types(f) == [int] * 4
+        assert repr(f) == "Series([1, 0, 2, 0]; order=3)"
+        assert types(Series([Fraction(1, 2), True])) == [Fraction, int]
+
+    @pytest.mark.parametrize("cs", [[0.1], [1, 0.5], [Fraction(1, 3), 2.0]])
+    def test_floats_are_refused(self, cs):
+        bad = next(c for c in cs if isinstance(c, float))
+        with pytest.raises(TypeError, match=f"float {bad!r}"):
+            Series(cs)
 
     def test_scalar_add(self):
         f = Series([Fraction(1, 2), 1])
@@ -375,6 +495,66 @@ class TestClimbSegments:
             series._tsum(6, [(2, Series([1, 1]))])
 
 
+class MutatedPower:
+    """A workbench whose c**e is c**(e+1) for one exponent e."""
+
+    def __init__(self, w: series._Workbench, exponent: int):
+        self._w, self._exponent = w, exponent
+
+    def __getattr__(self, name):
+        return getattr(self._w, name)
+
+    def cpow(self, k: int) -> Series:
+        return self._w.cpow(k + 1 if k == self._exponent else k)
+
+
+def count_products(monkeypatch) -> list:
+    """Record the second operand of every ``Series`` product from now on."""
+    products = []
+    original = Series.__mul__
+
+    def mul(self, other):
+        products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", mul)
+    monkeypatch.setattr(Series, "__rmul__", mul)
+    return products
+
+
+# Each sum as the paper writes it: every term a full product with the
+# shared factor 1/((1-cx)(1-x)) or 1/(1-x), against the factored form
+def _occ1_321_per_term(w):
+    base = w.inv_1_cx * w.inv_1_x * w.cpow(2)
+    terms = ((2 * l + 6, w.cpow(l + 2) * base) for l in count(1))
+    return series._tsum(w.N, chain([(6, w.c * base)], terms))
+
+
+def _S321_2_2_per_term(w):
+    base = w.inv_1_cx * w.inv_1_x * w.cpow(3)
+    terms = ((2 * l + 8, w.cpow(l + 2) * base) for l in count(2))
+    return series._tsum(w.N, chain([(10, w.c * base), (12, w.cpow(3) * base)], terms))
+
+
+def _inner_sum_per_term(w, offset, cexp, tail, l):
+    terms = ((2 * k + offset + l + tail, w.inv_1_x * w.cpow(k + cexp)) for k in count())
+    return series._tsum(w.N, terms)
+
+
+PER_TERM = {
+    "occ1-321": (series._occ1_321_sum, _occ1_321_per_term),
+    "S321-2-2": (series._S321_2_2_sum, _S321_2_2_per_term),
+    "inner-c2-l0": (
+        lambda w: series._inner_sum(w, 5, 2, 1, 0),
+        lambda w: _inner_sum_per_term(w, 5, 2, 1, 0),
+    ),
+    "inner-c3-l4": (
+        lambda w: series._inner_sum(w, 4, 3, 2, 4),
+        lambda w: _inner_sum_per_term(w, 4, 3, 2, 4),
+    ),
+}
+
+
 class TestAssemblies:
     def test_order_40_all_pass(self):
         report = series.check_assemblies(40)
@@ -412,20 +592,52 @@ class TestAssemblies:
                         yield 2 * b + 10, piece
 
         expect = series._tsum(order, pieces())
-        products = []
-        original = Series.__mul__
-
-        def mul(self, other):
-            if isinstance(other, Series):
-                products.append(other)
-            return original(self, other)
-
-        monkeypatch.setattr(Series, "__mul__", mul)
-        monkeypatch.setattr(Series, "__rmul__", mul)
+        products = count_products(monkeypatch)
         total = series._S312_2_11_sum(w)
-        assert products == []
+        assert not any(isinstance(other, Series) for other in products)
         assert total.coeffs == expect.coeffs
         assert total.first_mismatch(series.closed_form_S312_2_11(w)) is None
+
+    @pytest.mark.parametrize("order", [12, 41, 62])
+    @pytest.mark.parametrize("name", sorted(PER_TERM))
+    def test_factored_sum_needs_one_product(self, monkeypatch, order, name):
+        w = series._Workbench(order)
+        factored, per_term = PER_TERM[name]
+        expect = per_term(w)
+        products = count_products(monkeypatch)
+        total = factored(w)
+        assert len(products) == 1
+        assert total.coeffs == expect.coeffs
+        assert types(total) == types(expect)
+
+    def test_order_60_needs_at_most_300_products(self, monkeypatch):
+        for cached in (series._gf_cached, series.catalan, series.sqrt_one_minus_4x):
+            cached.cache_clear()
+        products = count_products(monkeypatch)
+        assert series.check_assemblies(60).passed
+        assert len(products) <= 300
+
+    @pytest.mark.parametrize(
+        "function, args, exponent, check",
+        [
+            ("_occ1_321_sum", (), 3, "321.r1.sum-equals-closed-form"),
+            ("_occ1_321_sum", (), 9, "321.r1.sum-equals-closed-form"),
+            ("_S321_2_2_sum", (), 6, "321.r2.depth2.sum-equals-closed-form"),
+            ("_S321_2_2_sum", (), 10, "321.r2.depth2.sum-equals-closed-form"),
+            ("_inner_sum", (5, 2, 1, 0), 4, "inner-sum(c^2, l=0)"),
+            ("_inner_sum", (4, 3, 2, 4), 9, "inner-sum(c^3, l=4)"),
+        ],
+    )
+    def test_changed_power_fails_its_check(self, monkeypatch, function, args, exponent, check):
+        # one summand of one sum gets c^{e+1} in place of c^e
+        original = getattr(series, function)
+
+        def mutated(w, *a):
+            return original(MutatedPower(w, exponent) if a == args else w, *a)
+
+        monkeypatch.setattr(series, function, mutated)
+        report = series.check_assemblies(40)
+        assert [c.name for c in report.checks if not c.passed] == [check]
 
 
 class TestGeneralForm:
