@@ -1,7 +1,12 @@
 /* Compiled kernels: occurrence counting, the encoder primitives, the
  * decoder primitives, the jump predictions and the bounded census.
- * permdyck.kernels states their contract and the hand-over to
- * permdyck._purecount.
+ * permdyck.kernels states their contract.
+ *
+ * Every function here but histogram_pair hands an input it does not handle
+ * to the function of the same name in permdyck._purecount (hand_over), whose
+ * value or exception is then the call's; hand_overs() counts these calls.
+ * So permdyck.kernels binds the functions here directly, with no Python
+ * frame between a caller and the compiled body.
  *
  * count_pair and histogram_pair both build a permutation left to right and
  * carry the state of the bounded census (permdyck.census): for every
@@ -42,7 +47,7 @@
  * bounded_census runs the layers of the bounded census with its own code
  * (below) and the interpreter lock released, for n_max <= 34: its counts
  * are unsigned __int128 (GCC and Clang on 64-bit targets), and 34! <
- * 2^128.  It returns None above that, and permdyck._purecount runs them.
+ * 2^128.  It hands a larger n_max over.
  *
  * Written directly against the CPython C API; build it in place with
  *     python setup.py build_ext --inplace
@@ -139,6 +144,40 @@ hist_to_list(const long long *hist, int size)
     return list;
 }
 
+/* The inputs handed over so far, read by hand_overs(); every call that
+ * changes it holds the interpreter lock. */
+static Py_ssize_t handed_over = 0;
+
+/* The outcome of permdyck._purecount.<name>(*args), looked up at each call,
+ * for an input the compiled function name does not handle.  Rare, so it is
+ * kept out of line, off the fast path of each of its callers. */
+static __attribute__((noinline, cold)) PyObject *
+hand_over(const char *name, PyObject *const *args, Py_ssize_t nargs)
+{
+    handed_over++;
+    PyObject *pure = PyImport_ImportModule("permdyck._purecount");
+    if (pure == NULL)
+        return NULL;
+    PyObject *fn = PyObject_GetAttrString(pure, name);
+    Py_DECREF(pure);
+    if (fn == NULL)
+        return NULL;
+    PyObject *result = PyObject_Vectorcall(fn, args, nargs, NULL);
+    Py_DECREF(fn);
+    return result;
+}
+
+PyDoc_STRVAR(hand_overs_doc,
+"hand_overs() -> int\n\n"
+"The number of calls so far whose input a compiled function handed to the\n"
+"function of the same name in permdyck._purecount.");
+
+static PyObject *
+hand_overs(PyObject *module, PyObject *unused)
+{
+    return PyLong_FromSsize_t(handed_over);
+}
+
 /* Read a tuple or list of distinct ints in 1..top, top <= MAXN, into p; a
  * negative top stands for the length, so that only a permutation of 1..n
  * reads.  Returns the length, or -1 for anything else (no exception set). */
@@ -192,9 +231,10 @@ heights_312_c(const int *p, int n, Py_ssize_t *h)
 }
 
 PyDoc_STRVAR(heights_312_doc,
-"heights_312(values) -> tuple | None\n\n"
-"Per entry of a permutation of 1..n, the smaller entries to its right;\n"
-"None for anything but a tuple or list holding a permutation, n <= MAXN.");
+"heights_312(values) -> tuple\n\n"
+"Per entry of a permutation of 1..n, the smaller entries to its right.\n"
+"Hands anything but a tuple or list holding a permutation, n <= MAXN, to\n"
+"_purecount.");
 
 static PyObject *
 heights_312(PyObject *module, PyObject *values)
@@ -202,7 +242,7 @@ heights_312(PyObject *module, PyObject *values)
     int p[MAXN];
     Py_ssize_t h[MAXN], n = read_perm(values, p, -1);
     if (n < 0)
-        Py_RETURN_NONE;
+        return hand_over("heights_312", &values, 1);
     heights_312_c(p, (int)n, h);
     return to_tuple(h, n, 0);
 }
@@ -224,10 +264,10 @@ heights_321_c(const int *p, int n, Py_ssize_t *h)
 }
 
 PyDoc_STRVAR(heights_321_doc,
-"heights_321(values) -> tuple | None\n\n"
+"heights_321(values) -> tuple\n\n"
 "Per entry of a permutation of 1..n: for a left-to-right maximum, the\n"
 "smaller entries to its right; for another entry, those to its right\n"
-"between it and the preceding maximum.  None as for heights_312.");
+"between it and the preceding maximum.  Hands over as heights_312 does.");
 
 static PyObject *
 heights_321(PyObject *module, PyObject *values)
@@ -235,24 +275,24 @@ heights_321(PyObject *module, PyObject *values)
     int p[MAXN];
     Py_ssize_t h[MAXN], n = read_perm(values, p, -1);
     if (n < 0)
-        Py_RETURN_NONE;
+        return hand_over("heights_321", &values, 1);
     heights_312_c(p, (int)n, h);
     heights_321_c(p, (int)n, h);
     return to_tuple(h, n, 0);
 }
 
 PyDoc_STRVAR(scan_path_doc,
-"scan_path(path) -> (heights, peaks, spans) | None\n\n"
+"scan_path(path) -> (heights, peaks, spans)\n\n"
 "One left-to-right pass over a valid path over U, D, J: per down-step, the\n"
 "height it lands on and the 1-based index of the peak weakly to its left\n"
 "(0 when there is none), and per jump run (start, end, position, m, l).\n"
-"None for anything but a str holding a valid path.");
+"Hands anything but a str holding a valid path to _purecount.");
 
 static PyObject *
 scan_path(PyObject *module, PyObject *path)
 {
     if (!PyUnicode_Check(path))
-        Py_RETURN_NONE;
+        return hand_over("scan_path", &path, 1);
     Py_ssize_t len = PyUnicode_GET_LENGTH(path);
     int kind = PyUnicode_KIND(path);
     const void *data = PyUnicode_DATA(path);
@@ -299,7 +339,7 @@ scan_path(PyObject *module, PyObject *path)
             break;
         prev = ch;
     }
-    PyObject *result = i < len || h != 0 ? Py_NewRef(Py_None)
+    PyObject *result = i < len || h != 0 ? hand_over("scan_path", &path, 1)
         : Py_BuildValue("(NNN)", to_tuple(heights, n, 0), to_tuple(peaks, n, 0), to_tuple(spans, s, 5));
     PyMem_Free(heights);
     return result;
@@ -332,17 +372,17 @@ path_of(const Py_ssize_t *h, Py_ssize_t n)
 }
 
 PyDoc_STRVAR(path_from_heights_doc,
-"path_from_heights(heights) -> str | None\n\n"
+"path_from_heights(heights) -> str\n\n"
 "The path whose i-th down-step lands on height heights[i]: before it, rise\n"
 "with up-steps to heights[i] + 1 if below it, or descend with down-jumps if\n"
-"above it.  None for anything but a tuple or list of nonnegative ints that\n"
-"ends at 0.");
+"above it.  Hands anything but a tuple or list of nonnegative ints that\n"
+"ends at 0 to _purecount.");
 
 static PyObject *
 path_from_heights(PyObject *module, PyObject *heights)
 {
     if (!PyTuple_Check(heights) && !PyList_Check(heights))
-        Py_RETURN_NONE;
+        return hand_over("path_from_heights", &heights, 1);
     Py_ssize_t n = PySequence_Fast_GET_SIZE(heights);
     PyObject **items = PySequence_Fast_ITEMS(heights);
     Py_ssize_t *h = PyMem_New(Py_ssize_t, n + 1), i = 0;
@@ -355,7 +395,8 @@ path_from_heights(PyObject *module, PyObject *heights)
             break;
         h[i] = v;
     }
-    PyObject *path = i < n || (n > 0 && h[n - 1] != 0) ? Py_NewRef(Py_None) : path_of(h, n);
+    PyObject *path = i < n || (n > 0 && h[n - 1] != 0) ? hand_over("path_from_heights", &heights, 1)
+        : path_of(h, n);
     PyMem_Free(h);
     return path;
 }
@@ -372,10 +413,10 @@ pattern_key(PyObject *key)
 }
 
 PyDoc_STRVAR(encode_path_doc,
-"encode_path(values, key) -> str | None\n\n"
+"encode_path(values, key) -> str\n\n"
 "The image of a permutation of 1..n under the encoder for the pattern key,\n"
 "\"312\" or \"321\": path_from_heights of its heights_312 or heights_321.\n"
-"None for values as heights_312 hands them over, or any other key.");
+"Hands values over as heights_312 does, and any other key, to _purecount.");
 
 static PyObject *
 encode_path(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -385,7 +426,7 @@ encode_path(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     int p[MAXN], is321 = pattern_key(args[1]);
     Py_ssize_t h[MAXN], n = is321 < 0 ? -1 : read_perm(args[0], p, -1);
     if (n < 0)
-        Py_RETURN_NONE;
+        return hand_over("encode_path", args, nargs);
     heights_312_c(p, (int)n, h);
     if (is321)
         heights_321_c(p, (int)n, h);
@@ -393,22 +434,22 @@ encode_path(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 }
 
 PyDoc_STRVAR(is_permutation_doc,
-"is_permutation(values) -> bool | None\n\n"
+"is_permutation(values) -> bool\n\n"
 "Whether a tuple or list of at most MAXN ints, each exactly an int (no\n"
-"bool), is a permutation of 1..n.  None for anything else.");
+"bool), is a permutation of 1..n.  Hands anything else to _purecount.");
 
 static PyObject *
 is_permutation(PyObject *module, PyObject *values)
 {
     if (!PyTuple_Check(values) && !PyList_Check(values))
-        Py_RETURN_NONE;
+        return hand_over("is_permutation", &values, 1);
     Py_ssize_t n = PySequence_Fast_GET_SIZE(values);
     PyObject **items = PySequence_Fast_ITEMS(values);
     if (n > MAXN)
-        Py_RETURN_NONE;
+        return hand_over("is_permutation", &values, 1);
     for (Py_ssize_t i = 0; i < n; i++)
         if (!PyLong_CheckExact(items[i]))
-            Py_RETURN_NONE;
+            return hand_over("is_permutation", &values, 1);
     int p[MAXN];
     return PyBool_FromLong(read_perm(values, p, -1) == n);
 }
@@ -454,18 +495,19 @@ decode_table(const long *h, Py_ssize_t n, Py_ssize_t *out)
 }
 
 PyDoc_STRVAR(decode_psi312_doc,
-"decode_psi312(path) -> tuple | None\n\n"
+"decode_psi312(path) -> tuple\n\n"
 "The permutation whose psi312 image is path, in one pass: the path is\n"
 "parsed, its jumps checked to be sandwiched between down-steps and its\n"
-"down-step heights decoded as an inversion table.  None for anything but\n"
-"a str holding a valid path with at most MAXN down-steps, every jump run\n"
-"sandwiched, whose heights are an inversion table.");
+"down-step heights decoded as an inversion table.  Hands anything but a\n"
+"str holding a valid path with at most MAXN down-steps, every jump run\n"
+"sandwiched, whose heights are an inversion table, to _purecount, which\n"
+"names the fault.");
 
 static PyObject *
 decode_psi312(PyObject *module, PyObject *path)
 {
     if (!PyUnicode_Check(path))
-        Py_RETURN_NONE;
+        return hand_over("decode_psi312", &path, 1);
     Py_ssize_t len = PyUnicode_GET_LENGTH(path), n = 0, out[MAXN];
     int kind = PyUnicode_KIND(path);
     const void *data = PyUnicode_DATA(path);
@@ -481,14 +523,14 @@ decode_psi312(PyObject *module, PyObject *path)
             h--;
         } else {
             /* another character, a jump not sandwiched, or n > MAXN */
-            Py_RETURN_NONE;
+            return hand_over("decode_psi312", &path, 1);
         }
         if (h < 0)
-            Py_RETURN_NONE;
+            return hand_over("decode_psi312", &path, 1);
         prev = ch;
     }
     if (h != 0 || prev == 'J' || !decode_table(heights, n, out))
-        Py_RETURN_NONE;
+        return hand_over("decode_psi312", &path, 1);
     return to_tuple(out, n, 0);
 }
 
@@ -511,27 +553,28 @@ mark(uint64_t *bits, Py_ssize_t n, int a, int b, int c)
 }
 
 PyDoc_STRVAR(predicted_triples_doc,
-"predicted_triples(rho, key, heights, spans) -> tuple | None\n\n"
+"predicted_triples(rho, key, heights, spans) -> tuple\n\n"
 "The sorted, distinct occurrence triples forced by the jumps of the image\n"
 "of the permutation rho under the encoder for the pattern key, \"312\" or\n"
 "\"321\", given the image's down-step heights and jump runs (start, end,\n"
-"position, m, l).  None for rho not as count_pair takes it, any other key,\n"
+"position, m, l).  Hands rho not as count_pair takes it, any other key,\n"
 "anything but n heights in 0..2**30, or a run that is not five ints in\n"
-"0..2**30 with 1 <= position < n, m <= position and position + l <= n.");
+"0..2**30 with 1 <= position < n, m <= position and position + l <= n, to\n"
+"_purecount.");
 
 static PyObject *
-predicted_triples(PyObject *module, PyObject *args)
+predicted_triples(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *rho, *key, *heights, *spans;
-    if (!PyArg_UnpackTuple(args, "predicted_triples", 4, 4, &rho, &key, &heights, &spans))
-        return NULL;
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError, "predicted_triples expected 4 arguments, got %zd", nargs);
+    PyObject *rho = args[0], *key = args[1], *heights = args[2], *spans = args[3];
     int p[MAXN];
     long h[MAXN];
     Py_ssize_t n = read_perm(rho, p, -1);
     int is321 = pattern_key(key);
     if (n < 0 || read_ints(heights, h, MAXN, 0, FIELD_MAX) != n || is321 < 0
         || (!PyTuple_Check(spans) && !PyList_Check(spans)))
-        Py_RETURN_NONE;
+        return hand_over("predicted_triples", args, nargs);
 
     /* the left-to-right maxima; between[i] counts the non-maximum steps up
      * to down-step i (see permdyck.bijections.MaximumBeforeJump) */
@@ -551,10 +594,10 @@ predicted_triples(PyObject *module, PyObject *args)
     for (Py_ssize_t jn = 0; jn < s; jn++) {
         long f[5];
         if (read_ints(runs[jn], f, 5, 0, FIELD_MAX) != 5)
-            Py_RETURN_NONE;
+            return hand_over("predicted_triples", args, nargs);
         long d = f[1] - f[0], pos = f[2], m = f[3], l = f[4];
         if (pos < 1 || pos >= n || m > pos || pos + l > n)
-            Py_RETURN_NONE;
+            return hand_over("predicted_triples", args, nargs);
         /* maxima[0 .. k_pm) lie at or before pos; the last is the preceding one */
         int k_pm = 0, pm, causing[MAXN], nc = 0;
         while (k_pm < nmax && maxima[k_pm] <= pos)
@@ -610,9 +653,9 @@ predicted_triples(PyObject *module, PyObject *args)
 }
 
 PyDoc_STRVAR(count_pair_doc,
-"count_pair(values) -> (c312, c321) | None\n\n"
-"Number of (3,1,2)- and of (3,2,1)-occurrences in a permutation of 1..n;\n"
-"None as for heights_312.");
+"count_pair(values) -> (c312, c321)\n\n"
+"Number of (3,1,2)- and of (3,2,1)-occurrences in a permutation of 1..n.\n"
+"Hands over as heights_312 does.");
 
 static PyObject *
 count_pair(PyObject *module, PyObject *values)
@@ -621,7 +664,7 @@ count_pair(PyObject *module, PyObject *values)
     slot state[MAXN];
     Py_ssize_t n = read_perm(values, p, -1);
     if (n < 0)
-        Py_RETURN_NONE;
+        return hand_over("count_pair", &values, 1);
     place_prefix(p, (int)n, (int)n, state, &c312, &c321);
     return Py_BuildValue("(ii)", c312, c321);
 }
@@ -911,20 +954,20 @@ from_u128(u128 v)
 }
 
 PyDoc_STRVAR(bounded_census_doc,
-"bounded_census(n_max, key, r_max, limit) -> tuple | int | None\n\n"
+"bounded_census(n_max, key, r_max, limit) -> tuple | int\n\n"
 "The bounded census of permdyck.census for the pattern key, \"312\" or\n"
 "\"321\": per n <= n_max, the numbers of permutations of 1..n with\n"
 "0..r_max occurrences; or, when a layer would hold more than limit states\n"
-"(None: no bound), that layer's number.  None for n_max outside\n"
-"0..34, r_max outside 0..14, any other key, or a limit that is neither\n"
-"None nor an int.");
+"(None: no bound), that layer's number.  Hands n_max outside 0..34,\n"
+"r_max outside 0..14, any other key, or a limit that is neither None nor\n"
+"an int, to _purecount.");
 
 static PyObject *
-bounded_census(PyObject *module, PyObject *args)
+bounded_census(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *n_obj, *key, *r_obj, *limit_obj;
-    if (!PyArg_UnpackTuple(args, "bounded_census", 4, 4, &n_obj, &key, &r_obj, &limit_obj))
-        return NULL;
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError, "bounded_census expected 4 arguments, got %zd", nargs);
+    PyObject *n_obj = args[0], *key = args[1], *r_obj = args[2], *limit_obj = args[3];
     int overflow;
     long n = PyLong_Check(n_obj) ? PyLong_AsLongAndOverflow(n_obj, &overflow) : -1;
     long r = PyLong_Check(r_obj) ? PyLong_AsLongAndOverflow(r_obj, &overflow) : -1;
@@ -934,11 +977,11 @@ bounded_census(PyObject *module, PyObject *args)
         if (overflow)
             limit = overflow > 0 ? LLONG_MAX : LLONG_MIN;
     } else if (limit_obj != Py_None) {
-        Py_RETURN_NONE;
+        return hand_over("bounded_census", args, nargs);
     }
     int is321 = pattern_key(key);
     if (n < 0 || n > CENSUS_MAXN || r < 0 || r > CENSUS_MAXR || is321 < 0)
-        Py_RETURN_NONE;
+        return hand_over("bounded_census", args, nargs);
 
     rules R;
     u128 out[(CENSUS_MAXN + 1) * (CENSUS_MAXR + 1)];
@@ -981,8 +1024,9 @@ static PyMethodDef fastcount_methods[] = {
     {"encode_path", (PyCFunction)(void (*)(void))encode_path, METH_FASTCALL, encode_path_doc},
     {"is_permutation", (PyCFunction)is_permutation, METH_O, is_permutation_doc},
     {"decode_psi312", (PyCFunction)decode_psi312, METH_O, decode_psi312_doc},
-    {"predicted_triples", (PyCFunction)predicted_triples, METH_VARARGS, predicted_triples_doc},
-    {"bounded_census", (PyCFunction)bounded_census, METH_VARARGS, bounded_census_doc},
+    {"predicted_triples", (PyCFunction)(void (*)(void))predicted_triples, METH_FASTCALL, predicted_triples_doc},
+    {"bounded_census", (PyCFunction)(void (*)(void))bounded_census, METH_FASTCALL, bounded_census_doc},
+    {"hand_overs", (PyCFunction)hand_overs, METH_NOARGS, hand_overs_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -93,8 +94,6 @@ from permdyck.perms import (
     all_permutations,
     count_occurrences_fast,
     find_occurrences,
-    heights_312,
-    heights_321,
     left_to_right_maxima,
     tau_base,
 )
@@ -437,7 +436,10 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
     tau = as_pattern(tau)
     encode = bijections.psi312 if key == "312" else bijections.psi321
     decode = bijections.decode_312_avoiding if key == "312" else bijections.decode_321_avoiding
-    heights_fn = heights_312 if key == "312" else heights_321
+    # each rho is a ``Permutation`` and tau is the pattern key names, so the
+    # kernel's counts and heights apply to rho as it is
+    heights_fn = kernels.heights_312 if key == "312" else kernels.heights_321
+    which = 0 if key == "312" else 1
     matches = perms._matcher(tau)
 
     failures: dict[str, str] = {}
@@ -466,22 +468,24 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
         if not info.psi_shaped:
             fail("jump-sandwich", f"{rho} -> {path}")
 
-        if info.heights != tuple(heights_fn(rho)):
+        if info.heights != heights_fn(rho):
             fail("down-step-heights", f"{rho} -> {path}")
 
         # ``peaks`` holds every peak's own index, plus 0, which is no position
         if not set(left_to_right_maxima(rho)) <= set(info.peaks):
             fail("maxima-are-peaks", f"{rho} -> {path}")
 
-        # at least h down-steps right of a height-h down-step; at least d
-        # up-steps right of a depth-d jump
-        if any(n - i < h for i, h in enumerate(info.heights, 1)):
+        # at least h down-steps right of a height-h down-step (room: n - i
+        # for the i-th, however many the image has); at least d up-steps
+        # right of a depth-d jump
+        room = range(n - 1, n - 1 - len(info.heights), -1)
+        if any(map(operator.lt, room, info.heights)):
             fail("descents-available", f"{rho} -> {path}")
         for span in info.spans:
             if path.count(paths.UP, span.end) < span.depth:
                 fail("ups-after-jump", f"{rho} -> {path}")
 
-        r = count_occurrences_fast(rho, tau)
+        r = kernels.count_pair(rho)[which]
         s = path.count(paths.JUMP)
         if not bijections._jumps_within_occurrences(s, r):
             fail("jump-count-bound", f"{rho}: {s} jumps, {r} occurrences")

@@ -46,10 +46,13 @@ the other:
   sweep's: 128-bit counts, exact for n_max <= 34 (34! < 2**128).
 
 One hand-over rule holds for the ten per-input functions, ``count_pair``,
-the eight primitives and ``bounded_census``: the compiled one returns None
-for an input it does not handle, and the function here then runs the pure
-one, which also names the fault of a rejected path, height vector or
-inversion table by raising ``Rejected``.  The compiled ``count_pair``, ``heights_312`` and
+the eight primitives and ``bounded_census``: the compiled one hands an
+input it does not handle to the pure one of the same name itself, in C,
+and returns what that returns or raises what it raises, such as
+``Rejected`` naming the fault of a path, height vector or inversion table.
+So the names here are the selected backend's own functions, with no
+Python frame in between, and ``_fastcount.hand_overs()`` counts the
+inputs handed over.  The compiled ``count_pair``, ``heights_312`` and
 ``heights_321`` handle a tuple or list holding a permutation of 1..n with
 n <= ``MAXN`` = 20; ``encode_path`` such a permutation and a key "312" or
 "321"; ``is_permutation`` a tuple or list of at most ``MAXN`` ints, each
@@ -65,9 +68,9 @@ m <= position and position + l <= n; ``bounded_census`` an int n_max in
 0..34, a key "312" or "321", an int r_max in 0..14 and a limit that is
 None or an int.  ``histogram_pair`` hands nothing over: both backends
 sweep 0 <= n <= ``MAXN`` only (20! still fits the compiled 64-bit bins)
-and raise ``ValueError`` for any other n and for a bad prefix.  With the compiled kernel selected, the
-pure module is imported only when a first input is handed over, and
-``kernels.Rejected`` only then resolves.
+and raise ``ValueError`` for any other n and for a bad prefix.  With the
+compiled kernel selected, the pure module is imported only when a first
+input is handed over, and ``kernels.Rejected`` only then resolves.
 """
 
 from __future__ import annotations
@@ -89,43 +92,23 @@ else:
         BACKEND = "python"
 
 
-def _pure():
-    """The pure kernel, for the inputs the compiled one hands over: imported
-    on first use, so a process that never hands one over never loads it."""
-    from permdyck import _purecount
-
-    return _purecount
-
-
 def __getattr__(name: str):
     # ``except kernels.Rejected`` looks the class up only once one is raised
     if name == "Rejected":
-        return _pure().Rejected
+        from permdyck import _purecount
+
+        return _purecount.Rejected
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _handing_over(name: str):
-    """The per-input function ``name`` of the selected backend, which hands
-    an input the compiled one returns None for to the pure one."""
-
-    # the encoders call these once per permutation: reading the module's
-    # __dict__ costs less than getattr, and keeps *args about as cheap as one arg
-    def primitive(*args):
-        got = _impl.__dict__[name](*args)
-        return _pure().__dict__[name](*args) if got is None else got
-
-    primitive.__name__ = primitive.__qualname__ = name
-    return primitive
-
-
 histogram_pair = _impl.histogram_pair
-count_pair = _handing_over("count_pair")
-heights_312 = _handing_over("heights_312")
-heights_321 = _handing_over("heights_321")
-scan_path = _handing_over("scan_path")
-path_from_heights = _handing_over("path_from_heights")
-encode_path = _handing_over("encode_path")
-is_permutation = _handing_over("is_permutation")
-decode_psi312 = _handing_over("decode_psi312")
-predicted_triples = _handing_over("predicted_triples")
-bounded_census = _handing_over("bounded_census")
+count_pair = _impl.count_pair
+heights_312 = _impl.heights_312
+heights_321 = _impl.heights_321
+scan_path = _impl.scan_path
+path_from_heights = _impl.path_from_heights
+encode_path = _impl.encode_path
+is_permutation = _impl.is_permutation
+decode_psi312 = _impl.decode_psi312
+predicted_triples = _impl.predicted_triples
+bounded_census = _impl.bounded_census

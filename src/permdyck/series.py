@@ -90,6 +90,10 @@ def _norm(v) -> Coef:
 
 _INT = {int}
 
+# the exact scalars a series combines with; any other operand that is not a
+# ``Series`` (a float, say) gets NotImplemented, and Python's TypeError
+_SCALARS = (int, Fraction)
+
 
 class Series:
     """A power series in t, exact up to and including t**order.
@@ -162,10 +166,12 @@ class Series:
         return self.coeffs[: m + 1], other.coeffs[: m + 1], m
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             cs = list(self.coeffs)
             cs[0] = cs[0] + other
             return Series(cs)
+        if not isinstance(other, Series):
+            return NotImplemented
         a, b, _ = self._pair(other)
         return Series(x + y for x, y in zip(a, b))
 
@@ -175,9 +181,13 @@ class Series:
         return Series(-c for c in self.coeffs)
 
     def __sub__(self, other):
+        if not isinstance(other, (*_SCALARS, Series)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -188,8 +198,10 @@ class Series:
         t-coefficient zero, so this skips at least half of each operand.
         ``__truediv__`` and ``sqrt`` run the same loop over their own
         nonzero coefficients."""
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             return Series(c * other for c in self.coeffs)
+        if not isinstance(other, Series):
+            return NotImplemented
         a, b, m = self._pair(other)
         nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj != 0]
         out = [0] * (m + 1)
@@ -227,9 +239,11 @@ class Series:
         monomial divisor (``gf``'s 2 x^(2r+1)) divides in linear time.  An int
         remainder over an int b_0 is divided exactly, and a ``Fraction`` is
         built only for a quotient coefficient that is not an integer."""
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             inv = Fraction(1, 1) / other
             return Series(c * inv for c in self.coeffs)
+        if not isinstance(other, Series):
+            return NotImplemented
         v = other.valuation()
         if v is None:
             raise ZeroDivisionError("division by the zero series")

@@ -349,6 +349,54 @@ class TestAuditRoute:
         assert census.audit_bijections(6, tau).passed
         assert len(calls) == math.factorial(6) + 2 * series.catalan_number(6)
 
+    # the failing checks and counterexamples of ``audit_bijections(5, key)``
+    # with an encoder whose image has one down-step too many ("UD" appended:
+    # its last down-step has no room, n - i < h) or one too few (the last
+    # down-step dropped); DYCK stands for the counterexample of
+    # "decode-covers-dyck", the first Dyck path in the audit's set order
+    _ID5 = "Permutation(1, 2, 3, 4, 5)"
+    _MISSING = "missing ['UDUDUDUDUD', 'UDUDUDUUDD', 'UDUDUUDDUD']"
+    _MUTATED = {
+        "append UD": (
+            lambda path: path + "UD",
+            [
+                ("valid-image", f"{_ID5} -> UDUDUDUDUDUD"),
+                ("down-step-heights", f"{_ID5} -> UDUDUDUDUDUD"),
+                ("descents-available", f"{_ID5} -> UDUDUDUDUDUD"),
+                ("avoider-staircase-agreement", _ID5),
+                ("decode-roundtrip", f"{_ID5} -> UDUDUDUDUDUD -> Permutation(1, 2, 3, 4, 5, 6)"),
+                ("decode-covers-dyck", "DYCK"),
+                ("avoider-image-is-all-dyck", _MISSING),
+            ],
+            [("decode-psi312-roundtrip", f"{_ID5} -> UDUDUDUDUDUD")],
+        ),
+        "drop last down-step": (
+            lambda path: path[: path.rfind("D")] + path[path.rfind("D") + 1 :],
+            [
+                ("valid-image", f"{_ID5} -> UDUDUDUDU"),
+                ("decode-covers-dyck", "DYCK"),
+                ("avoider-count", "0 avoiders, 0 images, C_n=42"),
+                ("avoider-image-is-all-dyck", _MISSING),
+            ],
+            [],
+        ),
+    }
+
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    @pytest.mark.parametrize("mutation", _MUTATED)
+    def test_mutated_encoder_fails_as_before(self, monkeypatch, tau, mutation):
+        mutate, failed, failed_312 = self._MUTATED[mutation]
+        for name in ("psi312", "psi321"):
+            original = getattr(bijections, name)
+            monkeypatch.setattr(bijections, name, lambda rho, original=original: mutate(original(rho)))
+        decode = bijections.decode_312_avoiding if tau == "312" else bijections.decode_321_avoiding
+        dyck = next(iter(set(paths.enumerate_paths(5, 0))))
+        want = [(name, f"{dyck} -> {decode(dyck)}" if text == "DYCK" else text) for name, text in failed]
+        if tau == "312":
+            want += failed_312
+        report = census.audit_bijections(5, tau)
+        assert [(c.name, c.counterexample) for c in report.checks if not c.passed] == want
+
     def test_wrong_psi312_decoding_fails_roundtrip(self, monkeypatch):
         monkeypatch.setattr(bijections, "_decode_psi312", lambda info: Permutation((1,)))
         failed = [c.name for c in census.audit_bijections(5, "312").checks if not c.passed]

@@ -8,6 +8,7 @@ import itertools
 import math
 import os
 import shutil
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -115,7 +116,8 @@ def test_compiled_size_limit(fastcount):
         assert backend.count_pair((20,) + tuple(range(1, 20))) == (171, 0)
     with pytest.raises(ValueError):
         fastcount.histogram_pair(21)
-    assert fastcount.count_pair(tuple(range(1, 22))) is None
+    n21 = tuple(range(1, 22))
+    assert _compiled(fastcount, "count_pair", n21, handed_over=1) == _purecount.count_pair(n21) == (0, 0)
     assert kernels.count_pair(tuple(range(21, 0, -1))) == (0, 1330)
 
 
@@ -144,16 +146,15 @@ def _exact_ints(value):
     "value", [_LONG, (2, 2, 1), (0, 1), (1, 3), (2**70, 1), (1.0,), [3, 1, 2, 4, 4], 5, None, {1: 1}, (-1, 0)]
 )
 def test_compiled_primitives_hand_over(fastcount, on_each_backend, name, value):
-    # one contract: None, never an exception, for an input the compiled
-    # kernel does not handle, and ``kernels`` returns the pure outcome;
+    # one contract: the compiled kernel hands an input it does not handle
+    # to the pure one, once, and gives the pure outcome, value or exception;
     # ``is_permutation`` answers False itself for the exact ints here
     args = (value, *_PER_INPUT[name])
     expect = _outcome(getattr(_purecount, name), *args)
-    got = getattr(fastcount, name)(*args)
     if name == "is_permutation" and _exact_ints(value):
-        assert got is expect is False
+        assert _compiled(fastcount, name, *args, handed_over=0) is expect is False
     else:
-        assert got is None
+        assert _compiled(fastcount, name, *args, handed_over=1) == expect
     assert on_each_backend(getattr(kernels, name), *args) == [expect, expect]
 
 
@@ -252,8 +253,8 @@ def test_compiled_census_past_64_bits(fastcount):
 )
 def test_compiled_census_hands_over(fastcount, on_each_backend, args):
     # n_max above 34 (34! < 2**128), or a limit or key it does not take
-    assert fastcount.bounded_census(*args) is None
     expect = _outcome(_purecount.bounded_census, *args)
+    assert _compiled(fastcount, "bounded_census", *args, handed_over=1) == expect
     assert on_each_backend(kernels.bounded_census, *args) == [expect, expect]
 
 
@@ -277,19 +278,85 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _compiled(fastcount, name, *args, handed_over):
+    """The outcome of the compiled ``name(*args)``, which must hand its input
+    to the pure kernel ``handed_over`` times (0 or 1)."""
+    before = fastcount.hand_overs()
+    got = _outcome(getattr(fastcount, name), *args)
+    assert fastcount.hand_overs() - before == handed_over
+    return got
+
+
+# the functions ``kernels`` binds from the selected backend
+_BOUND = (
+    "histogram_pair",
+    "count_pair",
+    "heights_312",
+    "heights_321",
+    "scan_path",
+    "path_from_heights",
+    "encode_path",
+    "is_permutation",
+    "decode_psi312",
+    "predicted_triples",
+    "bounded_census",
+)
+
+
 @pytest.fixture
 def on_each_backend(fastcount, monkeypatch):
     """``run(fn, *args)``: the outcomes of ``fn(*args)`` with the compiled
-    and then the pure kernel behind ``kernels``."""
+    and then the pure kernel's functions bound in ``kernels``."""
 
     def run(fn, *args):
         outcomes = []
         for impl in (fastcount, _purecount):
-            monkeypatch.setattr(kernels, "_impl", impl)
+            for name in _BOUND:
+                monkeypatch.setattr(kernels, name, getattr(impl, name))
             outcomes.append(_outcome(fn, *args))
         return outcomes
 
     return run
+
+
+@pytest.mark.parametrize("no_ext", [False, True])
+def test_kernels_bind_the_backend_functions_themselves(fastcount, monkeypatch, no_ext):
+    # a fresh ``kernels``, imported as a process would with that
+    # environment: each name is the backend's own function, no wrapper
+    monkeypatch.setitem(sys.modules, "permdyck._fastcount", fastcount)
+    if no_ext:
+        monkeypatch.setenv("PERMDYCK_NO_EXT", "1")
+    else:
+        monkeypatch.delenv("PERMDYCK_NO_EXT", raising=False)
+    spec = importlib.util.find_spec("permdyck.kernels")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert (fresh.BACKEND, fresh._impl) == (("python", _purecount) if no_ext else ("c", fastcount))
+    for module in (fresh, kernels):
+        for name in _BOUND:
+            assert getattr(module, name) is getattr(module._impl, name), name
+    assert fresh.Rejected is _purecount.Rejected
+
+
+def test_hand_over_finds_the_pure_function_at_call_time(fastcount, monkeypatch):
+    # the compiled kernel looks the pure function up per call, passes the
+    # arguments as given and returns or raises what it does
+    calls = []
+
+    def pure(*args):
+        calls.append(args)
+        if args[0] == "raise":
+            raise _purecount.Rejected("named fault")
+        return "pure"
+
+    handed = [("count_pair", ((1, 1),)), ("encode_path", ((1, 1), "312")), ("bounded_census", (35, "312", 0, None))]
+    for name, args in handed:
+        monkeypatch.setattr(_purecount, name, pure)
+        del calls[:]
+        assert _compiled(fastcount, name, *args, handed_over=1) == "pure"
+        assert calls == [args]
+    monkeypatch.setattr(_purecount, "scan_path", pure)
+    assert _compiled(fastcount, "scan_path", "raise", handed_over=1) == (_purecount.Rejected, "named fault")
 
 
 def test_compiled_heights_match_pure_on_s0_to_s8(fastcount):
@@ -310,8 +377,8 @@ def test_heights_beyond_compiled_size_take_pure_path(fastcount, on_each_backend)
     for n in range(21, 26):
         rho = tuple(range(n, 0, -1))[::2] + tuple(range(n, 0, -1))[1::2]
         for name in ("heights_312", "heights_321"):
-            assert getattr(fastcount, name)(rho) is None
             expect = getattr(_purecount, name)(rho)
+            assert _compiled(fastcount, name, rho, handed_over=1) == expect
             assert on_each_backend(getattr(kernels, name), rho) == [expect, expect]
 
 
@@ -319,8 +386,8 @@ def test_heights_beyond_compiled_size_take_pure_path(fastcount, on_each_backend)
 def test_heights_of_non_permutations_as_pure(fastcount, on_each_backend, values):
     # the compiled kernel maps only permutations of 1..n and passes the rest on
     for name in ("heights_312", "heights_321"):
-        assert getattr(fastcount, name)(values) is None
-        expect = getattr(_purecount, name)(values)
+        expect = _outcome(getattr(_purecount, name), values)
+        assert _compiled(fastcount, name, values, handed_over=1) == expect
         assert on_each_backend(getattr(kernels, name), values) == [expect, expect]
     assert fastcount.heights_321([2, 1]) == (1, 0)
 
@@ -344,7 +411,7 @@ def test_path_parse_matches_pure_on_every_short_word(on_each_backend):
 
 
 def test_path_parse_of_non_str_as_pure(fastcount, on_each_backend):
-    assert fastcount.scan_path(["U", "D"]) is None
+    assert _compiled(fastcount, "scan_path", ["U", "D"], handed_over=1) == _purecount.scan_path(["U", "D"])
     compiled, pure = on_each_backend(paths.path_info, ["U", "D"])
     assert compiled == pure and compiled.heights == (0,)
 
@@ -358,7 +425,8 @@ def test_compiled_path_build_matches_pure_on_s8_images(fastcount):
 
 @pytest.mark.parametrize("heights", [(-1,), (0, 2), (1, -1, 0), (2, 1), (0, 0, 1), (1.0, 0), (2**70, 0), 5])
 def test_path_build_rejects_as_pure(fastcount, on_each_backend, heights):
-    assert fastcount.path_from_heights(heights) is None
+    expect = _outcome(_purecount.path_from_heights, heights)
+    assert _compiled(fastcount, "path_from_heights", heights, handed_over=1) == expect
     compiled, pure = on_each_backend(paths.path_from_down_heights, heights)
     assert compiled == pure
     if heights in ((-1,), (0, 2), (1, -1, 0), (2, 1), (0, 0, 1)):
@@ -407,15 +475,14 @@ def test_encoder_and_check_hand_over_as_pure(fastcount, on_each_backend, case):
     make = _HANDED_OVER[case]
     calls = [("is_permutation",)] + [("encode_path", key) for key in ("312", "321")]
     for name, *rest in calls:
-        got = getattr(fastcount, name)(make(), *rest)
         expect = _outcome(getattr(_purecount, name), make(), *rest)
         if name == "is_permutation" and _exact_ints(make()):
-            assert got is expect is False
+            assert _compiled(fastcount, name, make(), *rest, handed_over=0) is expect is False
         elif name == "encode_path" and case in ("bool", "one bool"):
             # the encoder reads a bool as its int, as heights_312 does
-            assert got == expect
+            assert _compiled(fastcount, name, make(), *rest, handed_over=0) == expect
         else:
-            assert got is None
+            assert _compiled(fastcount, name, make(), *rest, handed_over=1) == expect
         assert on_each_backend(lambda: getattr(kernels, name)(make(), *rest)) == [expect, expect]
 
 
@@ -499,7 +566,7 @@ _N21 = "UD" * 19 + "UUUDJD"  # 21 down-steps; h_20 = 2 exceeds n - 20 = 1
 def test_decode_psi312_rejects_as_before(fastcount, on_each_backend, path, text):
     # the compiled one-pass decoder hands a rejected path over, and the pure
     # one names its fault as the sandwich check and the table did
-    assert fastcount.decode_psi312(path) is None
+    assert _compiled(fastcount, "decode_psi312", path, handed_over=1) == (_purecount.Rejected, text)
     assert on_each_backend(bijections.decode_psi312, path) == [(bijections.NotInImageError, text)] * 2
 
 
@@ -512,7 +579,9 @@ def test_decode_psi312_rejects_as_before(fastcount, on_each_backend, path, text)
     ],
 )
 def test_decode_psi312_path_faults_as_before(fastcount, on_each_backend, path, text):
-    assert fastcount.decode_psi312(path) is None
+    expect = _outcome(_purecount.decode_psi312, path)
+    assert _compiled(fastcount, "decode_psi312", path, handed_over=1) == expect
+    assert expect[0] is _purecount.Rejected
     assert on_each_backend(bijections.decode_psi312, path) == [(paths.PathError, text)] * 2
 
 
@@ -533,7 +602,7 @@ def test_one_pass_decoder_inverts_psi312_on_s8_on_each_backend(on_each_backend):
 def test_one_pass_decoder_hands_over_n21(fastcount, on_each_backend):
     rho = Permutation(_LONG)
     path = bijections.psi312(rho)
-    assert fastcount.decode_psi312(path) is None
+    assert _compiled(fastcount, "decode_psi312", path, handed_over=1) == rho
     assert on_each_backend(bijections.decode_psi312, path) == [rho, rho]
 
 
@@ -595,8 +664,8 @@ _HOST = (4, 3, 5, 1, 2)  # psi312: one jump, at position 3 with m = l = 1
 def test_compiled_predictions_hand_over(fastcount, on_each_backend, args):
     # the predictor's hand-over cases; it takes four arguments, so the
     # one-argument cases of ``test_compiled_primitives_hand_over`` do not fit it
-    assert fastcount.predicted_triples(*args) is None
     expect = _outcome(_purecount.predicted_triples, *args)
+    assert _compiled(fastcount, "predicted_triples", *args, handed_over=1) == expect
     assert on_each_backend(kernels.predicted_triples, *args) == [expect, expect]
 
 

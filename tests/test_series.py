@@ -1,6 +1,7 @@
 """Exact series arithmetic, closed forms, assemblies, and general form."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import chain, count
 from math import comb
@@ -256,6 +257,24 @@ class TestCoefficientTypes:
         bad = next(c for c in cs if isinstance(c, float))
         with pytest.raises(TypeError, match=f"float {bad!r}"):
             Series(cs)
+
+    @pytest.mark.parametrize(
+        "op, text",
+        [
+            (lambda f: f * 0.5, "*: 'Series' and 'float'"),
+            (lambda f: f + 0.5, "+: 'Series' and 'float'"),
+            (lambda f: f - 0.5, "-: 'Series' and 'float'"),
+            (lambda f: f / 0.5, "/: 'Series' and 'float'"),
+            (lambda f: 0.5 * f, "*: 'float' and 'Series'"),
+            (lambda f: 0.5 - f, "-: 'float' and 'Series'"),
+            (lambda f: f - "1", "-: 'Series' and 'str'"),
+        ],
+    )
+    def test_other_operands_are_unsupported(self, op, text):
+        # an operand that is neither an int, a Fraction nor a Series gets
+        # Python's TypeError for the operator, as a float coefficient does
+        with pytest.raises(TypeError, match=re.escape(f"unsupported operand type(s) for {text}")):
+            op(Series([1, 2]))
 
     def test_scalar_add(self):
         f = Series([Fraction(1, 2), 1])
