@@ -49,6 +49,17 @@
  * are unsigned __int128 (GCC and Clang on 64-bit targets), and 34! <
  * 2^128.  It hands a larger n_max over.
  *
+ * audit_images runs the per-permutation checks of the bijection audit
+ * (permdyck.census.audit_bijections) over the n! encoder images it is
+ * given, regenerating S_n in lexicographic order in place, with the bodies
+ * of scan_path, the heights, count_pair, decode_psi312 and
+ * predicted_triples; it returns, per failing check, the rank of the first
+ * permutation that fails it, and the ranks of the avoiders and of the
+ * one-occurrence hosts.  It hands over n > 12, any key but "312" and
+ * "321", images that are not a list or tuple of n! str, and images with a
+ * jump run whose prediction the audit compares but predict does not take;
+ * the pure audit_images then answers None, and the audit runs its own loop.
+ *
  * Written directly against the CPython C API; build it in place with
  *     python setup.py build_ext --inplace
  */
@@ -281,30 +292,20 @@ heights_321(PyObject *module, PyObject *values)
     return to_tuple(h, n, 0);
 }
 
-PyDoc_STRVAR(scan_path_doc,
-"scan_path(path) -> (heights, peaks, spans)\n\n"
-"One left-to-right pass over a valid path over U, D, J: per down-step, the\n"
-"height it lands on and the 1-based index of the peak weakly to its left\n"
-"(0 when there is none), and per jump run (start, end, position, m, l).\n"
-"Hands anything but a str holding a valid path to _purecount.");
-
-static PyObject *
-scan_path(PyObject *module, PyObject *path)
+/* One pass over the len steps of a path (kind and data as PyUnicode_READ
+ * takes them): per down-step, the height it lands on into heights and the
+ * 1-based index of the peak weakly to its left (0 when there is none) into
+ * peaks, and per jump run (start, end, position, m, l) into spans; each
+ * array has room for len entries (spans 5 len).  *nd and *ns get the
+ * numbers of down-steps and of runs.  Returns 0 if the steps are not a
+ * valid path. */
+static int
+scan(int kind, const void *data, Py_ssize_t len, Py_ssize_t *heights, Py_ssize_t *peaks,
+     Py_ssize_t *spans, Py_ssize_t *nd, Py_ssize_t *ns)
 {
-    if (!PyUnicode_Check(path))
-        return hand_over("scan_path", &path, 1);
-    Py_ssize_t len = PyUnicode_GET_LENGTH(path);
-    int kind = PyUnicode_KIND(path);
-    const void *data = PyUnicode_DATA(path);
-    /* per down-step its height and peak, per jump run five fields */
-    Py_ssize_t *heights = PyMem_New(Py_ssize_t, 7 * len + 1);
-    if (heights == NULL)
-        return PyErr_NoMemory();
-    Py_ssize_t *peaks = heights + len, *spans = heights + 2 * len, *span = NULL;
-    Py_ssize_t h = 0, n = 0, s = 0, run = 0, peak = 0;
+    Py_ssize_t *span = NULL, h = 0, n = 0, s = 0, run = 0, peak = 0;
     Py_UCS4 prev = 0;
-    Py_ssize_t i = 0;
-    for (; i < len; i++) {
+    for (Py_ssize_t i = 0; i < len; i++) {
         Py_UCS4 ch = PyUnicode_READ(kind, data, i);
         if (ch == 'U') {
             h++;
@@ -333,13 +334,37 @@ scan_path(PyObject *module, PyObject *path)
             }
             run = 0;
         } else {
-            break;
+            return 0;
         }
         if (h < 0)
-            break;
+            return 0;
         prev = ch;
     }
-    PyObject *result = i < len || h != 0 ? hand_over("scan_path", &path, 1)
+    *nd = n;
+    *ns = s;
+    return h == 0;
+}
+
+PyDoc_STRVAR(scan_path_doc,
+"scan_path(path) -> (heights, peaks, spans)\n\n"
+"One left-to-right pass over a valid path over U, D, J: per down-step, the\n"
+"height it lands on and the 1-based index of the peak weakly to its left\n"
+"(0 when there is none), and per jump run (start, end, position, m, l).\n"
+"Hands anything but a str holding a valid path to _purecount.");
+
+static PyObject *
+scan_path(PyObject *module, PyObject *path)
+{
+    if (!PyUnicode_Check(path))
+        return hand_over("scan_path", &path, 1);
+    Py_ssize_t len = PyUnicode_GET_LENGTH(path), n, s;
+    /* per down-step its height and peak, per jump run five fields */
+    Py_ssize_t *heights = PyMem_New(Py_ssize_t, 7 * len + 1);
+    if (heights == NULL)
+        return PyErr_NoMemory();
+    Py_ssize_t *peaks = heights + len, *spans = heights + 2 * len;
+    PyObject *result = !scan(PyUnicode_KIND(path), PyUnicode_DATA(path), len, heights, peaks, spans, &n, &s)
+        ? hand_over("scan_path", &path, 1)
         : Py_BuildValue("(NNN)", to_tuple(heights, n, 0), to_tuple(peaks, n, 0), to_tuple(spans, s, 5));
     PyMem_Free(heights);
     return result;
@@ -457,7 +482,7 @@ is_permutation(PyObject *module, PyObject *values)
 /* Read a tuple or list of at most max ints, each in lo..hi (lo >= 0), into
  * v.  Returns the length, or -1 for anything else (no exception set). */
 static Py_ssize_t
-read_ints(PyObject *obj, long *v, Py_ssize_t max, long lo, long hi)
+read_ints(PyObject *obj, Py_ssize_t *v, Py_ssize_t max, long lo, long hi)
 {
     if (!PyTuple_Check(obj) && !PyList_Check(obj))
         return -1;
@@ -479,7 +504,7 @@ read_ints(PyObject *obj, long *v, Py_ssize_t max, long lo, long hi)
  * out[i] is the (h[i] + 1)-th smallest value not used before it.  Returns
  * 0 if some h[i] lies outside 0..n - 1 - i. */
 static int
-decode_table(const long *h, Py_ssize_t n, Py_ssize_t *out)
+decode_table(const Py_ssize_t *h, Py_ssize_t n, Py_ssize_t *out)
 {
     Py_ssize_t unused[MAXN];
     for (Py_ssize_t i = 0; i < n; i++)
@@ -511,7 +536,7 @@ decode_psi312(PyObject *module, PyObject *path)
     Py_ssize_t len = PyUnicode_GET_LENGTH(path), n = 0, out[MAXN];
     int kind = PyUnicode_KIND(path);
     const void *data = PyUnicode_DATA(path);
-    long h = 0, heights[MAXN];
+    Py_ssize_t h = 0, heights[MAXN];
     Py_UCS4 prev = 0;
     for (Py_ssize_t i = 0; i < len; i++) {
         Py_UCS4 ch = PyUnicode_READ(kind, data, i);
@@ -552,30 +577,21 @@ mark(uint64_t *bits, Py_ssize_t n, int a, int b, int c)
     bits[i / 64] |= (uint64_t)1 << (i % 64);
 }
 
-PyDoc_STRVAR(predicted_triples_doc,
-"predicted_triples(rho, key, heights, spans) -> tuple\n\n"
-"The sorted, distinct occurrence triples forced by the jumps of the image\n"
-"of the permutation rho under the encoder for the pattern key, \"312\" or\n"
-"\"321\", given the image's down-step heights and jump runs (start, end,\n"
-"position, m, l).  Hands rho not as count_pair takes it, any other key,\n"
-"anything but n heights in 0..2**30, or a run that is not five ints in\n"
-"0..2**30 with 1 <= position < n, m <= position and position + l <= n, to\n"
-"_purecount.");
-
-static PyObject *
-predicted_triples(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* Mark in bits the triples that the jumps of an encoder image force
+ * (jump_pieces): p is the permutation of 1..n, n <= MAXN, h the image's nh
+ * down-step heights and spans its s jump runs, five fields each.  Returns
+ * 0 for a run outside 1 <= position < n, position <= nh, m <= position and
+ * position + l <= n, the runs the rule is stated for.  A run's triples
+ * depend on the heights up to its position only, so nh may differ from n. */
+static int
+predict(const int *p, int n, int is321, const Py_ssize_t *h, Py_ssize_t nh,
+        const Py_ssize_t *spans, Py_ssize_t s, uint64_t *bits)
 {
-    if (nargs != 4)
-        return PyErr_Format(PyExc_TypeError, "predicted_triples expected 4 arguments, got %zd", nargs);
-    PyObject *rho = args[0], *key = args[1], *heights = args[2], *spans = args[3];
-    int p[MAXN];
-    long h[MAXN];
-    Py_ssize_t n = read_perm(rho, p, -1);
-    int is321 = pattern_key(key);
-    if (n < 0 || read_ints(heights, h, MAXN, 0, FIELD_MAX) != n || is321 < 0
-        || (!PyTuple_Check(spans) && !PyList_Check(spans)))
-        return hand_over("predicted_triples", args, nargs);
-
+    for (Py_ssize_t jn = 0; jn < s; jn++) {
+        const Py_ssize_t *f = spans + 5 * jn;
+        if (f[2] < 1 || f[2] >= n || f[2] > nh || f[3] > f[2] || f[2] + f[4] > n)
+            return 0;
+    }
     /* the left-to-right maxima; between[i] counts the non-maximum steps up
      * to down-step i (see permdyck.bijections.MaximumBeforeJump) */
     int maxima[MAXN], nmax = 0, top = 0;
@@ -584,20 +600,13 @@ predicted_triples(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         int is_max = p[i - 1] > top;
         if (is_max)
             maxima[nmax++] = i, top = p[i - 1];
-        long step = is321 ? 1 : h[i - 1] + 1 - (i > 1 ? h[i - 2] : 0);
+        Py_ssize_t step = is321 ? 1 : i > nh ? 0 : h[i - 1] + 1 - (i > 1 ? h[i - 2] : 0);
         between[i] = between[i - 1] + (step > 0 ? step : 0) - is_max;
     }
 
-    uint64_t bits[(MAXN * MAXN * MAXN + 63) / 64] = {0};
-    Py_ssize_t s = PySequence_Fast_GET_SIZE(spans);
-    PyObject **runs = PySequence_Fast_ITEMS(spans);
     for (Py_ssize_t jn = 0; jn < s; jn++) {
-        long f[5];
-        if (read_ints(runs[jn], f, 5, 0, FIELD_MAX) != 5)
-            return hand_over("predicted_triples", args, nargs);
-        long d = f[1] - f[0], pos = f[2], m = f[3], l = f[4];
-        if (pos < 1 || pos >= n || m > pos || pos + l > n)
-            return hand_over("predicted_triples", args, nargs);
+        const Py_ssize_t *f = spans + 5 * jn;
+        Py_ssize_t d = f[1] - f[0], pos = f[2], m = f[3], l = f[4];
         /* maxima[0 .. k_pm) lie at or before pos; the last is the preceding one */
         int k_pm = 0, pm, causing[MAXN], nc = 0;
         while (k_pm < nmax && maxima[k_pm] <= pos)
@@ -632,6 +641,45 @@ predicted_triples(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             }
         }
     }
+    return 1;
+}
+
+PyDoc_STRVAR(predicted_triples_doc,
+"predicted_triples(rho, key, heights, spans) -> tuple\n\n"
+"The sorted, distinct occurrence triples forced by the jumps of the image\n"
+"of the permutation rho under the encoder for the pattern key, \"312\" or\n"
+"\"321\", given the image's down-step heights and jump runs (start, end,\n"
+"position, m, l).  Hands rho not as count_pair takes it, any other key,\n"
+"anything but n heights in 0..2**30, or a run that is not five ints in\n"
+"0..2**30 with 1 <= position < n, m <= position and position + l <= n, to\n"
+"_purecount.");
+
+static PyObject *
+predicted_triples(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError, "predicted_triples expected 4 arguments, got %zd", nargs);
+    PyObject *rho = args[0], *key = args[1], *heights = args[2], *spans = args[3];
+    int p[MAXN];
+    Py_ssize_t h[MAXN];
+    Py_ssize_t n = read_perm(rho, p, -1);
+    int is321 = pattern_key(key);
+    if (n < 0 || read_ints(heights, h, MAXN, 0, FIELD_MAX) != n || is321 < 0
+        || (!PyTuple_Check(spans) && !PyList_Check(spans)))
+        return hand_over("predicted_triples", args, nargs);
+    Py_ssize_t s = PySequence_Fast_GET_SIZE(spans);
+    PyObject **runs = PySequence_Fast_ITEMS(spans);
+    Py_ssize_t *fields = PyMem_New(Py_ssize_t, 5 * s + 1);
+    if (fields == NULL)
+        return PyErr_NoMemory();
+    uint64_t bits[(MAXN * MAXN * MAXN + 63) / 64] = {0};
+    Py_ssize_t jn = 0;
+    while (jn < s && read_ints(runs[jn], fields + 5 * jn, 5, 0, FIELD_MAX) == 5)
+        jn++;
+    int marked = jn == s && predict(p, (int)n, is321, h, n, fields, s, bits);
+    PyMem_Free(fields);
+    if (!marked)
+        return hand_over("predicted_triples", args, nargs);
 
     size_t words = ((size_t)n * n * n + 63) / 64, total = 0;
     for (size_t w = 0; w < words; w++)
@@ -705,6 +753,234 @@ histogram_pair(PyObject *module, PyObject *args, PyObject *kwargs)
         return NULL;
     }
     return Py_BuildValue("(NN)", l312, l321);
+}
+
+/* ---- the bijection audit (permdyck.census.audit_bijections) ------------
+ *
+ * audit_images runs, over S_n in lexicographic order, the checks of the
+ * audit that read one encoder image, with the bodies above: scan, the
+ * heights, place_prefix, decode_table and predict.  It regenerates S_n in
+ * place (next_perm) and touches no Python object but the images while it
+ * runs.  The audit keeps the checks over sets of images and the
+ * counterexample texts in Python. */
+
+/* the n! images of S_13 would not fit in memory */
+#define AUDIT_MAXN 12
+
+/* The checks audit_images runs, in the audit's order; the (3,2,1) audit
+ * runs all but the decode round trip and the single-occurrence shape. */
+enum {
+    VALID_IMAGE, JUMP_SANDWICH, DOWN_STEP_HEIGHTS, MAXIMA_ARE_PEAKS, DESCENTS_AVAILABLE,
+    UPS_AFTER_JUMP, JUMP_COUNT_BOUND, DECODE_PSI312_ROUNDTRIP, SINGLE_OCCURRENCE_SHAPE,
+    PREDICTED_SUBSET, PREDICTED_TOTAL, AUDIT_CHECKS
+};
+static const char *const audit_check_names[AUDIT_CHECKS] = {
+    "valid-image", "jump-sandwich", "down-step-heights", "maxima-are-peaks", "descents-available",
+    "ups-after-jump", "jump-count-bound", "decode-psi312-roundtrip", "single-occurrence-shape",
+    "predicted-subset", "predicted-total",
+};
+
+/* The permutation after p in lexicographic order, in place (p is not the last). */
+static void
+next_perm(int *p, int n)
+{
+    int i = n - 2, j = n - 1;
+    while (p[i] > p[i + 1])
+        i--;
+    while (p[j] < p[i])
+        j--;
+    int t = p[i];
+    p[i] = p[j];
+    p[j] = t;
+    for (i++, j = n - 1; i < j; i++, j--)
+        t = p[i], p[i] = p[j], p[j] = t;
+}
+
+#define FAIL(check) (failed |= 1u << (check))
+
+/* The checks of the audit on the permutation p of 1..n and its image, the
+ * len steps (kind, data): a bit per failing check into *out.  buf has room
+ * for 7 len entries.  Returns p's occurrence count, -1 if the image is not
+ * a valid path (the checks after valid-image then read nothing), or -2 if
+ * the audit would compare a prediction for a jump run that predict does
+ * not take. */
+static int
+audit_one(const int *p, int n, int is321, int kind, const void *data, Py_ssize_t len,
+          Py_ssize_t *buf, unsigned *out)
+{
+    Py_ssize_t *heights = buf, *peaks = buf + len, *spans = buf + 2 * len, nd, ns, jumps = 0;
+    unsigned failed = 0;
+    if (!scan(kind, data, len, heights, peaks, spans, &nd, &ns)) {
+        *out = 1u << VALID_IMAGE;
+        return -1;
+    }
+    if (nd != n)
+        FAIL(VALID_IMAGE);
+    int sandwiched = 1;
+    for (Py_ssize_t j = 0; j < ns; j++) {
+        const Py_ssize_t *span = spans + 5 * j;
+        Py_ssize_t ups = 0;
+        for (Py_ssize_t i = span[1]; i < len; i++)
+            ups += PyUnicode_READ(kind, data, i) == 'U';
+        if (ups < span[1] - span[0])
+            FAIL(UPS_AFTER_JUMP);
+        sandwiched &= span[3] > 0 && span[4] > 0;
+        jumps += span[1] - span[0];
+    }
+    if (!sandwiched)
+        FAIL(JUMP_SANDWICH);
+
+    Py_ssize_t want[AUDIT_MAXN];
+    heights_312_c(p, n, want);
+    if (is321)
+        heights_321_c(p, n, want);
+    if (nd != n || memcmp(want, heights, n * sizeof *want) != 0)
+        FAIL(DOWN_STEP_HEIGHTS);
+    /* peaks[g - 1] == g exactly when down-step g is a peak */
+    for (int i = 0, top = 0; i < n; i++) {
+        if (p[i] > top) {
+            top = p[i];
+            if (i >= nd || peaks[i] != i + 1)
+                FAIL(MAXIMA_ARE_PEAKS);
+        }
+    }
+    for (Py_ssize_t i = 0; i < nd; i++)
+        if (heights[i] > n - 1 - i)
+            FAIL(DESCENTS_AVAILABLE);
+
+    slot state[AUDIT_MAXN];
+    int c312, c321;
+    place_prefix(p, n, n, state, &c312, &c321);
+    int r = is321 ? c321 : c312;
+    if (jumps > r || (jumps == 0) != (r == 0))
+        FAIL(JUMP_COUNT_BOUND);
+
+    if (!is321) {
+        Py_ssize_t decoded[AUDIT_MAXN];
+        int same = sandwiched && nd == n && decode_table(heights, n, decoded);
+        for (int i = 0; same && i < n; i++)
+            same = decoded[i] == p[i];
+        if (!same)
+            FAIL(DECODE_PSI312_ROUNDTRIP);
+        /* one jump with d = m = l = 1, its down-step after two up-steps
+         * (with m = 1, the one at start - 2 is an up-step already) */
+        int single = ns == 1 && spans[1] - spans[0] == 1 && spans[3] == 1 && spans[4] == 1
+            && spans[0] >= 3 && PyUnicode_READ(kind, data, spans[0] - 3) == 'U';
+        if (single != (r == 1))
+            FAIL(SINGLE_OCCURRENCE_SHAPE);
+    }
+
+    if (ns > 0 && (ns == 1 || r == 1 || r == 2)) {
+        uint64_t bits[(AUDIT_MAXN * AUDIT_MAXN * AUDIT_MAXN + 63) / 64] = {0};
+        if (!predict(p, n, is321, heights, nd, spans, ns, bits))
+            return -2;
+        int total = 0;
+        for (int w = 0; w < (n * n * n + 63) / 64; w++)
+            for (uint64_t word = bits[w]; word; word &= word - 1, total++) {
+                int i = 64 * w + __builtin_ctzll(word), a = i / (n * n), b = i / n % n, c = i % n;
+                int x = p[a], y = p[b], z = p[c];
+                /* positions a < b < c (predict puts a at or before the jump,
+                 * b after it), values in the pattern's order */
+                if (!(b < c && (is321 ? x > y && y > z : y < z && z < x)))
+                    FAIL(PREDICTED_SUBSET);
+            }
+        if ((r == 1 || r == 2) && total != r)
+            FAIL(PREDICTED_TOTAL);
+    }
+    *out = failed;
+    return r;
+}
+
+#undef FAIL
+
+PyDoc_STRVAR(audit_images_doc,
+"audit_images(n, key, images) -> (failed, avoiders, singles)\n\n"
+"The checks of permdyck.census.audit_bijections that read one encoder\n"
+"image, over S_n in lexicographic order, images[k] being the image of the\n"
+"k-th permutation under the encoder for the pattern key, \"312\" or \"321\":\n"
+"a dict from the name of each failing check to the rank of its first\n"
+"failing permutation, and the ranks of the permutations with no and with\n"
+"one occurrence whose image is a valid path.  Hands n outside 0..12, any\n"
+"other key, images that are not a list or tuple of n! str, or an image\n"
+"whose jump runs the prediction does not take, to _purecount, whose None\n"
+"sends the audit through its own loop.");
+
+static PyObject *
+audit_images(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "audit_images expected 3 arguments, got %zd", nargs);
+    PyObject *images = args[2];
+    int overflow, is321 = pattern_key(args[1]);
+    long n = PyLong_Check(args[0]) ? PyLong_AsLongAndOverflow(args[0], &overflow) : -1;
+    if (n < 0 || n > AUDIT_MAXN || is321 < 0 || (!PyTuple_Check(images) && !PyList_Check(images)))
+        return hand_over("audit_images", args, nargs);
+    Py_ssize_t total = 1, longest = 0;
+    for (long i = 2; i <= n; i++)
+        total *= i;
+    PyObject **items = PySequence_Fast_ITEMS(images);
+    if (PySequence_Fast_GET_SIZE(images) != total)
+        return hand_over("audit_images", args, nargs);
+    for (Py_ssize_t k = 0; k < total; k++) {
+        if (!PyUnicode_Check(items[k]))
+            return hand_over("audit_images", args, nargs);
+        if (PyUnicode_GET_LENGTH(items[k]) > longest)
+            longest = PyUnicode_GET_LENGTH(items[k]);
+    }
+
+    /* per rank, its occurrence count if 0 or 1, else 2 (also for an image
+     * that is not a path) */
+    unsigned char *counts = PyMem_Malloc(total);
+    Py_ssize_t *buf = PyMem_New(Py_ssize_t, 7 * longest + 1), first[AUDIT_CHECKS];
+    if (counts == NULL || buf == NULL) {
+        PyMem_Free(counts);
+        PyMem_Free(buf);
+        return PyErr_NoMemory();
+    }
+    int p[AUDIT_MAXN], r = 0;
+    for (int i = 0; i < n; i++)
+        p[i] = i + 1;
+    for (int c = 0; c < AUDIT_CHECKS; c++)
+        first[c] = -1;
+    for (Py_ssize_t k = 0; k < total && r != -2; k++) {
+        unsigned failed;
+        if (k > 0)
+            next_perm(p, (int)n);
+        PyObject *image = items[k];
+        r = audit_one(p, (int)n, is321, PyUnicode_KIND(image), PyUnicode_DATA(image),
+                      PyUnicode_GET_LENGTH(image), buf, &failed);
+        counts[k] = r == 0 || r == 1 ? r : 2;
+        for (int c = 0; r != -2 && c < AUDIT_CHECKS; c++)
+            if (failed >> c & 1 && first[c] < 0)
+                first[c] = k;
+    }
+    PyMem_Free(buf);
+    if (r == -2) {
+        PyMem_Free(counts);
+        return hand_over("audit_images", args, nargs);
+    }
+
+    PyObject *fails = PyDict_New(), *avoiders = PyList_New(0), *singles = PyList_New(0), *result = NULL;
+    int ok = fails != NULL && avoiders != NULL && singles != NULL;
+    for (int c = 0; ok && c < AUDIT_CHECKS; c++) {
+        PyObject *rank = first[c] < 0 ? NULL : PyLong_FromSsize_t(first[c]);
+        ok = first[c] < 0 || (rank != NULL && PyDict_SetItemString(fails, audit_check_names[c], rank) == 0);
+        Py_XDECREF(rank);
+    }
+    for (Py_ssize_t k = 0; ok && k < total; k++) {
+        if (counts[k] > 1)
+            continue;
+        PyObject *rank = PyLong_FromSsize_t(k);
+        ok = rank != NULL && PyList_Append(counts[k] ? singles : avoiders, rank) == 0;
+        Py_XDECREF(rank);
+    }
+    PyMem_Free(counts);
+    if (ok)
+        result = PyTuple_Pack(3, fails, avoiders, singles);
+    Py_XDECREF(fails);
+    Py_XDECREF(avoiders);
+    Py_XDECREF(singles);
+    return result;
 }
 
 /* ---- the bounded census (permdyck.census) ------------------------------
@@ -1026,6 +1302,7 @@ static PyMethodDef fastcount_methods[] = {
     {"decode_psi312", (PyCFunction)decode_psi312, METH_O, decode_psi312_doc},
     {"predicted_triples", (PyCFunction)(void (*)(void))predicted_triples, METH_FASTCALL, predicted_triples_doc},
     {"bounded_census", (PyCFunction)(void (*)(void))bounded_census, METH_FASTCALL, bounded_census_doc},
+    {"audit_images", (PyCFunction)(void (*)(void))audit_images, METH_FASTCALL, audit_images_doc},
     {"hand_overs", (PyCFunction)hand_overs, METH_NOARGS, hand_overs_doc},
     {NULL, NULL, 0, NULL},
 };

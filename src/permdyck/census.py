@@ -84,7 +84,7 @@ import math
 import operator
 import os
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from permdyck import kernels, perms
 from permdyck.perms import (
@@ -421,48 +421,28 @@ class AuditReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
-    """Sweep all of S_n and check every structural claim about the encoder
-    for ``tau``: injectivity, validity and the jump sandwich condition,
-    maxima mapping to peaks, the jump-count bound, jump-freeness exactly on
-    avoiders, the avoider image being all of D_n, decoder round-trips, and
-    the predicted occurrence triples being genuine (with exact totals for
-    hosts having one or two occurrences).
-    """
+def _image_checks(key: str) -> Callable[..., Optional[int]]:
+    """``check(rho, path, fail)``: the checks of ``audit_bijections`` that
+    read one encoder image, for the pattern ``key``, on the permutation rho
+    and its image ``path``.  It calls ``fail(name, counterexample)`` for
+    each check that fails, and returns rho's occurrence count, or None when
+    ``path`` is not a valid path (the other checks then read nothing)."""
     from permdyck import bijections, paths
 
-    key = _pattern_key(tau)
-    _guard(n, limit)
-    tau = as_pattern(tau)
-    encode = bijections.psi312 if key == "312" else bijections.psi321
-    decode = bijections.decode_312_avoiding if key == "312" else bijections.decode_321_avoiding
+    tau = as_pattern(key)
     # each rho is a ``Permutation`` and tau is the pattern key names, so the
     # kernel's counts and heights apply to rho as it is
     heights_fn = kernels.heights_312 if key == "312" else kernels.heights_321
     which = 0 if key == "312" else 1
     matches = perms._matcher(tau)
 
-    failures: dict[str, str] = {}
-
-    def fail(name: str, detail: str) -> None:
-        failures.setdefault(name, detail)
-
-    images: dict[str, Permutation] = {}
-    avoider_images: set[str] = set()
-    n_avoiders = 0
-
-    for rho in all_permutations(n):
-        path = encode(rho)
-        prev = images.get(path)
-        if prev is not None:
-            fail("injective", f"{prev} and {rho} share image {path}")
-        images[path] = rho
-
+    def check(rho: Permutation, path: str, fail: Callable[[str, str], object]) -> Optional[int]:
+        n = len(rho)
         try:
             info = paths.path_info(path)
         except paths.PathError:
             fail("valid-image", f"{rho} -> {path}")
-            continue  # the remaining checks read the path
+            return None  # the remaining checks read the path
         if len(info.heights) != n:
             fail("valid-image", f"{rho} -> {path}")
         if not info.psi_shaped:
@@ -490,25 +470,16 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
         if not bijections._jumps_within_occurrences(s, r):
             fail("jump-count-bound", f"{rho}: {s} jumps, {r} occurrences")
 
-        if r == 0:
-            n_avoiders += 1
-            avoider_images.add(path)
-            if path != bijections.psi_avoiding(rho):
-                fail("avoider-staircase-agreement", f"{rho}")
-            decoded = decode(path)
-            if decoded != rho:
-                fail("decode-roundtrip", f"{rho} -> {path} -> {decoded}")
-
         if key == "312":
-            if bijections._decode_psi312(info) != rho:
+            try:
+                decoded = bijections._decode_psi312(info)
+            except bijections.NotInImageError:
+                decoded = None  # a valid path outside psi312's image
+            if decoded != rho:
                 fail("decode-psi312-roundtrip", f"{rho} -> {path}")
             single = bijections._single_occurrence_shape_312(info)
             if single != (r == 1):
                 fail("single-occurrence-shape", f"{rho} -> {path}, r={r}")
-
-        # the brute-force oracle runs only where the whole occurrence set is read
-        if r == 1 and perms._base_of(rho, find_occurrences(rho, tau)) != tau:
-            fail("single-occurrence-base", f"{rho}")
 
         if info.spans and (len(info.spans) == 1 or r in (1, 2)):
             predicted = bijections._predict(rho, key, info)
@@ -523,13 +494,96 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
                 fail("predicted-subset", f"{rho}: {sorted(set(wrong))}")
             if r in (1, 2) and len(predicted) != r:
                 fail("predicted-total", f"{rho}: predicted {len(predicted)}, r={r}")
+        return r
+
+    return check
+
+
+def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
+    """Sweep all of S_n and check every structural claim about the encoder
+    for ``tau``: injectivity, validity and the jump sandwich condition,
+    maxima mapping to peaks, the jump-count bound, jump-freeness exactly on
+    avoiders, the avoider image being all of D_n, decoder round-trips, and
+    the predicted occurrence triples being genuine (with exact totals for
+    hosts having one or two occurrences).
+
+    The encoder runs once per permutation.  The checks that read one image
+    (``_image_checks``) run in ``kernels.audit_images``, one compiled call
+    over all n! images, which names the first permutation failing each
+    check and the permutations with no and with one occurrence; the check's
+    own Python body, run on that one permutation, writes the
+    counterexample, and a verdict it does not repeat raises
+    ``RuntimeError``.  Where the compiled audit does not run (the pure
+    kernel, n > 12, an image that is not a str) its None sends the audit
+    through the loop that runs those checks on each permutation, the oracle
+    the compiled audit is tested against.  Either way Python checks
+    injectivity, the avoiders (against the staircase map and the avoider
+    decoder), the one-occurrence bases (by the brute-force oracle) and the
+    Dyck paths, walked in ``paths.enumerate_paths`` order.
+    """
+    from permdyck import bijections, paths
+
+    key = _pattern_key(tau)
+    _guard(n, limit)
+    tau = as_pattern(tau)
+    encode = bijections.psi312 if key == "312" else bijections.psi321
+    decode = bijections.decode_312_avoiding if key == "312" else bijections.decode_321_avoiding
+
+    failures: dict[str, str] = {}
+
+    def fail(name: str, detail: str) -> None:
+        failures.setdefault(name, detail)
+
+    hosts = list(all_permutations(n))
+    images = list(map(encode, hosts))
+    if len(set(images)) < len(images):
+        first: dict[str, Permutation] = {}
+        for rho, path in zip(hosts, images):
+            if path in first:
+                fail("injective", f"{first[path]} and {rho} share image {path}")
+                break
+            first[path] = rho
+
+    check = _image_checks(key)
+    got = kernels.audit_images(n, key, images)
+    if got is None:
+        avoiders, singles = [], []
+        for rank, (rho, path) in enumerate(zip(hosts, images)):
+            r = check(rho, path, fail)
+            if r == 0:
+                avoiders.append(rank)
+            elif r == 1:
+                singles.append(rank)
+    else:
+        failed, avoiders, singles = got
+        for name, rank in failed.items():
+            texts: dict[str, str] = {}
+            check(hosts[rank], images[rank], texts.setdefault)
+            if name not in texts:
+                raise RuntimeError(f"the compiled audit fails {name} on {hosts[rank]}, its Python body does not")
+            fail(name, texts[name])
+
+    for rank in avoiders:
+        rho, path = hosts[rank], images[rank]
+        if path != bijections.psi_avoiding(rho):
+            fail("avoider-staircase-agreement", f"{rho}")
+        decoded = decode(path)
+        if decoded != rho:
+            fail("decode-roundtrip", f"{rho} -> {path} -> {decoded}")
+    # the brute-force oracle runs only where the whole occurrence set is read
+    for rank in singles:
+        rho = hosts[rank]
+        if perms._base_of(rho, find_occurrences(rho, tau)) != tau:
+            fail("single-occurrence-base", f"{rho}")
 
     cn = perms.catalan_number(n)
-    if n_avoiders != cn or len(avoider_images) != cn:
-        fail("avoider-count", f"{n_avoiders} avoiders, {len(avoider_images)} images, C_n={cn}")
-    dyck = set(paths.enumerate_paths(n, 0))
-    if avoider_images != dyck:
-        fail("avoider-image-is-all-dyck", f"missing {sorted(dyck - avoider_images)[:3]}")
+    avoider_images = {images[rank] for rank in avoiders}
+    if len(avoiders) != cn or len(avoider_images) != cn:
+        fail("avoider-count", f"{len(avoiders)} avoiders, {len(avoider_images)} images, C_n={cn}")
+    dyck = list(paths.enumerate_paths(n, 0))
+    dyck_set = set(dyck)
+    if avoider_images != dyck_set:
+        fail("avoider-image-is-all-dyck", f"missing {sorted(dyck_set - avoider_images)[:3]}")
 
     # decoding every Dyck path yields an avoider that encodes back to it
     for path in dyck:

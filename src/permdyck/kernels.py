@@ -1,7 +1,7 @@
 """The counting kernels, the encoder and decoder primitives, the jump
 predictions and the bounded census, from the selected backend.
 
-Two backends hold the same eleven functions.  The compiled extension
+Two backends hold the same twelve functions.  The compiled extension
 ``permdyck._fastcount`` (one hand-written C file, built by ``python
 setup.py build_ext --inplace`` or on install when a C compiler is present)
 is preferred when importable; ``BACKEND`` is then ``"c"``.  Otherwise the
@@ -44,9 +44,20 @@ the other:
   than ``limit`` states (None: no bound).  Both backends run the same DP
   and hold the same states, the compiled one with its own code, not the
   sweep's: 128-bit counts, exact for n_max <= 34 (34! < 2**128).
+- The bijection audit.  ``audit_images(n, key, images)`` runs the checks
+  of ``census.audit_bijections`` that read one encoder image over S_n in
+  lexicographic order, ``images[k]`` being the image of the k-th
+  permutation: it returns a dict from the name of each failing check to
+  the rank of the first permutation that fails it, and the ranks of the
+  permutations with no and with one occurrence whose image is a valid
+  path.  The compiled one regenerates S_n in place and runs those checks
+  with the C bodies of the primitives above; the pure one returns None,
+  and the audit then runs the same checks in its own loop, the oracle the
+  compiled audit is tested against.
 
-One hand-over rule holds for the ten per-input functions, ``count_pair``,
-the eight primitives and ``bounded_census``: the compiled one hands an
+One hand-over rule holds for the eleven per-input functions,
+``count_pair``, the eight primitives, ``bounded_census`` and
+``audit_images``: the compiled one hands an
 input it does not handle to the pure one of the same name itself, in C,
 and returns what that returns or raises what it raises, such as
 ``Rejected`` naming the fault of a path, height vector or inversion table.
@@ -66,7 +77,11 @@ whose heights are an inversion table (the i-th, from 1, in 0..n - i);
 each a tuple or list of five ints in 0..2**30 with 1 <= position < n,
 m <= position and position + l <= n; ``bounded_census`` an int n_max in
 0..34, a key "312" or "321", an int r_max in 0..14 and a limit that is
-None or an int.  ``histogram_pair`` hands nothing over: both backends
+None or an int; ``audit_images`` an int n in 0..12, a key "312" or "321"
+and a list or tuple of n! str, unless the audit would compare a
+prediction for an image's jump run outside the runs ``predicted_triples``
+takes (1 <= position < n, position + l <= n), which only a faulty encoder
+gives.  ``histogram_pair`` hands nothing over: both backends
 sweep 0 <= n <= ``MAXN`` only (20! still fits the compiled 64-bit bins)
 and raise ``ValueError`` for any other n and for a bad prefix.  With the
 compiled kernel selected, the pure module is imported only when a first
@@ -112,3 +127,4 @@ is_permutation = _impl.is_permutation
 decode_psi312 = _impl.decode_psi312
 predicted_triples = _impl.predicted_triples
 bounded_census = _impl.bounded_census
+audit_images = _impl.audit_images

@@ -3,6 +3,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +276,19 @@ class TestTauBases:
             census.enumerate_tau_bases("312", 3)
 
 
+def _drop_last(path, step):
+    i = path.rfind(step)
+    return path[:i] + path[i + 1 :]
+
+
+@pytest.fixture
+def loop_route(monkeypatch):
+    """Pin ``audit_bijections`` to its loop over S_n, the route of the pure
+    kernel, by the swap ``on_each_backend`` makes of ``kernels``' names: for
+    tests that patch a Python helper the compiled audit does not call."""
+    monkeypatch.setattr(kernels, "audit_images", _purecount.audit_images)
+
+
 class TestAudit:
     @pytest.mark.parametrize("tau", ["312", "321"])
     def test_audit_passes_n6(self, tau):
@@ -312,6 +329,7 @@ class TestAuditRoute:
         assert census.audit_bijections(6, tau).passed
         assert len(calls) == math.factorial(6) + series.catalan_number(6)
 
+    @pytest.mark.usefixtures("loop_route")
     @pytest.mark.parametrize("tau", ["312", "321"])
     def test_prediction_runs_once_per_compared_permutation(self, monkeypatch, tau):
         # the audit compares a prediction with the oracle when the image has
@@ -334,6 +352,7 @@ class TestAuditRoute:
         assert census.audit_bijections(6, tau).passed
         assert calls == compared
 
+    @pytest.mark.usefixtures("loop_route")
     @pytest.mark.parametrize("tau", ["312", "321"])
     def test_one_parse_per_permutation_and_two_per_dyck_path(self, monkeypatch, tau):
         # each image is parsed once; each Dyck path by the avoider decoder
@@ -352,8 +371,11 @@ class TestAuditRoute:
     # the failing checks and counterexamples of ``audit_bijections(5, key)``
     # with an encoder whose image has one down-step too many ("UD" appended:
     # its last down-step has no room, n - i < h) or one too few (the last
-    # down-step dropped); DYCK stands for the counterexample of
-    # "decode-covers-dyck", the first Dyck path in the audit's set order
+    # down-step dropped; or the last up-step and the last down-step, a valid
+    # path outside psi312's image), in report order; a text given per
+    # pattern (a dict) belongs to the checks of those patterns only, and
+    # DYCK stands for the counterexample of "decode-covers-dyck", the first
+    # Dyck path in enumeration order
     _ID5 = "Permutation(1, 2, 3, 4, 5)"
     _MISSING = "missing ['UDUDUDUDUD', 'UDUDUDUUDD', 'UDUDUUDDUD']"
     _MUTATED = {
@@ -367,46 +389,135 @@ class TestAuditRoute:
                 ("decode-roundtrip", f"{_ID5} -> UDUDUDUDUDUD -> Permutation(1, 2, 3, 4, 5, 6)"),
                 ("decode-covers-dyck", "DYCK"),
                 ("avoider-image-is-all-dyck", _MISSING),
+                ("decode-psi312-roundtrip", {"312": f"{_ID5} -> UDUDUDUDUDUD"}),
             ],
-            [("decode-psi312-roundtrip", f"{_ID5} -> UDUDUDUDUDUD")],
         ),
         "drop last down-step": (
-            lambda path: path[: path.rfind("D")] + path[path.rfind("D") + 1 :],
+            lambda path: _drop_last(path, "D"),
             [
                 ("valid-image", f"{_ID5} -> UDUDUDUDU"),
                 ("decode-covers-dyck", "DYCK"),
                 ("avoider-count", "0 avoiders, 0 images, C_n=42"),
                 ("avoider-image-is-all-dyck", _MISSING),
             ],
-            [],
+        ),
+        "drop last up-step and last down-step": (
+            lambda path: _drop_last(_drop_last(path, "U"), "D"),
+            [
+                ("injective", f"{_ID5} and Permutation(1, 2, 3, 5, 4) share image UDUDUDUD"),
+                ("valid-image", f"{_ID5} -> UDUDUDUD"),
+                ("down-step-heights", f"{_ID5} -> UDUDUDUD"),
+                ("maxima-are-peaks", f"{_ID5} -> UDUDUDUD"),
+                (
+                    "ups-after-jump",
+                    {
+                        "312": "Permutation(1, 2, 5, 3, 4) -> UDUDUUUDJD",
+                        "321": "Permutation(1, 2, 5, 4, 3) -> UDUDUUUDJD",
+                    },
+                ),
+                ("avoider-staircase-agreement", _ID5),
+                ("decode-roundtrip", f"{_ID5} -> UDUDUDUD -> Permutation(1, 2, 3, 4)"),
+                ("decode-covers-dyck", "DYCK"),
+                ("avoider-count", "42 avoiders, 14 images, C_n=42"),
+                ("avoider-image-is-all-dyck", _MISSING),
+                ("decode-psi312-roundtrip", {"312": f"{_ID5} -> UDUDUDUD"}),
+                ("single-occurrence-shape", {"312": "Permutation(1, 5, 3, 4, 2) -> UDUUUUDJDD, r=1"}),
+                (
+                    "predicted-subset",
+                    {
+                        "312": "Permutation(1, 5, 3, 4, 2): [(2, 4, 4)]",
+                        "321": "Permutation(1, 5, 3, 2, 4): [(2, 4, 4)]",
+                    },
+                ),
+                (
+                    "predicted-total",
+                    {
+                        "312": "Permutation(1, 5, 3, 4, 2): predicted 2, r=1",
+                        "321": "Permutation(1, 5, 3, 2, 4): predicted 2, r=1",
+                    },
+                ),
+            ],
         ),
     }
 
-    @pytest.mark.parametrize("tau", ["312", "321"])
-    @pytest.mark.parametrize("mutation", _MUTATED)
-    def test_mutated_encoder_fails_as_before(self, monkeypatch, tau, mutation):
-        mutate, failed, failed_312 = self._MUTATED[mutation]
+    @staticmethod
+    def _mutate(monkeypatch, mutation):
+        mutate = TestAuditRoute._MUTATED[mutation][0]
         for name in ("psi312", "psi321"):
             original = getattr(bijections, name)
             monkeypatch.setattr(bijections, name, lambda rho, original=original: mutate(original(rho)))
-        decode = bijections.decode_312_avoiding if tau == "312" else bijections.decode_321_avoiding
-        dyck = next(iter(set(paths.enumerate_paths(5, 0))))
-        want = [(name, f"{dyck} -> {decode(dyck)}" if text == "DYCK" else text) for name, text in failed]
-        if tau == "312":
-            want += failed_312
-        report = census.audit_bijections(5, tau)
-        assert [(c.name, c.counterexample) for c in report.checks if not c.passed] == want
 
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    @pytest.mark.parametrize("mutation", _MUTATED)
+    def test_mutated_encoder_fails_as_before(self, fastcount, monkeypatch, tau, mutation):
+        self._mutate(monkeypatch, mutation)
+        decode = bijections.decode_312_avoiding if tau == "312" else bijections.decode_321_avoiding
+        dyck = next(paths.enumerate_paths(5, 0))
+        want = []
+        for name, text in self._MUTATED[mutation][1]:
+            if isinstance(text, dict):
+                if tau not in text:
+                    continue
+                text = text[tau]
+            want.append((name, f"{dyck} -> {decode(dyck)}" if text == "DYCK" else text))
+        failed = []
+        for impl in (fastcount, _purecount):  # the compiled audit, then the loop
+            monkeypatch.setattr(kernels, "audit_images", impl.audit_images)
+            report = census.audit_bijections(5, tau)
+            failed.append([(c.name, c.counterexample) for c in report.checks if not c.passed])
+        assert failed == [want, want]
+
+    def test_mutated_report_does_not_depend_on_the_hash_seed(self):
+        # the Dyck paths are walked in enumeration order, not in set order
+        code = (
+            "from permdyck import bijections, census; psi = bijections.psi312; "
+            "bijections.psi312 = lambda rho: psi(rho) + 'UD'; "
+            "print(repr(census.audit_bijections(5, '312')))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        reports = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert "decode-covers-dyck', passed=False" in reports[0]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    @pytest.mark.parametrize("n", range(8))
+    def test_routes_give_one_report(self, fastcount, monkeypatch, n, tau):
+        # the compiled audit and the loop, each on the same encoder images
+        reports = []
+        for impl in (fastcount, _purecount):
+            monkeypatch.setattr(kernels, "audit_images", impl.audit_images)
+            reports.append(repr(census.audit_bijections(n, tau)))
+        assert reports[0] == reports[1]
+
+    def test_compiled_verdict_the_loop_does_not_repeat_raises(self, monkeypatch):
+        # the counterexample comes from the check's Python body; a failure
+        # that body does not find there is a disagreement, not a report
+        monkeypatch.setattr(kernels, "audit_images", lambda n, key, images: ({"jump-sandwich": 0}, [], []))
+        with pytest.raises(RuntimeError, match="jump-sandwich"):
+            census.audit_bijections(4, "312")
+
+    @pytest.mark.usefixtures("loop_route")
     def test_wrong_psi312_decoding_fails_roundtrip(self, monkeypatch):
         monkeypatch.setattr(bijections, "_decode_psi312", lambda info: Permutation((1,)))
         failed = [c.name for c in census.audit_bijections(5, "312").checks if not c.passed]
         assert failed == ["decode-psi312-roundtrip"]
 
+    @pytest.mark.usefixtures("loop_route")
     def test_wrong_single_occurrence_shape_fails_its_check(self, monkeypatch):
         monkeypatch.setattr(bijections, "_single_occurrence_shape_312", lambda info: False)
         failed = [c.name for c in census.audit_bijections(5, "312").checks if not c.passed]
         assert failed == ["single-occurrence-shape"]
 
+    @pytest.mark.usefixtures("loop_route")
     def test_dropped_prediction_fails_total(self, monkeypatch):
         original = bijections._predict
         monkeypatch.setattr(bijections, "_predict", lambda rho, key, info: original(rho, key, info)[1:])
@@ -451,6 +562,7 @@ class TestAuditRoute:
         by_value = sorted(triple, key=lambda i: rho[i - 1])
         return tuple(by_value[t - 1] for t in perms.as_pattern(tau))
 
+    @pytest.mark.usefixtures("loop_route")
     @pytest.mark.parametrize("tau", ["312", "321"])
     @pytest.mark.parametrize("kind", ["non-occurrence", "positions-in-pattern-order"])
     def test_wrong_prediction_fails_subset_only(self, monkeypatch, tau, kind):

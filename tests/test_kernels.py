@@ -1,16 +1,12 @@
 """Equivalence of the compiled and pure-Python kernels: occurrence counting,
 the encoder and decoder primitives, the jump predictions and the bounded
-census."""
+census, and the compiled bijection audit against the audit's loop."""
 
 import hashlib
 import importlib.util
 import itertools
 import math
-import os
-import shutil
 import sys
-import sysconfig
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +14,6 @@ from hypothesis import strategies as st
 
 from permdyck import _purecount, bijections, census, kernels, paths, perms
 from permdyck.perms import PatternError, Permutation, all_permutations, find_occurrences
-
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "permdyck" / "_fastcount.c"
 
 
 def _perms_up_to(max_n):
@@ -29,40 +23,6 @@ def _perms_up_to(max_n):
 
 
 rand_perm = _perms_up_to(12)
-
-
-@pytest.fixture(scope="module")
-def fastcount(tmp_path_factory):
-    """The compiled kernel, whichever backend ``kernels`` selected: the
-    in-place build when importable, else the C source compiled into a
-    temporary directory and loaded from there."""
-    try:
-        from permdyck import _fastcount
-
-        return _fastcount
-    except ImportError:
-        pass
-    # the compiler setuptools would run: $CC, else the one Python was built with
-    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc!r} not found) to build permdyck._fastcount")
-    from setuptools import Distribution, Extension
-    from setuptools.command.build_ext import build_ext
-
-    out = tmp_path_factory.mktemp("fastcount")
-    cmd = build_ext(
-        Distribution({"ext_modules": [Extension("permdyck._fastcount", [str(SOURCE)])]})
-    )
-    cmd.build_lib = str(out)
-    cmd.build_temp = str(out / "tmp")
-    cmd.ensure_finalized()
-    cmd.run()
-    spec = importlib.util.spec_from_file_location(
-        "permdyck._fastcount", cmd.get_ext_fullpath("permdyck._fastcount")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_backend_reported():
@@ -300,6 +260,7 @@ _BOUND = (
     "decode_psi312",
     "predicted_triples",
     "bounded_census",
+    "audit_images",
 )
 
 
@@ -703,3 +664,74 @@ def test_jump_analyses_and_predictions_as_before(tau):
             analyses.update(repr(bijections.analyze_jumps(rho, tau)).encode())
             predictions.update(repr(bijections.predicted_occurrences(rho, tau)).encode())
     assert (analyses.hexdigest(), predictions.hexdigest()) == _JUMP_DIGESTS[tau]
+
+
+# -- the bijection audit ----------------------------------------------------
+
+
+def _images(n, key):
+    return [bijections.psi_tau(rho, key) for rho in all_permutations(n)]
+
+
+def _loop_ranks(n, key, images):
+    """What the audit's loop finds in ``images``, as ``audit_images`` gives
+    it: per check, the rank of the first permutation failing it, and the
+    ranks with no and with one occurrence whose image is a valid path."""
+    check = census._image_checks(key)
+    first, counts = {}, ([], [])
+    for rank, (rho, path) in enumerate(zip(all_permutations(n), images)):
+        r = check(rho, path, lambda name, text: first.setdefault(name, rank))
+        if r in (0, 1):
+            counts[r].append(rank)
+    return first, *counts
+
+
+def _drop_last(path, step):
+    i = path.rfind(step)
+    return path[:i] + path[i + 1 :]
+
+
+def _edited(edit):
+    return lambda n, key: [edit(path) for path in _images(n, key)]
+
+
+# the images of faulty encoders: each permutation given its successor's
+# image (the last the first's), the staircase map's jump-free image, and
+# the encoder's image with one down-step too many, with its last step cut
+# off (not a path), with a jump's down-run moved before it, with one
+# up-step and one down-step too few, or, where it ends in a peak, with a
+# jump between that peak's up-step and down-step (the same heights, the
+# jump not sandwiched)
+_FAULTY = {
+    "rotated": lambda n, key: _images(n, key)[1:] + _images(n, key)[:1],
+    "staircase": lambda n, key: [bijections.psi_avoiding(rho) for rho in all_permutations(n)],
+    "append UD": _edited(lambda path: path + "UD"),
+    "cut last step": _edited(lambda path: path[:-1]),
+    "down-step before jump": _edited(lambda path: path.replace("JD", "DJ", 1)),
+    "drop last U and D": _edited(lambda path: _drop_last(_drop_last(path, "U"), "D")),
+    "jump in last peak": _edited(lambda path: path[:-2] + "UUJD" if path.endswith("UD") else path),
+}
+
+
+@pytest.mark.parametrize("key", ["312", "321"])
+@pytest.mark.parametrize("faulty", _FAULTY)
+def test_compiled_audit_names_the_loops_first_failures(fastcount, on_each_backend, key, faulty):
+    images = _FAULTY[faulty](5, key)
+    got = _compiled(fastcount, "audit_images", 5, key, images, handed_over=0)
+    assert got[0]
+    assert on_each_backend(_loop_ranks, 5, key, images) == [got, got]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (3, "312", _images(3, "312")[:-1] + [b"UUUDDD"]),  # an image that is not a str
+        (3, "321", _images(3, "321")[:-1]),  # n! - 1 images
+        (13, "312", []),  # n above 12
+        (3, "213", _images(3, "312")),  # no encoder for the key
+        (2, "312", ["UUJDUD", "UUDD"]),  # a compared jump run at position 0
+    ],
+)
+def test_compiled_audit_hands_over(fastcount, args):
+    # None, the pure answer, sends the audit through its own loop
+    assert _compiled(fastcount, "audit_images", *args, handed_over=1) is None
