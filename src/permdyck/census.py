@@ -563,13 +563,17 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
                 raise RuntimeError(f"the compiled audit fails {name} on {hosts[rank]}, its Python body does not")
             fail(name, texts[name])
 
+    # each Dyck path is decoded once, in enumeration order, for the avoider
+    # round trip and for decode-covers-dyck; an avoider image outside D_n
+    # is decoded on its own
+    decoded = {path: decode(path) for path in paths.enumerate_paths(n, 0)}
     for rank in avoiders:
         rho, path = hosts[rank], images[rank]
         if path != bijections.psi_avoiding(rho):
             fail("avoider-staircase-agreement", f"{rho}")
-        decoded = decode(path)
-        if decoded != rho:
-            fail("decode-roundtrip", f"{rho} -> {path} -> {decoded}")
+        back = decoded[path] if path in decoded else decode(path)
+        if back != rho:
+            fail("decode-roundtrip", f"{rho} -> {path} -> {back}")
     # the brute-force oracle runs only where the whole occurrence set is read
     for rank in singles:
         rho = hosts[rank]
@@ -580,14 +584,11 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
     avoider_images = {images[rank] for rank in avoiders}
     if len(avoiders) != cn or len(avoider_images) != cn:
         fail("avoider-count", f"{len(avoiders)} avoiders, {len(avoider_images)} images, C_n={cn}")
-    dyck = list(paths.enumerate_paths(n, 0))
-    dyck_set = set(dyck)
-    if avoider_images != dyck_set:
-        fail("avoider-image-is-all-dyck", f"missing {sorted(dyck_set - avoider_images)[:3]}")
+    if avoider_images != decoded.keys():
+        fail("avoider-image-is-all-dyck", f"missing {sorted(decoded.keys() - avoider_images)[:3]}")
 
     # decoding every Dyck path yields an avoider that encodes back to it
-    for path in dyck:
-        rho = decode(path)
+    for path, rho in decoded.items():
         if count_occurrences_fast(rho, tau) != 0 or encode(rho) != path:
             fail("decode-covers-dyck", f"{path} -> {rho}")
             break

@@ -24,15 +24,16 @@ stdout closed by its reader before the output was written (as in ``|
 head -1``; 128 + SIGPIPE, what a shell reports for a writer the signal
 ends), with nothing printed on stderr.
 
-At start-up this module loads only ``census`` and ``perms`` (with
-``kernels``) of the package, which ``table``, ``bases`` and the error
-mapping need.  The other handlers import what they call: ``verify
---formulas``, ``verify --conjectures`` and ``coeffs`` load ``recorded``
-(the recorded rows, expanded in integers, with no series arithmetic),
-``verify --assemblies`` and ``verify --general-form`` load ``series``,
-``map`` and ``decode`` load ``bijections`` and ``paths``, and ``render``
-loads ``paths``.  No command loads
-``dataclasses`` or ``inspect``, only a cache read or write loads
+At start-up this module loads only ``perms`` (with ``kernels``) of the
+package.  Each handler imports what it calls: ``table``, ``bases``,
+``verify --formulas`` and ``verify --conjectures`` load ``census``, and
+no other command does (the error mapping loads it only to map a
+``RuntimeError``); ``verify --formulas``, ``verify --conjectures`` and
+``coeffs`` load ``recorded`` (the recorded rows, expanded in integers,
+with no series arithmetic), ``verify --assemblies`` and ``verify
+--general-form`` load ``series``, ``map`` and ``decode`` load
+``bijections`` and ``paths``, and ``render`` loads ``paths``.  No command
+loads ``dataclasses`` or ``inspect``, only a cache read or write loads
 ``hashlib``, and only JSON output or a cache read or write loads ``json``.
 """
 
@@ -43,7 +44,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from permdyck import census
 from permdyck.perms import Permutation
 
 EXIT_OK = 0
@@ -102,8 +102,13 @@ def _emit_json(args, doc, **options) -> None:
 
 
 def _cmd_table(args) -> int:
+    from permdyck import census
+
     ns = args.n
-    limit = max(ns) if args.force else args.limit
+    if args.force:
+        limit = max(ns)
+    else:
+        limit = census.DEFAULT_LIMIT if args.limit is None else args.limit
     if args.force and max(ns) > census.DEFAULT_LIMIT:
         print(
             f"warning: sweeping S_{max(ns)} exhaustively; this can take a long time",
@@ -160,6 +165,8 @@ def _cmd_verify(args) -> int:
     checks: list[str] = []
     passed = True
     if args.formulas or args.conjectures:
+        from permdyck import census
+
         fn = census.verify_formulas if args.formulas else census.verify_conjectures
         report = fn(args.n_max, force=args.force)
         checks.extend(_report_lines(report))
@@ -226,6 +233,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_bases(args) -> int:
+    from permdyck import census
+
     catalog = census.enumerate_tau_bases(args.tau, args.r)
     if args.format == "json":
         doc = {
@@ -331,7 +340,7 @@ def _add_common(p: argparse.ArgumentParser, *, cache: bool = False) -> None:
         p.add_argument(
             "--limit",
             type=_nonnegative_int,
-            default=census.DEFAULT_LIMIT,
+            default=None,  # census.DEFAULT_LIMIT, resolved by table
             help="largest n that table sweeps without --force",
         )
         p.add_argument(
@@ -418,12 +427,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # flush at exit writes the rest of the buffer nowhere, silently
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except census.ResourceGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except census.CacheError as exc:
-        print(f"error: {exc} (delete the file to recompute it)", file=sys.stderr)
-        return EXIT_CACHE
+    except RuntimeError as exc:
+        # census defines both errors; a command that raises them loaded it
+        from permdyck import census
+
+        if isinstance(exc, census.ResourceGuardError):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_GUARD
+        if isinstance(exc, census.CacheError):
+            print(f"error: {exc} (delete the file to recompute it)", file=sys.stderr)
+            return EXIT_CACHE
+        raise
     except (ValueError, OSError) as exc:  # PatternError, PathError, NotInImageError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

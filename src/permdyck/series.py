@@ -615,17 +615,18 @@ def closed_form_S321_2_11(w: _Workbench) -> Series:
     """c^3 x^6 (1 - cx + c^2 x) (2 - x - 2cx + c^2 x + c x^2 + c^3 x^2
     + c^4 x^2 - c^3 x^3 - 2 c^4 x^3 + c^4 x^4) / ((1-x)^3 (1-cx)^4)."""
     c, cp, x = w.c, w.cpow, w.x
+    # a factor x**j is the t-shift by 2j, not a product
     big = (
         2 * w.one
         - x
-        - 2 * c * x
-        + cp(2) * x
-        + c * x**2
-        + cp(3) * x**2
-        + cp(4) * x**2
-        - cp(3) * x**3
-        - 2 * cp(4) * x**3
-        + cp(4) * x**4
+        - 2 * c.shift(2)
+        + cp(2).shift(2)
+        + c.shift(4)
+        + cp(3).shift(4)
+        + cp(4).shift(4)
+        - cp(3).shift(6)
+        - 2 * cp(4).shift(6)
+        + cp(4).shift(8)
     )
     num = w.cpow(3) * (w.one - w.cx + w.c2x) * big
     den = (w.one - x) ** 3 * (w.one - w.cx) ** 4
@@ -635,17 +636,18 @@ def closed_form_S321_2_11(w: _Workbench) -> Series:
 def _together_312_cform(w: _Workbench) -> Series:
     """c^4 x^4 / (1-c^2x)^3 * (2 + 2c + cx - 4c^2x - 4c^3x + c^3x^2
     + 2c^4x^2 + 2c^5x^2 - c^5x^3)."""
-    c, cp, x = w.c, w.cpow, w.x
+    c, cp = w.c, w.cpow
+    # a factor x**j is the t-shift by 2j, not a product
     poly = (
         2 * w.one
         + 2 * c
-        + c * x
-        - 4 * cp(2) * x
-        - 4 * cp(3) * x
-        + cp(3) * x**2
-        + 2 * cp(4) * x**2
-        + 2 * cp(5) * x**2
-        - cp(5) * x**3
+        + c.shift(2)
+        - 4 * cp(2).shift(2)
+        - 4 * cp(3).shift(2)
+        + cp(3).shift(4)
+        + 2 * cp(4).shift(4)
+        + 2 * cp(5).shift(4)
+        - cp(5).shift(6)
     )
     return (w.cpow(4) * poly * w.inv_1_c2x**3).shift(8).truncate(w.N)
 
@@ -653,34 +655,35 @@ def _together_312_cform(w: _Workbench) -> Series:
 def _together_321_cform(w: _Workbench) -> Series:
     """c^3 x^4 / ((1-x)^3 (1-cx)^4) times the 26-term polynomial in c, x."""
     c, cp, x = w.c, w.cpow, w.x
+    # a factor x**j is the t-shift by 2j, not a product
     poly = (
         w.one
         + 2 * c
-        - 7 * c * x
-        - 5 * cp(2) * x
-        + 2 * cp(3) * x
-        + 2 * cp(4) * x
-        + 4 * c * x**2
-        + 16 * cp(2) * x**2
-        - 10 * cp(4) * x**2
-        - 4 * cp(5) * x**2
-        - c * x**3
-        - 10 * cp(2) * x**3
-        - 9 * cp(3) * x**3
-        + 15 * cp(4) * x**3
-        + 14 * cp(5) * x**3
-        + 2 * cp(6) * x**3
-        + 2 * cp(2) * x**4
-        + 6 * cp(3) * x**4
-        - 7 * cp(4) * x**4
-        - 16 * cp(5) * x**4
-        - 5 * cp(6) * x**4
-        - cp(3) * x**5
-        + cp(4) * x**5
-        + 7 * cp(5) * x**5
-        + 4 * cp(6) * x**5
-        - cp(5) * x**6
-        - cp(6) * x**6
+        - 7 * c.shift(2)
+        - 5 * cp(2).shift(2)
+        + 2 * cp(3).shift(2)
+        + 2 * cp(4).shift(2)
+        + 4 * c.shift(4)
+        + 16 * cp(2).shift(4)
+        - 10 * cp(4).shift(4)
+        - 4 * cp(5).shift(4)
+        - c.shift(6)
+        - 10 * cp(2).shift(6)
+        - 9 * cp(3).shift(6)
+        + 15 * cp(4).shift(6)
+        + 14 * cp(5).shift(6)
+        + 2 * cp(6).shift(6)
+        + 2 * cp(2).shift(8)
+        + 6 * cp(3).shift(8)
+        - 7 * cp(4).shift(8)
+        - 16 * cp(5).shift(8)
+        - 5 * cp(6).shift(8)
+        - cp(3).shift(10)
+        + cp(4).shift(10)
+        + 7 * cp(5).shift(10)
+        + 4 * cp(6).shift(10)
+        - cp(5).shift(12)
+        - cp(6).shift(12)
     )
     den = (w.one - x) ** 3 * (w.one - w.cx) ** 4
     return (w.cpow(3) * poly / den).shift(8).truncate(w.N)
@@ -828,19 +831,32 @@ def _decompose_p_plus_sq(g: Series, degree_bound: int) -> Optional[tuple[list[Fr
     """Find polynomials P, Q (degree <= degree_bound) with G = P + sqrt(1-4x) Q,
     verified against every available coefficient of G.
 
-    P has no x-coefficient past degree_bound, so those coefficients of G fix
-    Q through sqrt(1-4x) Q alone: Q solves that exact overdetermined system
-    (None unless it is consistent with a unique solution), and P is the low
-    part of G - sqrt(1-4x) Q."""
+    P has no x-coefficient past d = degree_bound, so those coefficients of G
+    fix Q through sqrt(1-4x) Q alone: [x^n] G = sum_i s_{n-i} q_i for n > d,
+    with s_k the x-coefficients of sqrt(1-4x).  The d + 1 equations
+    n = d+1, ..., 2d+1 determine Q: for k >= 1, s_k = -2 C_{k-1} (C the
+    Catalan numbers), so this square block with its columns reversed is -2
+    times the Hankel matrix (C_{a+b}), a, b = 0..d, whose determinant is 1;
+    the block's determinant is +-2^(d+1), never 0.  Q solves the block
+    exactly, and every later equation is then checked in integers, with Q
+    scaled by the lcm of its denominators; the first that fails gives None,
+    as does too short a G.  That is the answer of the whole overdetermined
+    system (a consistent one has the block's solution as its only one).  P
+    is the low part of G - sqrt(1-4x) Q."""
     if not g.lives_in_x():
         return None
     gx = g.x_coefficients()
     sx = sqrt_one_minus_4x(g.order).x_coefficients()
     d = degree_bound
-    rows = [[sx[n - i] for i in range(d + 1)] for n in range(d + 1, len(gx))]
-    q = _solve_exact(rows, gx[d + 1 :])
+    block = range(d + 1, min(2 * d + 2, len(gx)))
+    q = _solve_exact([[sx[n - i] for i in range(d + 1)] for n in block], [gx[n] for n in block])
     if q is None:
         return None
+    scale = lcm(*(v.denominator for v in q))
+    q_scaled = [v.numerator * (scale // v.denominator) for v in q]
+    for n in range(2 * d + 2, len(gx)):
+        if sum(sx[n - i] * qi for i, qi in enumerate(q_scaled)) != gx[n] * scale:
+            return None
     p = [Fraction(gx[n]) - sum(sx[n - i] * q[i] for i in range(n + 1)) for n in range(d + 1)]
     while len(p) > 1 and p[-1] == 0:
         p.pop()

@@ -354,9 +354,10 @@ class TestAuditRoute:
 
     @pytest.mark.usefixtures("loop_route")
     @pytest.mark.parametrize("tau", ["312", "321"])
-    def test_one_parse_per_permutation_and_two_per_dyck_path(self, monkeypatch, tau):
-        # each image is parsed once; each Dyck path by the avoider decoder
-        # and again by the decode-covers-dyck sweep
+    def test_one_parse_per_permutation_and_one_per_dyck_path(self, monkeypatch, tau):
+        # each image is parsed once; each Dyck path once by the avoider
+        # decoder, whose result both the avoider round trip and the
+        # decode-covers-dyck sweep read
         original = paths._scan
         calls = []
 
@@ -366,7 +367,7 @@ class TestAuditRoute:
 
         monkeypatch.setattr(paths, "_scan", counted)
         assert census.audit_bijections(6, tau).passed
-        assert len(calls) == math.factorial(6) + 2 * series.catalan_number(6)
+        assert len(calls) == math.factorial(6) + series.catalan_number(6)
 
     # the failing checks and counterexamples of ``audit_bijections(5, key)``
     # with an encoder whose image has one down-step too many ("UD" appended:

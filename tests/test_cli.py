@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import permdyck
-from permdyck import census, kernels
+from permdyck import census, cli, kernels
 from permdyck.cli import EXIT_CACHE, EXIT_PIPE, EXIT_USAGE, build_parser, main, render_svg
 from permdyck.paths import PathError
 
@@ -491,6 +491,68 @@ class TestStartupImports:
     def test_assemblies_load_series(self):
         code = "from permdyck import cli\ncli.main(['verify', '--assemblies', '--order', '8'])"
         assert "permdyck.series" in loaded_submodules(code)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "4,3,5,1,2", "--tau", "312"],
+            ["decode", "UUDD", "--mode", "321avoid"],
+            ["render", "UUUUDDUDJDUD"],
+            ["coeffs", "--tau", "321", "--r", "4"],
+            ["verify", "--assemblies", "--order", "8"],
+            ["verify", "--general-form", "--order", "60"],
+        ],
+    )
+    def test_commands_without_census(self, argv):
+        code = f"from permdyck import cli\nassert cli.main({argv!r}) == 0"
+        assert "permdyck.census" not in loaded_submodules(code)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--tau", "312", "--n", "4", "--cache-dir", ""],
+            ["bases", "--tau", "312", "--r", "1"],
+            ["verify", "--formulas", "--n-max", "6"],
+            ["verify", "--conjectures", "--n-max", "6"],
+        ],
+    )
+    def test_commands_with_census(self, argv):
+        code = f"from permdyck import cli\nassert cli.main({argv!r}) == 0"
+        assert "permdyck.census" in loaded_submodules(code)
+
+    @staticmethod
+    def _exit_code(argv) -> int:
+        # a fresh interpreter, so that only the command itself loads census
+        src = str(Path(permdyck.__file__).resolve().parents[1])
+        code = "import sys\nfrom permdyck import cli\nsys.exit(cli.main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+        return proc.returncode
+
+    def test_default_limit_guards_table(self):
+        # --limit defaults to None, which table reads as census.DEFAULT_LIMIT
+        assert build_parser().parse_args(["table", "--tau", "312", "--n", "5"]).limit is None
+        assert self._exit_code(["table", "--tau", "312", "--n", str(census.DEFAULT_LIMIT + 1)]) == 3
+
+    def test_corrupt_cache_exit_code(self, tmp_path):
+        bad = tmp_path / "312" / "5.json"
+        bad.parent.mkdir()
+        bad.write_text("{")
+        argv = ["table", "--tau", "312", "--n", "5", "--cache-dir", str(tmp_path)]
+        assert self._exit_code(argv) == EXIT_CACHE == 4
+
+    def test_other_runtime_errors_propagate(self, monkeypatch):
+        def broken(args):
+            raise RuntimeError("not a census error")
+
+        monkeypatch.setattr(cli, "_cmd_coeffs", broken)
+        with pytest.raises(RuntimeError, match="not a census error"):
+            main(["coeffs", "--tau", "321", "--r", "2"])
 
     def test_cli_start_loads_no_dataclasses_inspect_or_hashlib(self):
         loaded = loaded_modules("import permdyck.cli as c\nc.build_parser()")

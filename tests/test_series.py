@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permdyck import series
+from permdyck.perms import catalan_number
 from permdyck.series import Series, from_x_poly, monomial, one
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
@@ -635,6 +636,24 @@ class TestAssemblies:
         products = count_products(monkeypatch)
         assert series.check_assemblies(60).passed
         assert len(products) <= 300
+        assert sum(isinstance(other, Series) for other in products) == 94
+
+    @pytest.mark.parametrize(
+        "name", ["closed_form_S321_2_11", "_together_312_cform", "_together_321_cform"]
+    )
+    def test_closed_forms_shift_by_powers_of_x(self, monkeypatch, name):
+        # a power x^j = t^(2j), j >= 1, is a t-shift by 2j, never a product
+        # operand: no operand is a lone 1 at an even t-power past t^0
+        def is_x_power(f):
+            v = f.valuation() if isinstance(f, Series) else None
+            return bool(v) and v % 2 == 0 and f.coeffs[v] == 1 and not any(f.coeffs[v + 1 :])
+
+        w = series._Workbench(62)
+        expect = getattr(series, name)(w)
+        products = count_products(monkeypatch)
+        got = getattr(series, name)(w)
+        assert products and not any(map(is_x_power, products))
+        assert got.coeffs == expect.coeffs
 
     @pytest.mark.parametrize(
         "function, args, exponent, check",
@@ -821,7 +840,90 @@ class TestSolver:
             assert all(type(v) is Fraction for v in rep.p_coeffs + rep.q_coeffs)
 
 
+def bareiss_determinant(rows) -> int:
+    """The determinant of a square integer matrix, by fraction-free
+    elimination."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        pr = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pr is None:
+            return 0
+        if pr != k:
+            a[k], a[pr] = a[pr], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def decompose_by_full_system(g: Series, d: int):
+    """``_decompose_p_plus_sq`` as one overdetermined solve of every
+    equation n > d, the reference for the square block and its check."""
+    if not g.lives_in_x():
+        return None
+    gx = g.x_coefficients()
+    sx = series.sqrt_one_minus_4x(g.order).x_coefficients()
+    rows = [[sx[n - i] for i in range(d + 1)] for n in range(d + 1, len(gx))]
+    q = series._solve_exact(rows, gx[d + 1 :])
+    if q is None:
+        return None
+    p = [Fraction(gx[n]) - sum(sx[n - i] * q[i] for i in range(n + 1)) for n in range(d + 1)]
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    while len(q) > 1 and q[-1] == 0:
+        q.pop()
+    return p, q
+
+
+def general_form_input(key: str, r: int, order: int) -> tuple[Series, int]:
+    """D * gf(key, r) and the degree bound, as ``check_general_form`` builds them."""
+    d = series._denominator(key, r, order)[0]
+    return d * series.gf(key, r, order), 2 * r + 6
+
+
 class TestDecomposition:
+    @pytest.mark.parametrize("d", range(31))
+    def test_square_block_is_never_singular(self, d):
+        # the block of equations n = d+1..2d+1: columns reversed, it is -2
+        # times the Catalan Hankel matrix, of determinant 1
+        sx = series.sqrt_one_minus_4x(2 * (2 * d + 1)).x_coefficients()
+        block = [[sx[n - i] for i in range(d + 1)] for n in range(d + 1, 2 * d + 2)]
+        assert abs(bareiss_determinant(block)) == 2 ** (d + 1)
+        hankel = [[catalan_number(a + b) for b in range(d + 1)] for a in range(d + 1)]
+        assert block == [[-2 * v for v in reversed(row)] for row in hankel]
+
+    @pytest.mark.parametrize("order", [80, 160])
+    @pytest.mark.parametrize("row", sorted(series.GF_PQ), ids="{0[0]}-r{0[1]}".format)
+    def test_square_block_equals_full_system(self, order, row):
+        g, bound = general_form_input(*row, order)
+        got = series._decompose_p_plus_sq(g, bound)
+        assert got is not None
+        assert got == decompose_by_full_system(g, bound)
+        assert all(type(c) is Fraction for c in got[0] + got[1])
+
+    def test_short_series_equal_full_system(self):
+        # too few coefficients for the block leave Q undetermined: None
+        g, d = general_form_input("321", 2, 80)
+        for order in range(0, 4 * d + 8, 2):
+            short = g.truncate(order)
+            got = series._decompose_p_plus_sq(short, d)
+            assert got == decompose_by_full_system(short, d)
+            assert (got is None) == (order // 2 < 2 * d + 1)
+
+    @pytest.mark.parametrize("row", sorted(series.GF_PQ), ids="{0[0]}-r{0[1]}".format)
+    def test_changed_coefficient_past_the_block(self, row):
+        g, d = general_form_input(*row, 80)
+        last = g.order // 2
+        for n, delta in ((2 * d + 2, 1), (last, -1), ((2 * d + 2 + last) // 2, Fraction(1, 3))):
+            cs = list(g.coeffs)
+            cs[2 * n] += delta
+            changed = Series(cs)
+            assert series._decompose_p_plus_sq(changed, d) is None
+            assert decompose_by_full_system(changed, d) is None
+
     @settings(max_examples=25, deadline=None)
     @given(small_fraction_polys, small_fraction_polys)
     def test_recovers_exact_pairs(self, p, q):
