@@ -26,19 +26,19 @@
  * permutations below it, so a sweep costs O(1) per permutation, touches no
  * Python object and runs with the interpreter lock released.
  *
- * heights_321 is derived from the (3,1,2) heights rather than counted:
- * h321_i = h312_m - (i - m) - h312_i for an entry i that is not a
- * left-to-right maximum, m being the preceding maximum (see
+ * heights_321 is derived from the (3,1,2) heights (heights_312_c) rather
+ * than counted: h321_i = h312_m - (i - m) - h312_i for an entry i that is
+ * not a left-to-right maximum, m being the preceding maximum (see
  * permdyck.perms.heights_321).  encode_path is psi312 or psi321 in one
  * call: it reads the permutation, computes its heights and writes the path
- * with the helpers of heights_312, heights_321 and path_from_heights.
- * is_permutation is the check of permdyck.perms.Permutation on a tuple or
- * list of exact ints.
+ * with the helpers of heights_321 and path_from_heights.  is_permutation is
+ * the check of permdyck.perms.Permutation.
  *
- * decode_psi312 inverts psi312 in one pass over the path: it checks the
- * steps, the height and the sandwich of each jump run as it reads them and
- * keeps only the down-step heights, which it then decodes as an inversion
- * table (decode_table).
+ * scan is the one parser of a path: scan_path returns what it reads, and
+ * decode_psi312 parses with it, checks that every jump run is sandwiched
+ * and decodes the down-step heights as an inversion table (decode_table).
+ * read_ints is the one reader of an int vector, read_perm that of a
+ * permutation.
  *
  * predicted_triples is the compiled twin of permdyck._purecount's
  * jump_pieces, the one statement of the occurrence triples each jump
@@ -241,23 +241,6 @@ heights_312_c(const int *p, int n, Py_ssize_t *h)
     }
 }
 
-PyDoc_STRVAR(heights_312_doc,
-"heights_312(values) -> tuple\n\n"
-"Per entry of a permutation of 1..n, the smaller entries to its right.\n"
-"Hands anything but a tuple or list holding a permutation, n <= MAXN, to\n"
-"_purecount.");
-
-static PyObject *
-heights_312(PyObject *module, PyObject *values)
-{
-    int p[MAXN];
-    Py_ssize_t h[MAXN], n = read_perm(values, p, -1);
-    if (n < 0)
-        return hand_over("heights_312", &values, 1);
-    heights_312_c(p, (int)n, h);
-    return to_tuple(h, n, 0);
-}
-
 /* Turn the (3,1,2) heights h of p into the (3,2,1) ones, in place. */
 static void
 heights_321_c(const int *p, int n, Py_ssize_t *h)
@@ -278,7 +261,8 @@ PyDoc_STRVAR(heights_321_doc,
 "heights_321(values) -> tuple\n\n"
 "Per entry of a permutation of 1..n: for a left-to-right maximum, the\n"
 "smaller entries to its right; for another entry, those to its right\n"
-"between it and the preceding maximum.  Hands over as heights_312 does.");
+"between it and the preceding maximum.  Hands anything but a tuple or list\n"
+"holding a permutation, n <= MAXN, to _purecount.");
 
 static PyObject *
 heights_321(PyObject *module, PyObject *values)
@@ -370,6 +354,27 @@ scan_path(PyObject *module, PyObject *path)
     return result;
 }
 
+/* Read a tuple or list of at most max ints, each in lo..hi (lo >= 0), into
+ * v.  Returns the length, or -1 for anything else (no exception set). */
+static Py_ssize_t
+read_ints(PyObject *obj, Py_ssize_t *v, Py_ssize_t max, long lo, long hi)
+{
+    if (!PyTuple_Check(obj) && !PyList_Check(obj))
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(obj);
+    PyObject **items = PySequence_Fast_ITEMS(obj);
+    if (n > max)
+        return -1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int overflow;
+        /* an overflowing int reads as -1, below lo */
+        v[i] = PyLong_Check(items[i]) ? PyLong_AsLongAndOverflow(items[i], &overflow) : -1;
+        if (v[i] < lo || v[i] > hi)
+            return -1;
+    }
+    return n;
+}
+
 /* The path whose i-th down-step lands on height h[i], i < n: before it,
  * up-steps to h[i] + 1 if below it, else down-jumps.  The heights are
  * nonnegative and end at 0. */
@@ -408,20 +413,11 @@ path_from_heights(PyObject *module, PyObject *heights)
 {
     if (!PyTuple_Check(heights) && !PyList_Check(heights))
         return hand_over("path_from_heights", &heights, 1);
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(heights);
-    PyObject **items = PySequence_Fast_ITEMS(heights);
-    Py_ssize_t *h = PyMem_New(Py_ssize_t, n + 1), i = 0;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(heights), *h = PyMem_New(Py_ssize_t, n + 1);
     if (h == NULL)
         return PyErr_NoMemory();
-    for (; i < n; i++) {
-        int overflow;
-        long v = PyLong_Check(items[i]) ? PyLong_AsLongAndOverflow(items[i], &overflow) : -1;
-        if (v < 0 || v >= INT_MAX)
-            break;
-        h[i] = v;
-    }
-    PyObject *path = i < n || (n > 0 && h[n - 1] != 0) ? hand_over("path_from_heights", &heights, 1)
-        : path_of(h, n);
+    PyObject *path = read_ints(heights, h, n, 0, INT_MAX - 1) < 0 || (n > 0 && h[n - 1] != 0)
+        ? hand_over("path_from_heights", &heights, 1) : path_of(h, n);
     PyMem_Free(h);
     return path;
 }
@@ -440,8 +436,8 @@ pattern_key(PyObject *key)
 PyDoc_STRVAR(encode_path_doc,
 "encode_path(values, key) -> str\n\n"
 "The image of a permutation of 1..n under the encoder for the pattern key,\n"
-"\"312\" or \"321\": path_from_heights of its heights_312 or heights_321.\n"
-"Hands values over as heights_312 does, and any other key, to _purecount.");
+"\"312\" or \"321\": path_from_heights of its (3,1,2) or (3,2,1) heights.\n"
+"Hands values over as heights_321 does, and any other key, to _purecount.");
 
 static PyObject *
 encode_path(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -460,44 +456,24 @@ encode_path(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 PyDoc_STRVAR(is_permutation_doc,
 "is_permutation(values) -> bool\n\n"
-"Whether a tuple or list of at most MAXN ints, each exactly an int (no\n"
-"bool), is a permutation of 1..n.  Hands anything else to _purecount.");
+"Whether values is a tuple or list of ints, each exactly an int (no bool),\n"
+"that is a permutation of 1..n.  Hands a tuple or list of more than MAXN\n"
+"such ints to _purecount.");
 
 static PyObject *
 is_permutation(PyObject *module, PyObject *values)
 {
     if (!PyTuple_Check(values) && !PyList_Check(values))
-        return hand_over("is_permutation", &values, 1);
+        Py_RETURN_FALSE;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(values);
     PyObject **items = PySequence_Fast_ITEMS(values);
-    if (n > MAXN)
-        return hand_over("is_permutation", &values, 1);
     for (Py_ssize_t i = 0; i < n; i++)
         if (!PyLong_CheckExact(items[i]))
-            return hand_over("is_permutation", &values, 1);
+            Py_RETURN_FALSE;
+    if (n > MAXN)
+        return hand_over("is_permutation", &values, 1);
     int p[MAXN];
     return PyBool_FromLong(read_perm(values, p, -1) == n);
-}
-
-/* Read a tuple or list of at most max ints, each in lo..hi (lo >= 0), into
- * v.  Returns the length, or -1 for anything else (no exception set). */
-static Py_ssize_t
-read_ints(PyObject *obj, Py_ssize_t *v, Py_ssize_t max, long lo, long hi)
-{
-    if (!PyTuple_Check(obj) && !PyList_Check(obj))
-        return -1;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(obj);
-    PyObject **items = PySequence_Fast_ITEMS(obj);
-    if (n > max)
-        return -1;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int overflow;
-        /* an overflowing int reads as -1, below lo */
-        v[i] = PyLong_Check(items[i]) ? PyLong_AsLongAndOverflow(items[i], &overflow) : -1;
-        if (v[i] < lo || v[i] > hi)
-            return -1;
-    }
-    return n;
 }
 
 /* The permutation whose inversion table is h[0 .. n), n <= MAXN, into out:
@@ -521,42 +497,31 @@ decode_table(const Py_ssize_t *h, Py_ssize_t n, Py_ssize_t *out)
 
 PyDoc_STRVAR(decode_psi312_doc,
 "decode_psi312(path) -> tuple\n\n"
-"The permutation whose psi312 image is path, in one pass: the path is\n"
-"parsed, its jumps checked to be sandwiched between down-steps and its\n"
-"down-step heights decoded as an inversion table.  Hands anything but a\n"
-"str holding a valid path with at most MAXN down-steps, every jump run\n"
-"sandwiched, whose heights are an inversion table, to _purecount, which\n"
-"names the fault.");
+"The permutation whose psi312 image is path: the path is parsed, its jumps\n"
+"checked to be sandwiched between down-steps and its down-step heights\n"
+"decoded as an inversion table.  Hands anything but a str holding a valid\n"
+"path with at most MAXN down-steps, every jump run sandwiched, whose\n"
+"heights are an inversion table, to _purecount, which names the fault.");
 
 static PyObject *
 decode_psi312(PyObject *module, PyObject *path)
 {
     if (!PyUnicode_Check(path))
         return hand_over("decode_psi312", &path, 1);
-    Py_ssize_t len = PyUnicode_GET_LENGTH(path), n = 0, out[MAXN];
-    int kind = PyUnicode_KIND(path);
-    const void *data = PyUnicode_DATA(path);
-    Py_ssize_t h = 0, heights[MAXN];
-    Py_UCS4 prev = 0;
-    for (Py_ssize_t i = 0; i < len; i++) {
-        Py_UCS4 ch = PyUnicode_READ(kind, data, i);
-        if (ch == 'U' && prev != 'J') {
-            h++;
-        } else if (ch == 'D' && n < MAXN) {
-            heights[n++] = --h;
-        } else if (ch == 'J' && (prev == 'D' || prev == 'J')) {
-            h--;
-        } else {
-            /* another character, a jump not sandwiched, or n > MAXN */
-            return hand_over("decode_psi312", &path, 1);
-        }
-        if (h < 0)
-            return hand_over("decode_psi312", &path, 1);
-        prev = ch;
-    }
-    if (h != 0 || prev == 'J' || !decode_table(heights, n, out))
-        return hand_over("decode_psi312", &path, 1);
-    return to_tuple(out, n, 0);
+    Py_ssize_t len = PyUnicode_GET_LENGTH(path), n = 0, s = 0, out[MAXN];
+    /* per down-step its height and peak, per jump run five fields */
+    Py_ssize_t *heights = PyMem_New(Py_ssize_t, 7 * len + 1);
+    if (heights == NULL)
+        return PyErr_NoMemory();
+    Py_ssize_t *spans = heights + 2 * len;
+    int ok = scan(PyUnicode_KIND(path), PyUnicode_DATA(path), len, heights, heights + len, spans, &n, &s)
+        && n <= MAXN;
+    /* sandwiched: a down-step right before and right after each run */
+    for (Py_ssize_t j = 0; ok && j < s; j++)
+        ok = spans[5 * j + 3] > 0 && spans[5 * j + 4] > 0;
+    ok = ok && decode_table(heights, n, out);
+    PyMem_Free(heights);
+    return ok ? to_tuple(out, n, 0) : hand_over("decode_psi312", &path, 1);
 }
 
 /* ---- jump predictions (permdyck.bijections.analyze_jumps) --------------
@@ -703,7 +668,7 @@ predicted_triples(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 PyDoc_STRVAR(count_pair_doc,
 "count_pair(values) -> (c312, c321)\n\n"
 "Number of (3,1,2)- and of (3,2,1)-occurrences in a permutation of 1..n.\n"
-"Hands over as heights_312 does.");
+"Hands over as heights_321 does.");
 
 static PyObject *
 count_pair(PyObject *module, PyObject *values)
@@ -1293,7 +1258,6 @@ static PyMethodDef fastcount_methods[] = {
     {"count_pair", (PyCFunction)count_pair, METH_O, count_pair_doc},
     {"histogram_pair", (PyCFunction)(void (*)(void))histogram_pair,
      METH_VARARGS | METH_KEYWORDS, histogram_pair_doc},
-    {"heights_312", (PyCFunction)heights_312, METH_O, heights_312_doc},
     {"heights_321", (PyCFunction)heights_321, METH_O, heights_321_doc},
     {"scan_path", (PyCFunction)scan_path, METH_O, scan_path_doc},
     {"path_from_heights", (PyCFunction)path_from_heights, METH_O, path_from_heights_doc},

@@ -15,9 +15,11 @@ The encoder and decoder primitives are the definitions that ``perms``,
 ``paths`` and ``bijections`` wrap.  ``encode_path`` composes
 ``path_from_heights`` with ``heights_312`` or ``heights_321``, and
 ``is_permutation`` is the check ``perms.Permutation`` runs on a tuple or
-list of exact ints.  ``scan_path``, ``path_from_heights`` and
-``perm_from_heights`` raise ``Rejected``, naming the fault, for a step
-string or height vector that is not a path's or an inversion table's.
+list of exact ints.  ``heights_312`` has no compiled twin, and
+``perms.heights_312`` calls it whichever backend runs.  ``scan_path``,
+``path_from_heights`` and ``perm_from_heights`` raise ``Rejected``, naming
+the fault, for a step string or height vector that is not a path's or an
+inversion table's.
 ``decode_psi312`` composes ``scan_path``, the sandwich check and
 ``perm_from_heights``, and raises what they raise.
 
@@ -27,7 +29,7 @@ builds its records from it, and ``predicted_triples``, their sorted union,
 is the oracle the compiled predictor is tested against.
 
 ``audit_images`` has no pure body: its None sends
-``census.audit_bijections`` through the audit's own loop.
+``census.audit_bijections`` through ``census._audit_loop``.
 
 ``census_layers`` is the layered DP of the bounded census, which
 ``permdyck.census`` explains, and ``bounded_census`` reads its counts off
@@ -332,9 +334,9 @@ def predicted_triples(
 
 
 def audit_images(n: int, key: str, images: Sequence[str]) -> None:
-    """None: ``census.audit_bijections`` then runs its checks in its own
-    loop over S_n, the oracle the compiled ``audit_images`` is tested
-    against.  The compiled audit hands what it does not take here."""
+    """None: ``census.audit_bijections`` then runs its checks in
+    ``census._audit_loop`` over S_n, the oracle the compiled
+    ``audit_images`` is tested against.  The compiled audit hands what it does not take here."""
     return None
 
 

@@ -230,11 +230,6 @@ def decode_psi312(path: str) -> Permutation:
         raise NotInImageError(*exc.args) from None
 
 
-def _decode_psi312(info: paths.PathInfo) -> Permutation:
-    """``decode_psi312`` of the parsed path ``info``, as the audit calls it."""
-    return decode_psi312(info.path)
-
-
 # ---------------------------------------------------------------------------
 # jump structure and predicted occurrences
 

@@ -431,8 +431,8 @@ def _image_checks(key: str) -> Callable[..., Optional[int]]:
 
     tau = as_pattern(key)
     # each rho is a ``Permutation`` and tau is the pattern key names, so the
-    # kernel's counts and heights apply to rho as it is
-    heights_fn = kernels.heights_312 if key == "312" else kernels.heights_321
+    # kernel's counts apply to rho as it is
+    heights_fn = perms.heights_312 if key == "312" else perms.heights_321
     which = 0 if key == "312" else 1
     matches = perms._matcher(tau)
 
@@ -472,7 +472,7 @@ def _image_checks(key: str) -> Callable[..., Optional[int]]:
 
         if key == "312":
             try:
-                decoded = bijections._decode_psi312(info)
+                decoded = bijections.decode_psi312(path)
             except bijections.NotInImageError:
                 decoded = None  # a valid path outside psi312's image
             if decoded != rho:
@@ -499,6 +499,22 @@ def _image_checks(key: str) -> Callable[..., Optional[int]]:
     return check
 
 
+def _audit_loop(
+    hosts: Sequence[Permutation], images: Sequence[str], check: Callable[..., Optional[int]]
+) -> tuple[dict[str, int], list[int], list[int]]:
+    """What ``kernels.audit_images`` answers, found by ``check`` (of
+    ``_image_checks``) run on each host and its image in turn: the rank of
+    the first host failing each check, and the ranks of the hosts with no
+    and with one occurrence whose image is a valid path."""
+    first: dict[str, int] = {}
+    counts: tuple[list[int], list[int]] = ([], [])
+    for rank, (rho, path) in enumerate(zip(hosts, images)):
+        r = check(rho, path, lambda name, _: first.setdefault(name, rank))
+        if r == 0 or r == 1:
+            counts[r].append(rank)
+    return first, *counts
+
+
 def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
     """Sweep all of S_n and check every structural claim about the encoder
     for ``tau``: injectivity, validity and the jump sandwich condition,
@@ -510,16 +526,17 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
     The encoder runs once per permutation.  The checks that read one image
     (``_image_checks``) run in ``kernels.audit_images``, one compiled call
     over all n! images, which names the first permutation failing each
-    check and the permutations with no and with one occurrence; the check's
-    own Python body, run on that one permutation, writes the
-    counterexample, and a verdict it does not repeat raises
-    ``RuntimeError``.  Where the compiled audit does not run (the pure
-    kernel, n > 12, an image that is not a str) its None sends the audit
-    through the loop that runs those checks on each permutation, the oracle
-    the compiled audit is tested against.  Either way Python checks
-    injectivity, the avoiders (against the staircase map and the avoider
-    decoder), the one-occurrence bases (by the brute-force oracle) and the
-    Dyck paths, walked in ``paths.enumerate_paths`` order.
+    check and the permutations with no and with one occurrence.  Where the
+    compiled audit does not run (the pure kernel, n > 12, an image that is
+    not a str) its None sends the audit through ``_audit_loop``, which
+    finds the same by running those checks on each permutation, the oracle
+    the compiled audit is tested against.  On either route the check's own
+    Python body, run again on each first failing permutation, writes the
+    counterexample, and a compiled verdict it does not repeat raises
+    ``RuntimeError``.  Python also checks injectivity, the avoiders
+    (against the staircase map and the avoider decoder), the one-occurrence
+    bases (by the brute-force oracle) and the Dyck paths, walked in
+    ``paths.enumerate_paths`` order.
     """
     from permdyck import bijections, paths
 
@@ -546,22 +563,14 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
 
     check = _image_checks(key)
     got = kernels.audit_images(n, key, images)
-    if got is None:
-        avoiders, singles = [], []
-        for rank, (rho, path) in enumerate(zip(hosts, images)):
-            r = check(rho, path, fail)
-            if r == 0:
-                avoiders.append(rank)
-            elif r == 1:
-                singles.append(rank)
-    else:
-        failed, avoiders, singles = got
-        for name, rank in failed.items():
-            texts: dict[str, str] = {}
-            check(hosts[rank], images[rank], texts.setdefault)
-            if name not in texts:
-                raise RuntimeError(f"the compiled audit fails {name} on {hosts[rank]}, its Python body does not")
-            fail(name, texts[name])
+    failed, avoiders, singles = _audit_loop(hosts, images, check) if got is None else got
+    # the check's body, run again on the first failing host, writes the text
+    for name, rank in failed.items():
+        texts: dict[str, str] = {}
+        check(hosts[rank], images[rank], texts.setdefault)
+        if name not in texts:
+            raise RuntimeError(f"the compiled audit fails {name} on {hosts[rank]}, its Python body does not")
+        fail(name, texts[name])
 
     # each Dyck path is decoded once, in enumeration order, for the avoider
     # round trip and for decode-covers-dyck; an avoider image outside D_n

@@ -1,7 +1,7 @@
 """The counting kernels, the encoder and decoder primitives, the jump
 predictions and the bounded census, from the selected backend.
 
-Two backends hold the same twelve functions.  The compiled extension
+Two backends hold the same eleven functions.  The compiled extension
 ``permdyck._fastcount`` (one hand-written C file, built by ``python
 setup.py build_ext --inplace`` or on install when a C compiler is present)
 is preferred when importable; ``BACKEND`` is then ``"c"``.  Otherwise the
@@ -17,19 +17,21 @@ the other:
   quadratic counting identity on each permutation; the compiled one places
   the entries left to right and carries the bounded census's state, and
   its sweep walks the placements depth first at O(1) per permutation.
-- Encoding.  ``heights_312``, ``heights_321``, ``scan_path`` (the one-pass
-  parse of a path) and ``path_from_heights`` back ``perms`` and ``paths``.
-  The pure ``heights_321`` counts by its two-branch definition; the
-  compiled one derives it from the (3,1,2) heights.  ``encode_path(values,
+- Encoding.  ``heights_321``, ``scan_path`` (the one-pass parse of a path)
+  and ``path_from_heights`` back ``perms`` and ``paths``; ``perms.heights_312``
+  runs the pure body, which no hot caller needs compiled.  The pure
+  ``heights_321`` counts by its two-branch definition; the compiled one
+  derives it from the (3,1,2) heights.  ``encode_path(values,
   key)`` is ``bijections.psi312`` (key "312") or ``psi321`` (key "321"):
   ``path_from_heights`` of the permutation's heights, in one call.
-  ``is_permutation`` is the check of ``perms.Permutation``: whether a tuple
-  or list of ints, none of them a bool, is a permutation of 1..n.
+  ``is_permutation`` is the check of ``perms.Permutation``: whether the
+  value is a tuple or list of ints, none of them a bool, that is a
+  permutation of 1..n.
 - Decoding.  ``decode_psi312`` inverts ``psi312``: it parses the path,
   checks that every jump is sandwiched and decodes the heights as an
   inversion table.  The pure one composes ``scan_path``, that check and
-  ``_purecount.perm_from_heights``; the compiled one does all three in one
-  pass.
+  ``_purecount.perm_from_heights``; the compiled one parses with the C
+  parser of ``scan_path``, the only one, and decodes in C.
 - Jump predictions.  ``predicted_triples(rho, key, heights, spans)``
   returns the sorted, distinct occurrence triples that the jumps of an
   encoder image force (``bijections.analyze_jumps``), given the image's
@@ -52,22 +54,21 @@ the other:
   permutations with no and with one occurrence whose image is a valid
   path.  The compiled one regenerates S_n in place and runs those checks
   with the C bodies of the primitives above; the pure one returns None,
-  and the audit then runs the same checks in its own loop, the oracle the
-  compiled audit is tested against.
+  and the audit then finds the same with ``census._audit_loop``, the
+  oracle the compiled audit is tested against.
 
-One hand-over rule holds for the eleven per-input functions,
-``count_pair``, the eight primitives, ``bounded_census`` and
-``audit_images``: the compiled one hands an
-input it does not handle to the pure one of the same name itself, in C,
-and returns what that returns or raises what it raises, such as
-``Rejected`` naming the fault of a path, height vector or inversion table.
-So the names here are the selected backend's own functions, with no
-Python frame in between, and ``_fastcount.hand_overs()`` counts the
-inputs handed over.  The compiled ``count_pair``, ``heights_312`` and
-``heights_321`` handle a tuple or list holding a permutation of 1..n with
-n <= ``MAXN`` = 20; ``encode_path`` such a permutation and a key "312" or
-"321"; ``is_permutation`` a tuple or list of at most ``MAXN`` ints, each
-exactly an int (no bool), and answers True or False for it;
+One hand-over rule holds for the ten per-input functions, ``count_pair``,
+the seven primitives, ``bounded_census`` and ``audit_images``: the
+compiled one hands an input it does not handle to the pure one of the same
+name itself, in C, and returns what that returns or raises what it raises,
+such as ``Rejected`` naming the fault of a path, height vector or inversion
+table.  So the names here are the selected backend's own functions, with
+no Python frame in between, and ``_fastcount.hand_overs()`` counts the
+inputs handed over.  The compiled ``count_pair`` and ``heights_321``
+handle a tuple or list holding a permutation of 1..n with n <= ``MAXN`` =
+20; ``encode_path`` such a permutation and a key "312" or "321";
+``is_permutation`` everything but a tuple or list of more than ``MAXN``
+ints, each exactly an int (no bool), and answers True or False for it;
 ``scan_path`` a str holding a valid path; ``path_from_heights`` a tuple or
 list of nonnegative ints that ends at 0; ``decode_psi312`` a str holding a
 valid path with at most ``MAXN`` down-steps whose jumps are sandwiched and
@@ -85,7 +86,8 @@ gives.  ``histogram_pair`` hands nothing over: both backends
 sweep 0 <= n <= ``MAXN`` only (20! still fits the compiled 64-bit bins)
 and raise ``ValueError`` for any other n and for a bad prefix.  With the
 compiled kernel selected, the pure module is imported only when a first
-input is handed over, and ``kernels.Rejected`` only then resolves.
+input is handed over or ``perms.heights_312`` runs, and
+``kernels.Rejected`` only then resolves.
 """
 
 from __future__ import annotations
@@ -118,7 +120,6 @@ def __getattr__(name: str):
 
 histogram_pair = _impl.histogram_pair
 count_pair = _impl.count_pair
-heights_312 = _impl.heights_312
 heights_321 = _impl.heights_321
 scan_path = _impl.scan_path
 path_from_heights = _impl.path_from_heights

@@ -330,8 +330,11 @@ def heights_312(rho: Sequence[int]) -> HeightVector:
     >>> tuple(heights_312((4, 3, 5, 1, 2)))
     (3, 2, 2, 0, 0)
     """
+    # the pure body is the only one; imported here, off the start-up path
+    from permdyck import _purecount
+
     # counts are >= 0 and the last tail is empty: a HeightVector as built
-    return tuple.__new__(HeightVector, kernels.heights_312(rho))
+    return tuple.__new__(HeightVector, _purecount.heights_312(rho))
 
 
 def heights_321(rho: Sequence[int]) -> HeightVector:

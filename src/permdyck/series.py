@@ -220,11 +220,14 @@ class Series:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers: divide explicitly")
-        result = one(self.order)
+        if k == 0:
+            return one(self.order)
+        # the first factor starts the product, not a product with 1
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
         return result
@@ -501,13 +504,17 @@ class _Workbench:
         self.c = catalan(order)
         self.x = from_x_poly({1: 1}, order)
         self.one = one(order)
-        self.cx = self.c * self.x
+        # a factor x is the t-shift by 2, not a product
+        self.cx = self.c.shift(2).truncate(order)
         self.c2x = self.c * self.cx
         self.inv_1_c2x = self.one / (self.one - self.c2x)
         self.inv_1_cx = self.one / (self.one - self.cx)
         self.inv_1_x = self.one / (self.one - self.x)
         # the factor 1/((1-cx)(1-x)) that every (3,2,1) segment sum shares
         self.inv_1_cx_1_x = self.inv_1_cx * self.inv_1_x
+        # the denominators of the (3,2,1) closed forms, each shared by two
+        self.den_321 = (self.one - self.x) * (self.one - self.cx) ** 2
+        self.den_321_cubed = (self.one - self.x) ** 3 * (self.one - self.cx) ** 4
 
     def cpow(self, k: int) -> Series:
         return _cpow(k, self.N)
@@ -569,11 +576,12 @@ def _inner_sum(w: _Workbench, offset: int, cexp: int, tail: int, l: int) -> Seri
     return _tsum(w.N, terms) * w.inv_1_x
 
 
-def _inner_sum_check(w: _Workbench, offset: int, cexp: int, tail: int, l: int) -> AssemblyCheck:
+def _inner_sum_check(w: _Workbench, offset: int, cexp: int, tail: int, l: int, closed: Series) -> AssemblyCheck:
     """sum_k t^{k+offset+l}/(1-x) * c^{k+cexp} * t^{k+tail}
-    == c^cexp t^{l+offset+tail} / ((1-cx)(1-x))."""
+    == c^cexp t^{l+offset+tail} / ((1-cx)(1-x)), given ``closed`` =
+    c^cexp / ((1-cx)(1-x))."""
     total = _inner_sum(w, offset, cexp, tail, l)
-    rhs = (w.cpow(cexp) * w.inv_1_cx_1_x).shift(l + offset + tail).truncate(w.N)
+    rhs = closed.shift(l + offset + tail).truncate(w.N)
     mism = total.first_mismatch(rhs)
     return AssemblyCheck(
         name=f"inner-sum(c^{cexp}, l={l})", passed=mism is None, first_mismatch=mism
@@ -588,8 +596,7 @@ def closed_form_312_1(w: _Workbench) -> Series:
 def closed_form_321_1(w: _Workbench) -> Series:
     """c^3 x^3 (c^2 x - c x + 1) / ((1-x)(1-cx)^2)."""
     num = w.cpow(3) * (w.c2x - w.cx + w.one)
-    den = (w.one - w.x) * (w.one - w.cx) ** 2
-    return (num / den).shift(6).truncate(w.N)
+    return (num / w.den_321).shift(6).truncate(w.N)
 
 
 def closed_form_S312_2_2(w: _Workbench) -> Series:
@@ -605,10 +612,10 @@ def closed_form_S312_2_11(w: _Workbench) -> Series:
 
 def closed_form_S321_2_2(w: _Workbench) -> Series:
     """c^4 x^5 (1 - cx + c^2 x + c^3 x - c^3 x^2) / ((1-x)(1-cx)^2)."""
-    c3x = w.cpow(3) * w.x
-    num = w.cpow(4) * (w.one - w.cx + w.c2x + c3x - c3x * w.x)
-    den = (w.one - w.x) * (w.one - w.cx) ** 2
-    return (num / den).shift(10).truncate(w.N)
+    c3 = w.cpow(3)
+    # a factor x**j is the t-shift by 2j, not a product
+    num = w.cpow(4) * (w.one - w.cx + w.c2x + c3.shift(2) - c3.shift(4))
+    return (num / w.den_321).shift(10).truncate(w.N)
 
 
 def closed_form_S321_2_11(w: _Workbench) -> Series:
@@ -629,8 +636,7 @@ def closed_form_S321_2_11(w: _Workbench) -> Series:
         + cp(4).shift(8)
     )
     num = w.cpow(3) * (w.one - w.cx + w.c2x) * big
-    den = (w.one - x) ** 3 * (w.one - w.cx) ** 4
-    return (num / den).shift(12).truncate(w.N)
+    return (num / w.den_321_cubed).shift(12).truncate(w.N)
 
 
 def _together_312_cform(w: _Workbench) -> Series:
@@ -654,7 +660,7 @@ def _together_312_cform(w: _Workbench) -> Series:
 
 def _together_321_cform(w: _Workbench) -> Series:
     """c^3 x^4 / ((1-x)^3 (1-cx)^4) times the 26-term polynomial in c, x."""
-    c, cp, x = w.c, w.cpow, w.x
+    c, cp = w.c, w.cpow
     # a factor x**j is the t-shift by 2j, not a product
     poly = (
         w.one
@@ -685,8 +691,7 @@ def _together_321_cform(w: _Workbench) -> Series:
         - cp(5).shift(12)
         - cp(6).shift(12)
     )
-    den = (w.one - x) ** 3 * (w.one - w.cx) ** 4
-    return (w.cpow(3) * poly / den).shift(8).truncate(w.N)
+    return (w.cpow(3) * poly / w.den_321_cubed).shift(8).truncate(w.N)
 
 
 def check_assemblies(order: int = 40) -> AssemblyReport:
@@ -728,10 +733,10 @@ def check_assemblies(order: int = 40) -> AssemblyReport:
     f1_321 = closed_form_321_1(w)
     record("321.r1.sum-equals-closed-form", _occ1_321_sum(w), f1_321)
     record("321.r1.closed-form-equals-gf", f1_321, gf("321", 1, order))
-    for l in range(0, 5):
-        checks.append(_inner_sum_check(w, offset=5, cexp=2, tail=1, l=l))
-    for l in range(0, 5):
-        checks.append(_inner_sum_check(w, offset=4, cexp=3, tail=2, l=l))
+    for offset, cexp, tail in ((5, 2, 1), (4, 3, 2)):
+        closed = w.cpow(cexp) * w.inv_1_cx_1_x
+        for l in range(0, 5):
+            checks.append(_inner_sum_check(w, offset, cexp, tail, l, closed))
 
     # r = 2 pieces
     s312_22 = closed_form_S312_2_2(w)

@@ -508,7 +508,7 @@ class TestAuditRoute:
 
     @pytest.mark.usefixtures("loop_route")
     def test_wrong_psi312_decoding_fails_roundtrip(self, monkeypatch):
-        monkeypatch.setattr(bijections, "_decode_psi312", lambda info: Permutation((1,)))
+        monkeypatch.setattr(bijections, "decode_psi312", lambda path: Permutation((1,)))
         failed = [c.name for c in census.audit_bijections(5, "312").checks if not c.passed]
         assert failed == ["decode-psi312-roundtrip"]
 

@@ -84,7 +84,6 @@ def test_compiled_size_limit(fastcount):
 # each per-input primitive, with the arguments that follow the input
 _PER_INPUT = {
     "count_pair": (),
-    "heights_312": (),
     "heights_321": (),
     "scan_path": (),
     "path_from_heights": (),
@@ -95,10 +94,10 @@ _PER_INPUT = {
 _LONG = tuple(range(21, 0, -1))[::2] + tuple(range(21, 0, -1))[1::2]  # length MAXN + 1
 
 
-def _exact_ints(value):
-    """A tuple or list of at most MAXN ints, none of them a bool: the inputs
-    the compiled ``is_permutation`` answers itself."""
-    return isinstance(value, (tuple, list)) and len(value) <= 20 and all(type(v) is int for v in value)
+def _checked_by_pure(value):
+    """A tuple or list of more than MAXN ints, none of them a bool: the only
+    inputs the compiled ``is_permutation`` hands over."""
+    return isinstance(value, (tuple, list)) and len(value) > 20 and all(type(v) is int for v in value)
 
 
 @pytest.mark.parametrize("name", _PER_INPUT)
@@ -108,10 +107,10 @@ def _exact_ints(value):
 def test_compiled_primitives_hand_over(fastcount, on_each_backend, name, value):
     # one contract: the compiled kernel hands an input it does not handle
     # to the pure one, once, and gives the pure outcome, value or exception;
-    # ``is_permutation`` answers False itself for the exact ints here
+    # ``is_permutation`` answers False itself for every value here but _LONG
     args = (value, *_PER_INPUT[name])
     expect = _outcome(getattr(_purecount, name), *args)
-    if name == "is_permutation" and _exact_ints(value):
+    if name == "is_permutation" and not _checked_by_pure(value):
         assert _compiled(fastcount, name, *args, handed_over=0) is expect is False
     else:
         assert _compiled(fastcount, name, *args, handed_over=1) == expect
@@ -247,21 +246,10 @@ def _compiled(fastcount, name, *args, handed_over):
     return got
 
 
-# the functions ``kernels`` binds from the selected backend
-_BOUND = (
-    "histogram_pair",
-    "count_pair",
-    "heights_312",
-    "heights_321",
-    "scan_path",
-    "path_from_heights",
-    "encode_path",
-    "is_permutation",
-    "decode_psi312",
-    "predicted_triples",
-    "bounded_census",
-    "audit_images",
-)
+def _bound(fastcount):
+    """The functions ``kernels`` binds from the selected backend: every
+    function of the compiled kernel but its hand-over counter."""
+    return [name for name, value in vars(fastcount).items() if callable(value) and name != "hand_overs"]
 
 
 @pytest.fixture
@@ -272,7 +260,7 @@ def on_each_backend(fastcount, monkeypatch):
     def run(fn, *args):
         outcomes = []
         for impl in (fastcount, _purecount):
-            for name in _BOUND:
+            for name in _bound(fastcount):
                 monkeypatch.setattr(kernels, name, getattr(impl, name))
             outcomes.append(_outcome(fn, *args))
         return outcomes
@@ -283,7 +271,8 @@ def on_each_backend(fastcount, monkeypatch):
 @pytest.mark.parametrize("no_ext", [False, True])
 def test_kernels_bind_the_backend_functions_themselves(fastcount, monkeypatch, no_ext):
     # a fresh ``kernels``, imported as a process would with that
-    # environment: each name is the backend's own function, no wrapper
+    # environment: each name is the backend's own function, no wrapper; a
+    # compiled function with no binding or no pure twin fails here
     monkeypatch.setitem(sys.modules, "permdyck._fastcount", fastcount)
     if no_ext:
         monkeypatch.setenv("PERMDYCK_NO_EXT", "1")
@@ -293,8 +282,11 @@ def test_kernels_bind_the_backend_functions_themselves(fastcount, monkeypatch, n
     fresh = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fresh)
     assert (fresh.BACKEND, fresh._impl) == (("python", _purecount) if no_ext else ("c", fastcount))
-    for module in (fresh, kernels):
-        for name in _BOUND:
+    bound = _bound(fastcount)
+    assert len(bound) == 11
+    for name in bound:
+        assert callable(getattr(_purecount, name)), name
+        for module in (fresh, kernels):
             assert getattr(module, name) is getattr(module._impl, name), name
     assert fresh.Rejected is _purecount.Rejected
 
@@ -321,41 +313,40 @@ def test_hand_over_finds_the_pure_function_at_call_time(fastcount, monkeypatch):
 
 
 def test_compiled_heights_match_pure_on_s0_to_s8(fastcount):
+    # the compiled (3,2,1) heights are derived from the (3,1,2) ones, whose
+    # C body the (3,1,2) encoder also runs
     for n in range(9):
         for rho in itertools.permutations(range(1, n + 1)):
-            assert fastcount.heights_312(rho) == _purecount.heights_312(rho)
             assert fastcount.heights_321(rho) == _purecount.heights_321(rho)
 
 
 @settings(deadline=None, max_examples=200)
 @given(_perms_up_to(20))
 def test_compiled_heights_match_pure_random(fastcount, p):
-    assert fastcount.heights_312(p) == _purecount.heights_312(p)
     assert fastcount.heights_321(p) == _purecount.heights_321(p)
+    assert fastcount.encode_path(p, "312") == _purecount.encode_path(p, "312")
 
 
 def test_heights_beyond_compiled_size_take_pure_path(fastcount, on_each_backend):
     for n in range(21, 26):
         rho = tuple(range(n, 0, -1))[::2] + tuple(range(n, 0, -1))[1::2]
-        for name in ("heights_312", "heights_321"):
-            expect = getattr(_purecount, name)(rho)
-            assert _compiled(fastcount, name, rho, handed_over=1) == expect
-            assert on_each_backend(getattr(kernels, name), rho) == [expect, expect]
+        expect = _purecount.heights_321(rho)
+        assert _compiled(fastcount, "heights_321", rho, handed_over=1) == expect
+        assert on_each_backend(kernels.heights_321, rho) == [expect, expect]
 
 
 @pytest.mark.parametrize("values", [(2, 2, 1), (0, 1), (1, 3), (2**70, 1), (1.0,), [3, 1, 2, 4, 4]])
 def test_heights_of_non_permutations_as_pure(fastcount, on_each_backend, values):
     # the compiled kernel maps only permutations of 1..n and passes the rest on
-    for name in ("heights_312", "heights_321"):
-        expect = _outcome(getattr(_purecount, name), values)
-        assert _compiled(fastcount, name, values, handed_over=1) == expect
-        assert on_each_backend(getattr(kernels, name), values) == [expect, expect]
+    expect = _outcome(_purecount.heights_321, values)
+    assert _compiled(fastcount, "heights_321", values, handed_over=1) == expect
+    assert on_each_backend(kernels.heights_321, values) == [expect, expect]
     assert fastcount.heights_321([2, 1]) == (1, 0)
 
 
 def test_heights_of_an_iterator_as_of_its_tuple(on_each_backend):
     rho = (4, 3, 5, 1, 2)
-    for name in ("heights_312", "heights_321", "count_pair"):
+    for name in ("heights_321", "count_pair"):
         fn = getattr(kernels, name)
         assert on_each_backend(lambda: fn(iter(rho))) == [fn(rho)] * 2
 
@@ -437,10 +428,12 @@ def test_encoder_and_check_hand_over_as_pure(fastcount, on_each_backend, case):
     calls = [("is_permutation",)] + [("encode_path", key) for key in ("312", "321")]
     for name, *rest in calls:
         expect = _outcome(getattr(_purecount, name), make(), *rest)
-        if name == "is_permutation" and _exact_ints(make()):
-            assert _compiled(fastcount, name, make(), *rest, handed_over=0) is expect is False
+        if name == "is_permutation":
+            # it hands over only more than MAXN exact ints
+            handed_over = int(_checked_by_pure(make()))
+            assert _compiled(fastcount, name, make(), *rest, handed_over=handed_over) is expect is (case == "n21")
         elif name == "encode_path" and case in ("bool", "one bool"):
-            # the encoder reads a bool as its int, as heights_312 does
+            # the encoder reads a bool as its int, as heights_321 does
             assert _compiled(fastcount, name, make(), *rest, handed_over=0) == expect
         else:
             assert _compiled(fastcount, name, make(), *rest, handed_over=1) == expect
@@ -525,7 +518,7 @@ _N21 = "UD" * 19 + "UUUDJD"  # 21 down-steps; h_20 = 2 exceeds n - 20 = 1
     ],
 )
 def test_decode_psi312_rejects_as_before(fastcount, on_each_backend, path, text):
-    # the compiled one-pass decoder hands a rejected path over, and the pure
+    # the compiled decoder hands a rejected path over, and the pure
     # one names its fault as the sandwich check and the table did
     assert _compiled(fastcount, "decode_psi312", path, handed_over=1) == (_purecount.Rejected, text)
     assert on_each_backend(bijections.decode_psi312, path) == [(bijections.NotInImageError, text)] * 2
@@ -673,19 +666,6 @@ def _images(n, key):
     return [bijections.psi_tau(rho, key) for rho in all_permutations(n)]
 
 
-def _loop_ranks(n, key, images):
-    """What the audit's loop finds in ``images``, as ``audit_images`` gives
-    it: per check, the rank of the first permutation failing it, and the
-    ranks with no and with one occurrence whose image is a valid path."""
-    check = census._image_checks(key)
-    first, counts = {}, ([], [])
-    for rank, (rho, path) in enumerate(zip(all_permutations(n), images)):
-        r = check(rho, path, lambda name, text: first.setdefault(name, rank))
-        if r in (0, 1):
-            counts[r].append(rank)
-    return first, *counts
-
-
 def _drop_last(path, step):
     i = path.rfind(step)
     return path[:i] + path[i + 1 :]
@@ -719,7 +699,9 @@ def test_compiled_audit_names_the_loops_first_failures(fastcount, on_each_backen
     images = _FAULTY[faulty](5, key)
     got = _compiled(fastcount, "audit_images", 5, key, images, handed_over=0)
     assert got[0]
-    assert on_each_backend(_loop_ranks, 5, key, images) == [got, got]
+    hosts = list(all_permutations(5))
+    loop = on_each_backend(lambda: census._audit_loop(hosts, images, census._image_checks(key)))
+    assert loop == [got, got]
 
 
 @pytest.mark.parametrize(

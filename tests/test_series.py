@@ -636,7 +636,7 @@ class TestAssemblies:
         products = count_products(monkeypatch)
         assert series.check_assemblies(60).passed
         assert len(products) <= 300
-        assert sum(isinstance(other, Series) for other in products) == 94
+        assert sum(isinstance(other, Series) for other in products) == 60
 
     @pytest.mark.parametrize(
         "name", ["closed_form_S321_2_11", "_together_312_cform", "_together_321_cform"]
