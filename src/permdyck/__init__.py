@@ -9,8 +9,15 @@ functions), and exhaustive brute-force verification of all of it.
 and each submodule (``permdyck.census``, ...) is imported on first access
 (PEP 562) and is the same object as in its home module, so a program pays
 only for the modules it uses.
+
+Two helpers that nearly every command needs are defined here, so that a
+command that needs no permutation loads no ``perms``: ``catalan_number``
+and ``_pattern_key``, the one pattern check of the encoders, the
+generating functions and the census.  ``perms``, ``recorded`` and
+``series`` re-export them as the same objects.
 """
 
+import math
 import sys
 
 __version__ = "0.1.0"
@@ -23,7 +30,6 @@ _EXPORTS = {
         "OccurrenceSet",
         "PatternError",
         "Permutation",
-        "catalan_number",
         "count_occurrences",
         "count_occurrences_fast",
         "find_occurrences",
@@ -72,19 +78,47 @@ _EXPORTS = {
         "CacheError",
         "DistributionTable",
         "ResourceGuardError",
-        "audit_bijections",
         "bounded_distributions",
         "brute_distribution",
-        "enumerate_class",
-        "enumerate_tau_bases",
         "verify_conjectures",
         "verify_formulas",
+    ),
+    "audit": (
+        "audit_bijections",
+        "enumerate_class",
+        "enumerate_tau_bases",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"kernels", "cli"}
 
-__all__ = list(_HOME)
+__all__ = ["catalan_number", *_HOME]
+
+
+def catalan_number(n: int) -> int:
+    """The n-th Catalan number: |D_n|, and the number of avoiders in S_n
+    of each length-3 pattern.
+
+    >>> [catalan_number(n) for n in range(7)]
+    [1, 1, 2, 5, 14, 42, 132]
+    """
+    return math.comb(2 * n, n) // (n + 1)
+
+
+def _pattern_key(tau) -> str:
+    """``"312"`` or ``"321"`` for the two patterns that the encoders, the
+    generating functions and the census support; ``PatternError`` for any
+    other pattern.  The str ``"312"`` or ``"321"`` is its own key; any
+    other form is read by ``perms.as_pattern``, which loads ``perms``."""
+    if type(tau) is str and tau in ("312", "321"):
+        return tau
+    from permdyck.perms import _PATTERNS, PatternError, as_pattern
+
+    t = tuple(as_pattern(tau))
+    key, symmetry = _PATTERNS.get(t, (None, None))
+    if symmetry != "identity":
+        raise PatternError(f"only (3,1,2) and (3,2,1) are supported; got {t!r}")
+    return key
 
 
 def _submodule(name: str):

@@ -29,7 +29,7 @@ builds its records from it, and ``predicted_triples``, their sorted union,
 is the oracle the compiled predictor is tested against.
 
 ``audit_images`` has no pure body: its None sends
-``census.audit_bijections`` through ``census._audit_loop``.
+``audit.audit_bijections`` through ``audit._audit_loop``.
 
 ``census_layers`` is the layered DP of the bounded census, which
 ``permdyck.census`` explains, and ``bounded_census`` reads its counts off
@@ -334,8 +334,8 @@ def predicted_triples(
 
 
 def audit_images(n: int, key: str, images: Sequence[str]) -> None:
-    """None: ``census.audit_bijections`` then runs its checks in
-    ``census._audit_loop`` over S_n, the oracle the compiled
+    """None: ``audit.audit_bijections`` then runs its checks in
+    ``audit._audit_loop`` over S_n, the oracle the compiled
     ``audit_images`` is tested against.  The compiled audit hands what it does not take here."""
     return None
 

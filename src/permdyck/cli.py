@@ -24,16 +24,22 @@ stdout closed by its reader before the output was written (as in ``|
 head -1``; 128 + SIGPIPE, what a shell reports for a writer the signal
 ends), with nothing printed on stderr.
 
-At start-up this module loads only ``perms`` (with ``kernels``) of the
-package.  Each handler imports what it calls: ``table``, ``bases``,
-``verify --formulas`` and ``verify --conjectures`` load ``census``, and
-no other command does (the error mapping loads it only to map a
-``RuntimeError``); ``verify --formulas``, ``verify --conjectures`` and
-``coeffs`` load ``recorded`` (the recorded rows, expanded in integers,
-with no series arithmetic), ``verify --assemblies`` and ``verify
---general-form`` load ``series``, ``map`` and ``decode`` load
-``bijections`` and ``paths``, and ``render`` loads ``paths``.  No command
-loads ``dataclasses`` or ``inspect``, only a cache read or write loads
+At start-up this module loads no other module of the package.  Each
+handler imports what it calls: ``table``, ``bases``, ``verify
+--formulas`` and ``verify --conjectures`` load ``census``, and no other
+command does (the error mapping loads it only to map a ``RuntimeError``);
+a ``table`` that sweeps and ``verify --formulas`` and ``verify
+--conjectures`` (the bounded census) load ``kernels`` with its backend,
+and a ``table`` served from the cache does not; ``verify --formulas``,
+``verify --conjectures`` and ``coeffs`` load ``recorded`` (the recorded
+rows, expanded in integers, with no series arithmetic), ``verify
+--assemblies`` and ``verify --general-form`` load ``series``; ``bases``
+loads ``audit`` (with ``census`` and ``perms``), ``map`` and ``decode``
+load ``bijections`` and ``paths`` (with ``perms`` and ``kernels``), and
+``render`` loads ``paths``.  So ``table``, ``verify`` and ``coeffs``
+never load ``perms``: their patterns are the str ``"312"`` or ``"321"``,
+which the package's ``_pattern_key`` checks without it.  No command loads
+``dataclasses`` or ``inspect``, only a cache read or write loads
 ``hashlib``, and only JSON output or a cache read or write loads ``json``.
 """
 
@@ -43,8 +49,6 @@ import argparse
 import os
 import sys
 from typing import Optional, Sequence
-
-from permdyck.perms import Permutation
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -202,6 +206,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_map(args) -> int:
     from permdyck import bijections
+    from permdyck.perms import Permutation
 
     rho = Permutation.from_text(args.perm)
     if args.tau == "avoiding":
@@ -233,9 +238,9 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_bases(args) -> int:
-    from permdyck import census
+    from permdyck import audit
 
-    catalog = census.enumerate_tau_bases(args.tau, args.r)
+    catalog = audit.enumerate_tau_bases(args.tau, args.r)
     if args.format == "json":
         doc = {
             "pattern": catalog.pattern,

@@ -47,14 +47,14 @@ the other:
   and hold the same states, the compiled one with its own code, not the
   sweep's: 128-bit counts, exact for n_max <= 34 (34! < 2**128).
 - The bijection audit.  ``audit_images(n, key, images)`` runs the checks
-  of ``census.audit_bijections`` that read one encoder image over S_n in
+  of ``audit.audit_bijections`` that read one encoder image over S_n in
   lexicographic order, ``images[k]`` being the image of the k-th
   permutation: it returns a dict from the name of each failing check to
   the rank of the first permutation that fails it, and the ranks of the
   permutations with no and with one occurrence whose image is a valid
   path.  The compiled one regenerates S_n in place and runs those checks
   with the C bodies of the primitives above; the pure one returns None,
-  and the audit then finds the same with ``census._audit_loop``, the
+  and the audit then finds the same with ``audit._audit_loop``, the
   oracle the compiled audit is tested against.
 
 One hand-over rule holds for the ten per-input functions, ``count_pair``,

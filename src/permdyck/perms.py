@@ -20,6 +20,9 @@ Conventions used throughout the package:
   that leads there.  ``count_occurrences_fast`` counts by it, and
   ``_pattern_key``, the one pattern check of the rest, accepts only the
   two representatives and raises ``PatternError`` for any other pattern.
+  ``_pattern_key`` and ``catalan_number`` are defined in the package
+  ``__init__``, so that a command that needs no permutation does not load
+  this module, and are re-exported here as the same objects.
 - ``_matcher`` states the one test of relative order: ``find_occurrences``
   runs it on every subword, and the bijection audit on each predicted
   triple.
@@ -28,11 +31,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from permdyck import kernels
+from permdyck import _pattern_key, catalan_number, kernels
 
 __all__ = [
     "PatternError",
@@ -167,17 +169,6 @@ _PATTERNS: dict[tuple[int, ...], tuple[str, str]] = {
 }
 
 
-def _pattern_key(tau) -> str:
-    """``"312"`` or ``"321"`` for the two patterns that the encoders, the
-    generating functions and the census support; ``PatternError`` for any
-    other pattern."""
-    t = tuple(as_pattern(tau))
-    key, symmetry = _PATTERNS.get(t, (None, None))
-    if symmetry != "identity":
-        raise PatternError(f"only (3,1,2) and (3,2,1) are supported; got {t!r}")
-    return key
-
-
 class HeightVector(tuple):
     """Per-entry heights (h_1, ..., h_n); nonnegative, with h_n = 0."""
 
@@ -294,16 +285,6 @@ def count_occurrences_fast(rho: Sequence[int], tau) -> int:
         host = tuple(top - v for v in host)
     c312, c321 = kernels.count_pair(host)
     return c312 if key == "312" else c321
-
-
-def catalan_number(n: int) -> int:
-    """The n-th Catalan number: |D_n|, and the number of avoiders in S_n
-    of each length-3 pattern.
-
-    >>> [catalan_number(n) for n in range(7)]
-    [1, 1, 2, 5, 14, 42, 132]
-    """
-    return comb(2 * n, n) // (n + 1)
 
 
 def left_to_right_maxima(rho: Sequence[int]) -> tuple[int, ...]:

@@ -16,15 +16,17 @@
 No ``Series`` is built here: ``permdyck.series`` re-exports these names as
 the same objects, and its ``gf`` expands each row with exact series
 arithmetic, the oracle ``coefficients`` is tested against.  Every ``tau``
-argument is checked by ``perms._pattern_key``: a pattern other than
-(3,1,2) and (3,2,1) raises ``PatternError``.
+argument is checked by the package's ``_pattern_key``: a pattern other than
+(3,1,2) and (3,2,1) raises ``PatternError``.  The str ``"312"`` or
+``"321"`` passes that check without loading ``perms``, so neither this
+module nor ``coeffs`` loads it, nor a kernel.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from permdyck.perms import _pattern_key, catalan_number
+from permdyck import _pattern_key, catalan_number
 
 __all__ = ["GF_PQ", "CONJECTURAL", "denominator", "coefficients", "count_closed_form"]
 

@@ -28,8 +28,11 @@ The module provides:
 ``permdyck.recorded``, with the rule for a row's denominator D; they are
 re-exported here as the same objects.
 
-Every ``tau`` argument is checked by ``perms._pattern_key``: a pattern
-other than (3,1,2) and (3,2,1) raises ``PatternError``.
+Every ``tau`` argument is checked by the package's ``_pattern_key``: a
+pattern other than (3,1,2) and (3,2,1) raises ``PatternError``.  The str
+``"312"`` or ``"321"`` passes that check without loading ``perms``, so
+``verify --assemblies`` and ``verify --general-form`` load neither it nor
+a kernel.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from itertools import chain, count
 from math import comb, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from permdyck.perms import _pattern_key, catalan_number
+from permdyck import _pattern_key, catalan_number
 from permdyck.recorded import CONJECTURAL, GF_PQ, count_closed_form, denominator
 
 __all__ = [

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from permdyck import _purecount, bijections, census, kernels, paths, perms, recorded, series
+from permdyck import _purecount, audit, bijections, census, kernels, paths, perms, recorded, series
 from permdyck.census import CacheError, ResourceGuardError
 from permdyck.perms import (
     PATTERN_312,
@@ -598,14 +598,14 @@ class TestAuditRoute:
 
     @pytest.mark.parametrize("tau", ["312", "321"])
     def test_oracle_runs_once_per_single_occurrence_host(self, monkeypatch, tau):
-        original = census.find_occurrences
+        original = audit.find_occurrences
         calls = []
 
         def counted(rho, pattern):
             calls.append(rho)
             return original(rho, pattern)
 
-        monkeypatch.setattr(census, "find_occurrences", counted)
+        monkeypatch.setattr(audit, "find_occurrences", counted)
         assert census.audit_bijections(6, tau).passed
         assert calls == [rho for rho in perms.all_permutations(6) if perms.count_occurrences_fast(rho, tau) == 1]
 
@@ -616,6 +616,33 @@ class TestAuditRoute:
         checks = {c.name: c for c in census.audit_bijections(4, "321").checks}
         assert not checks["single-occurrence-base"].passed
         assert checks["single-occurrence-base"].counterexample == "Permutation(1, 4, 3, 2)"
+
+
+class TestMovedNames:
+    """The audit and the oracle sweeps live in ``permdyck.audit``; ``census``
+    keeps each of their public names, as the same object."""
+
+    def test_every_name_of_all_resolves(self):
+        assert set(audit.__all__) <= set(census.__all__)
+        for name in census.__all__:
+            value = getattr(census, name)
+            if name in audit.__all__:
+                assert value is getattr(audit, name), name
+            else:
+                assert getattr(value, "__module__", "permdyck.census") == "permdyck.census", name
+
+    def test_dir_lists_the_moved_names(self):
+        assert set(census.__all__) <= set(dir(census))
+
+    def test_from_import(self):
+        from permdyck.census import AuditReport, audit_bijections
+
+        assert audit_bijections is audit.audit_bijections
+        assert AuditReport is audit.AuditReport
+
+    def test_private_names_stay_in_their_home(self):
+        with pytest.raises(AttributeError, match="_audit_loop"):
+            census._audit_loop
 
 
 class TestVerification:

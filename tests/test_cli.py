@@ -448,15 +448,43 @@ class TestStartupImports:
     def test_package_import_loads_no_submodule(self):
         assert loaded_submodules("import permdyck") == set()
 
+    @staticmethod
+    def _load_set(*modules: str) -> set[str]:
+        """``permdyck.<m>`` of each module named, "backend" standing for
+        the kernel module ``kernels`` selects."""
+        backend = "_fastcount" if kernels.BACKEND == "c" else "_purecount"
+        return {f"permdyck.{backend if m == 'backend' else m}" for m in modules}
+
     def test_cli_import_and_table(self):
-        assert not loaded_submodules("import permdyck.cli") & self.LATE
+        assert loaded_submodules("import permdyck.cli as c\nc.build_parser()") == {"permdyck.cli"}
+        # a table that sweeps (no cache) loads the kernel, and no perms
         code = (
             "from permdyck import cli\n"
             "cli.main(['table', '--tau', '312', '--n', '4', '--cache-dir', ''])"
         )
-        loaded = loaded_submodules(code)
-        assert {"permdyck.cli", "permdyck.census", "permdyck.perms"} <= loaded
-        assert not loaded & self.LATE
+        assert loaded_submodules(code) == self._load_set("cli", "census", "kernels", "backend")
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (["verify", "--formulas", "--n-max", "6"], ("cli", "census", "kernels", "backend", "recorded")),
+            (["verify", "--conjectures", "--n-max", "6"], ("cli", "census", "kernels", "backend", "recorded")),
+            (["verify", "--assemblies", "--order", "8"], ("cli", "series", "recorded")),
+            (["verify", "--general-form", "--order", "60"], ("cli", "series", "recorded")),
+            (["coeffs", "--tau", "321", "--r", "4"], ("cli", "recorded")),
+        ],
+    )
+    def test_command_load_set(self, argv, modules):
+        code = f"from permdyck import cli\nassert cli.main({argv!r}) == 0"
+        assert loaded_submodules(code) == self._load_set(*modules)
+
+    def test_table_from_the_cache_loads_no_kernel(self, tmp_path):
+        # a cold table sweeps and writes the cache; a warm one, from the same
+        # directory, reads it and loads neither perms nor a kernel
+        argv = ["table", "--tau", "321", "--n", "0..6", "--cache-dir", str(tmp_path)]
+        code = f"from permdyck import cli\nassert cli.main({argv!r}) == 0"
+        assert loaded_submodules(code) == self._load_set("cli", "census", "kernels", "backend")
+        assert loaded_submodules(code) == self._load_set("cli", "census")
 
     @pytest.mark.parametrize(
         "argv",
@@ -483,7 +511,8 @@ class TestStartupImports:
     def test_commands_load_no_pure_kernel_numbers_or_fractions(self, argv):
         # the pure kernel is loaded only when it is the selected backend
         loaded = loaded_modules(f"from permdyck import cli\ncli.main({argv!r})")
-        assert ("permdyck._purecount" in loaded) == (kernels.BACKEND == "python")
+        # coeffs loads no kernel at all
+        assert ("permdyck._purecount" in loaded) == (kernels.BACKEND == "python" and argv[0] != "coeffs")
         assert "numbers" not in loaded
         if argv[0] != "table":
             assert not loaded & {"fractions", "decimal"}

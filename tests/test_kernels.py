@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permdyck import _purecount, bijections, census, kernels, paths, perms
+from permdyck import _purecount, audit, bijections, census, kernels, paths, perms
 from permdyck.perms import PatternError, Permutation, all_permutations, find_occurrences
 
 
@@ -700,7 +700,7 @@ def test_compiled_audit_names_the_loops_first_failures(fastcount, on_each_backen
     got = _compiled(fastcount, "audit_images", 5, key, images, handed_over=0)
     assert got[0]
     hosts = list(all_permutations(5))
-    loop = on_each_backend(lambda: census._audit_loop(hosts, images, census._image_checks(key)))
+    loop = on_each_backend(lambda: audit._audit_loop(hosts, images, audit._image_checks(key)))
     assert loop == [got, got]
 
 

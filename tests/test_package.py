@@ -23,12 +23,12 @@ EXPORTS = {
         psi_avoiding psi_tau""",
     "recorded": "count_closed_form",
     "series": "Series catalan check_assemblies check_general_form gf",
-    "census": """CacheError DistributionTable ResourceGuardError audit_bijections
-        bounded_distributions brute_distribution enumerate_class
-        enumerate_tau_bases verify_conjectures verify_formulas""",
+    "census": """CacheError DistributionTable ResourceGuardError
+        bounded_distributions brute_distribution verify_conjectures verify_formulas""",
+    "audit": "audit_bijections enumerate_class enumerate_tau_bases",
 }
 HOME = {name: module for module, names in EXPORTS.items() for name in names.split()}
-SUBMODULES = ("perms", "paths", "bijections", "recorded", "series", "census", "kernels", "cli")
+SUBMODULES = ("perms", "paths", "bijections", "recorded", "series", "census", "audit", "kernels", "cli")
 
 
 def test_all_lists_the_exports():
@@ -76,9 +76,18 @@ def test_names_and_submodules_resolve_after_plain_import():
 
 
 def test_catalan_number_still_resolves_from_series():
-    from permdyck import perms, series
+    from permdyck import perms, recorded, series
 
     assert series.catalan_number is perms.catalan_number is permdyck.catalan_number
+    assert recorded.catalan_number is permdyck.catalan_number
+
+
+def test_pattern_key_and_catalan_number_are_defined_once():
+    from permdyck import perms, recorded, series
+
+    for module in (perms, recorded, series):
+        assert module._pattern_key is permdyck._pattern_key
+    assert permdyck._pattern_key.__module__ == permdyck.catalan_number.__module__ == "permdyck"
 
 
 def test_audit_loads_no_series():

@@ -1,13 +1,17 @@
 """Permutations, occurrence counting, heights, bases, and symmetries."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permdyck import bijections, census, series
+from permdyck import bijections, census, recorded, series
 from permdyck.bijections import decode_psi312, psi312
 from permdyck.perms import (
     PATTERN_312,
@@ -389,3 +393,67 @@ class TestPatternKey:
     def test_unsupported_pattern_raises_pattern_error(self, call, tau):
         with pytest.raises(PatternError, match=r"only \(3,1,2\) and \(3,2,1\) are supported"):
             call(tau)
+
+    # calls that check their pattern with the package's ``_pattern_key``
+    # before anything else, with arguments that keep each one quick
+    _KEYED = {
+        "brute_distribution": lambda tau: census.brute_distribution(5, tau),
+        "bounded_distributions": lambda tau: census.bounded_distributions(6, tau, 2),
+        "coefficients": lambda tau: recorded.coefficients(tau, 1, 10),
+        "count_closed_form": lambda tau: recorded.count_closed_form(tau, 2, 7),
+        "gf": lambda tau: series.gf(tau, 1, 12).coeffs,
+    }
+
+    @pytest.mark.parametrize("call", _KEYED.values(), ids=list(_KEYED))
+    @pytest.mark.parametrize("key", ["312", "321"])
+    def test_every_form_of_a_pattern_gives_one_result(self, call, key):
+        want = call(key)
+        values = tuple(map(int, key))
+        for form in (Permutation(values), values, list(values), ",".join(key), f" {key} "):
+            assert call(form) == want, form
+
+    def test_str_key_results_are_pinned(self):
+        counts = ((0, 42), (1, 21), (2, 23), (3, 14), (4, 12), (5, 5), (6, 3))
+        assert repr(census.brute_distribution(5, "312")) == f"DistributionTable(n=5, pattern='312', counts={counts})"
+        assert census.bounded_distributions(6, "321", 2)[6] == (132, 110, 133)
+        assert recorded.coefficients("312", 1, 10) == [0, 0, 0, 1, 5, 21, 84, 330, 1287, 5005, 19448]
+        assert recorded.count_closed_form("321", 2, 7) == 635
+        assert series.gf("321", 1, 12).x_coefficients() == (0, 0, 0, 1, 6, 27, 110)
+
+    @pytest.mark.parametrize("call", _KEYED.values(), ids=list(_KEYED))
+    @pytest.mark.parametrize(
+        "tau, got",
+        [
+            ("123", "(1, 2, 3)"),
+            ("132", "(1, 3, 2)"),
+            ("213", "(2, 1, 3)"),
+            ("231", "(2, 3, 1)"),
+            ("4123", "(4, 1, 2, 3)"),
+        ],
+    )
+    def test_other_patterns_raise_one_text(self, call, tau, got):
+        values = tuple(map(int, tau))
+        for form in (tau, ",".join(tau), Permutation(values), values):
+            with pytest.raises(PatternError) as info:
+                call(form)
+            assert str(info.value) == f"only (3,1,2) and (3,2,1) are supported; got {got}"
+
+    def test_str_key_loads_no_perms(self):
+        """In a fresh interpreter, the str keys pass the check without it."""
+        code = (
+            "import sys\n"
+            "from permdyck import census, recorded, series\n"
+            "for key in ('312', '321'):\n"
+            "    census.brute_distribution(4, key)\n"
+            "    census.bounded_distributions(4, key, 1)\n"
+            "    recorded.coefficients(key, 1, 5)\n"
+            "    recorded.count_closed_form(key, 1, 5)\n"
+            "    series.gf(key, 1, 8)\n"
+            "print('permdyck.perms' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
