@@ -50,15 +50,18 @@
  * 2^128.  It hands a larger n_max over.
  *
  * audit_images runs the per-permutation checks of the bijection audit
- * (permdyck.census.audit_bijections) over the n! encoder images it is
- * given, regenerating S_n in lexicographic order in place, with the bodies
- * of scan_path, the heights, count_pair, decode_psi312 and
- * predicted_triples; it returns, per failing check, the rank of the first
- * permutation that fails it, and the ranks of the avoiders and of the
- * one-occurrence hosts.  It hands over n > 12, any key but "312" and
- * "321", images that are not a list or tuple of n! str, and images with a
- * jump run whose prediction the audit compares but predict does not take;
- * the pure audit_images then answers None, and the audit runs its own loop.
+ * (permdyck.audit.audit_bijections) over S_n, regenerated in lexicographic
+ * order in place, with the bodies of scan_path, the heights, count_pair,
+ * decode_psi312 and predicted_triples: on the n! encoder images it is
+ * given, or, given none, on the stock encoder's images, which it writes
+ * itself (the walk, which checks injectivity too).  It returns, per
+ * failing check, the first permutation that fails it and its image, the
+ * avoiders with their images and the one-occurrence hosts.  It hands over
+ * n > 12, any key but "312" and "321", images that are not a list or tuple
+ * of n! str, images with a jump run whose prediction the audit compares but
+ * predict does not take and, on the walk, an image whose heights repeat an
+ * earlier image's or do not index the bitmap (see below); the pure
+ * audit_images then answers None, and the audit takes its next route.
  *
  * Written directly against the CPython C API; build it in place with
  *     python setup.py build_ext --inplace
@@ -375,29 +378,33 @@ read_ints(PyObject *obj, Py_ssize_t *v, Py_ssize_t max, long lo, long hi)
     return n;
 }
 
-/* The path whose i-th down-step lands on height h[i], i < n: before it,
- * up-steps to h[i] + 1 if below it, else down-jumps.  The heights are
- * nonnegative and end at 0. */
+/* Write to out the path whose i-th down-step lands on height h[i], i < n:
+ * before it, up-steps to h[i] + 1 if below it, else down-jumps.  The
+ * heights are nonnegative and end at 0.  With out NULL, write nothing.
+ * Returns the path's length. */
+static Py_ssize_t
+write_path(const Py_ssize_t *h, Py_ssize_t n, Py_UCS1 *out)
+{
+    Py_ssize_t len = 0, cur = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_ssize_t step = h[i] + 1 - cur, size = step > 0 ? step : -step;
+        if (out != NULL) {
+            memset(out + len, step > 0 ? 'U' : 'J', size);
+            out[len + size] = 'D';
+        }
+        len += size + 1;
+        cur = h[i];
+    }
+    return len;
+}
+
+/* The path of write_path, as a str. */
 static PyObject *
 path_of(const Py_ssize_t *h, Py_ssize_t n)
 {
-    Py_ssize_t len = n, cur = 0;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        len += h[i] + 1 > cur ? h[i] + 1 - cur : cur - h[i] - 1;
-        cur = h[i];
-    }
-    PyObject *path = PyUnicode_New(len, 127);
-    if (path == NULL)
-        return NULL;
-    Py_UCS1 *out = PyUnicode_1BYTE_DATA(path);
-    cur = 0;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        Py_ssize_t step = h[i] + 1 - cur;
-        memset(out, step > 0 ? 'U' : 'J', step > 0 ? step : -step);
-        out += step > 0 ? step : -step;
-        *out++ = 'D';
-        cur = h[i];
-    }
+    PyObject *path = PyUnicode_New(write_path(h, n, NULL), 127);
+    if (path != NULL)
+        write_path(h, n, PyUnicode_1BYTE_DATA(path));
     return path;
 }
 
@@ -720,16 +727,36 @@ histogram_pair(PyObject *module, PyObject *args, PyObject *kwargs)
     return Py_BuildValue("(NN)", l312, l321);
 }
 
-/* ---- the bijection audit (permdyck.census.audit_bijections) ------------
+/* ---- the bijection audit (permdyck.audit.audit_bijections) -------------
  *
  * audit_images runs, over S_n in lexicographic order, the checks of the
  * audit that read one encoder image, with the bodies above: scan, the
- * heights, place_prefix, decode_table and predict.  It regenerates S_n in
- * place (next_perm) and touches no Python object but the images while it
- * runs.  The audit keeps the checks over sets of images and the
- * counterexample texts in Python. */
+ * heights, place, decode_table and predict.  It regenerates S_n in place
+ * (next_perm) and carries the heights and the census state of the entries
+ * that did not move from one permutation to the next (audit_advance), so
+ * that a permutation's heights and counts cost O(n) for each entry that
+ * moved.  Its images come from one of two sources:
+ *
+ *   the images route  a list of the n! images of whatever encoder the audit
+ *                     runs, one str per permutation, read in place;
+ *   the walk          no list: each image is the stock encoder's, written
+ *                     into one buffer by heights_312_c, heights_321_c and
+ *                     write_path (encode_path's rule), so no permutation,
+ *                     image or encoder call becomes a Python object.
+ *
+ * The walk also checks injectivity.  Once valid-image and
+ * descents-available hold, an image's parsed down-step heights h_i lie in
+ * 0..n - 1 - i: the digits of a mixed-radix index below n!, marked in a
+ * bitmap of n! bits.  Images with distinct heights are distinct, so no
+ * index marked twice means no image repeated.  An index marked twice, or an
+ * image that does not index, hands the walk over; the audit then runs the
+ * images route, where the set of images and the counterexample texts are
+ * Python's.  Either way the answer names, as tuples and str built here,
+ * the first host and image failing each check, the hosts with no occurrence
+ * and their images, and the hosts with one. */
 
-/* the n! images of S_13 would not fit in memory */
+/* S_13 is out of reach: 6.2e9 permutations, a bitmap of 778 MB for the
+ * walk and n! str for the images route */
 #define AUDIT_MAXN 12
 
 /* The checks audit_images runs, in the audit's order; the (3,2,1) audit
@@ -745,8 +772,9 @@ static const char *const audit_check_names[AUDIT_CHECKS] = {
     "predicted-subset", "predicted-total",
 };
 
-/* The permutation after p in lexicographic order, in place (p is not the last). */
-static void
+/* The permutation after p in lexicographic order, in place (p is not the
+ * last).  Returns the first position that changed. */
+static int
 next_perm(int *p, int n)
 {
     int i = n - 2, j = n - 1;
@@ -754,24 +782,52 @@ next_perm(int *p, int n)
         i--;
     while (p[j] < p[i])
         j--;
-    int t = p[i];
+    int t = p[i], from = i;
     p[i] = p[j];
     p[j] = t;
     for (i++, j = n - 1; i < j; i++, j--)
         t = p[i], p[i] = p[j], p[j] = t;
+    return from;
+}
+
+/* What the checks of a permutation share with those of the one before it
+ * in lexicographic order, which has the same entries up to some position:
+ * the (3,1,2) heights, and per k the census state after placing the first
+ * k entries (state[k], as place_prefix leaves it) and the occurrences
+ * among them.  All zeros stands for no permutation yet. */
+typedef struct {
+    Py_ssize_t h312[AUDIT_MAXN];
+    slot state[AUDIT_MAXN + 1][AUDIT_MAXN];
+    int c312[AUDIT_MAXN + 1], c321[AUDIT_MAXN + 1];
+} audit_prefix;
+
+/* Bring a up to date for p, whose entries before position from are those
+ * of the permutation a holds.  The heights before from stay: the entries
+ * right of each are the same set.  The entry at k is the h312[k]-th
+ * smallest (from 0) of the values p[k .. n) left to place. */
+static void
+audit_advance(audit_prefix *a, const int *p, int n, int from)
+{
+    heights_312_c(p + from, n - from, a->h312 + from);
+    for (int k = from; k < n; k++) {
+        int i = (int)a->h312[k];
+        a->c312[k + 1] = a->c312[k] + a->state[k][i].two312;
+        a->c321[k + 1] = a->c321[k] + a->state[k][i].two321;
+        place(a->state[k], n - k, i, a->state[k + 1]);
+    }
 }
 
 #define FAIL(check) (failed |= 1u << (check))
 
-/* The checks of the audit on the permutation p of 1..n and its image, the
- * len steps (kind, data): a bit per failing check into *out.  buf has room
- * for 7 len entries.  Returns p's occurrence count, -1 if the image is not
- * a valid path (the checks after valid-image then read nothing), or -2 if
- * the audit would compare a prediction for a jump run that predict does
- * not take. */
+/* The checks of the audit on the permutation p of 1..n, whose heights and
+ * counts a holds, and its image, the len steps (kind, data): a bit per
+ * failing check into *out.  buf has room for 7 len entries.  Returns p's
+ * occurrence count, -1 if the image is not a valid path (the checks after
+ * valid-image then read nothing), or -2 if the audit would compare a
+ * prediction for a jump run that predict does not take. */
 static int
-audit_one(const int *p, int n, int is321, int kind, const void *data, Py_ssize_t len,
-          Py_ssize_t *buf, unsigned *out)
+audit_one(const int *p, int n, int is321, const audit_prefix *a, int kind, const void *data,
+          Py_ssize_t len, Py_ssize_t *buf, unsigned *out)
 {
     Py_ssize_t *heights = buf, *peaks = buf + len, *spans = buf + 2 * len, nd, ns, jumps = 0;
     unsigned failed = 0;
@@ -782,11 +838,11 @@ audit_one(const int *p, int n, int is321, int kind, const void *data, Py_ssize_t
     if (nd != n)
         FAIL(VALID_IMAGE);
     int sandwiched = 1;
-    for (Py_ssize_t j = 0; j < ns; j++) {
+    /* the runs right to left, ups counting the up-steps right of the run */
+    for (Py_ssize_t j = ns - 1, i = len, ups = 0; j >= 0; j--) {
         const Py_ssize_t *span = spans + 5 * j;
-        Py_ssize_t ups = 0;
-        for (Py_ssize_t i = span[1]; i < len; i++)
-            ups += PyUnicode_READ(kind, data, i) == 'U';
+        for (; i > span[1]; i--)
+            ups += PyUnicode_READ(kind, data, i - 1) == 'U';
         if (ups < span[1] - span[0])
             FAIL(UPS_AFTER_JUMP);
         sandwiched &= span[3] > 0 && span[4] > 0;
@@ -796,7 +852,7 @@ audit_one(const int *p, int n, int is321, int kind, const void *data, Py_ssize_t
         FAIL(JUMP_SANDWICH);
 
     Py_ssize_t want[AUDIT_MAXN];
-    heights_312_c(p, n, want);
+    memcpy(want, a->h312, n * sizeof *want);
     if (is321)
         heights_321_c(p, n, want);
     if (nd != n || memcmp(want, heights, n * sizeof *want) != 0)
@@ -813,10 +869,7 @@ audit_one(const int *p, int n, int is321, int kind, const void *data, Py_ssize_t
         if (heights[i] > n - 1 - i)
             FAIL(DESCENTS_AVAILABLE);
 
-    slot state[AUDIT_MAXN];
-    int c312, c321;
-    place_prefix(p, n, n, state, &c312, &c321);
-    int r = is321 ? c321 : c312;
+    int r = is321 ? a->c321[n] : a->c312[n];
     if (jumps > r || (jumps == 0) != (r == 0))
         FAIL(JUMP_COUNT_BOUND);
 
@@ -858,94 +911,138 @@ audit_one(const int *p, int n, int is321, int kind, const void *data, Py_ssize_t
 
 #undef FAIL
 
+/* Add the permutation p of 1..n to the answer (fails, avoiders, singles) of
+ * audit_images: with its image, as the first host of each check in fresh
+ * and, for r = 0, as an avoider; without it, for r = 1, as a one-occurrence
+ * host.  image is the image's str, or NULL for the len steps at path.
+ * Returns 0 with an exception set if an object cannot be made. */
+static int
+audit_record(const int *p, int n, unsigned fresh, int r, PyObject *image, const Py_UCS1 *path,
+             Py_ssize_t len, PyObject *const *out)
+{
+    Py_ssize_t v[AUDIT_MAXN];
+    for (int i = 0; i < n; i++)
+        v[i] = p[i];
+    PyObject *host = to_tuple(v, n, 0), *pair = NULL;
+    int ok = host != NULL;
+    if (ok && (fresh || r == 0)) {
+        image = image != NULL ? Py_NewRef(image) : PyUnicode_FromKindAndData(PyUnicode_1BYTE_KIND, path, len);
+        pair = image == NULL ? NULL : PyTuple_Pack(2, host, image);
+        Py_XDECREF(image);
+        ok = pair != NULL;
+    }
+    for (int c = 0; ok && c < AUDIT_CHECKS; c++)
+        if (fresh >> c & 1)
+            ok = PyDict_SetItemString(out[0], audit_check_names[c], pair) == 0;
+    if (ok && (r == 0 || r == 1))
+        ok = PyList_Append(out[1 + r], r == 0 ? pair : host) == 0;
+    Py_XDECREF(host);
+    Py_XDECREF(pair);
+    return ok;
+}
+
 PyDoc_STRVAR(audit_images_doc,
-"audit_images(n, key, images) -> (failed, avoiders, singles)\n\n"
-"The checks of permdyck.census.audit_bijections that read one encoder\n"
-"image, over S_n in lexicographic order, images[k] being the image of the\n"
-"k-th permutation under the encoder for the pattern key, \"312\" or \"321\":\n"
-"a dict from the name of each failing check to the rank of its first\n"
-"failing permutation, and the ranks of the permutations with no and with\n"
-"one occurrence whose image is a valid path.  Hands n outside 0..12, any\n"
-"other key, images that are not a list or tuple of n! str, or an image\n"
-"whose jump runs the prediction does not take, to _purecount, whose None\n"
-"sends the audit through its own loop.");
+"audit_images(n, key, images=None) -> (failed, avoiders, singles)\n\n"
+"The checks of permdyck.audit.audit_bijections that read one encoder image,\n"
+"over S_n in lexicographic order, for the pattern key, \"312\" or \"321\":\n"
+"on images[k], the image of the k-th permutation; or, with images omitted,\n"
+"on the stock encoder's images, built here, with injectivity checked too.\n"
+"Answers a dict from the name of each failing check to its first failing\n"
+"permutation (a tuple) and that one's image, the permutations with no\n"
+"occurrence whose image is a valid path, each with its image, and those\n"
+"with one.  Hands n outside 0..12, any other key, images that are not a\n"
+"list or tuple of n! str, an image whose jump runs the prediction does not\n"
+"take and, with images omitted, a repeated or unindexable image, to\n"
+"_purecount, whose None sends the audit down its next route.");
 
 static PyObject *
 audit_images(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError, "audit_images expected 3 arguments, got %zd", nargs);
-    PyObject *images = args[2];
-    int overflow, is321 = pattern_key(args[1]);
+    if (nargs != 2 && nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "audit_images expected 2 or 3 arguments, got %zd", nargs);
+    PyObject *images = nargs == 3 ? args[2] : Py_None, **items = NULL;
+    int overflow, is321 = pattern_key(args[1]), walk = images == Py_None;
     long n = PyLong_Check(args[0]) ? PyLong_AsLongAndOverflow(args[0], &overflow) : -1;
-    if (n < 0 || n > AUDIT_MAXN || is321 < 0 || (!PyTuple_Check(images) && !PyList_Check(images)))
+    if (n < 0 || n > AUDIT_MAXN || is321 < 0 || (!walk && !PyTuple_Check(images) && !PyList_Check(images)))
         return hand_over("audit_images", args, nargs);
-    Py_ssize_t total = 1, longest = 0;
+    /* the walk's images: each step of a path moves at most n in height */
+    Py_ssize_t total = 1, longest = n * (n + 1);
     for (long i = 2; i <= n; i++)
         total *= i;
-    PyObject **items = PySequence_Fast_ITEMS(images);
-    if (PySequence_Fast_GET_SIZE(images) != total)
-        return hand_over("audit_images", args, nargs);
-    for (Py_ssize_t k = 0; k < total; k++) {
-        if (!PyUnicode_Check(items[k]))
+    if (!walk) {
+        items = PySequence_Fast_ITEMS(images);
+        if (PySequence_Fast_GET_SIZE(images) != total)
             return hand_over("audit_images", args, nargs);
-        if (PyUnicode_GET_LENGTH(items[k]) > longest)
-            longest = PyUnicode_GET_LENGTH(items[k]);
+        longest = 0;
+        for (Py_ssize_t k = 0; k < total; k++) {
+            if (!PyUnicode_Check(items[k]))
+                return hand_over("audit_images", args, nargs);
+            if (PyUnicode_GET_LENGTH(items[k]) > longest)
+                longest = PyUnicode_GET_LENGTH(items[k]);
+        }
     }
 
-    /* per rank, its occurrence count if 0 or 1, else 2 (also for an image
-     * that is not a path) */
-    unsigned char *counts = PyMem_Malloc(total);
-    Py_ssize_t *buf = PyMem_New(Py_ssize_t, 7 * longest + 1), first[AUDIT_CHECKS];
-    if (counts == NULL || buf == NULL) {
-        PyMem_Free(counts);
-        PyMem_Free(buf);
-        return PyErr_NoMemory();
+    /* status: 1 while running, 0 on an error (exception set), -1 to hand over */
+    Py_ssize_t *buf = PyMem_New(Py_ssize_t, 7 * longest + 1);
+    unsigned char *seen = walk ? PyMem_Calloc(total / 8 + 1, 1) : NULL;
+    PyObject *out[3] = {PyDict_New(), PyList_New(0), PyList_New(0)}, *result = NULL;
+    int status = out[0] != NULL && out[1] != NULL && out[2] != NULL;
+    if (status && (buf == NULL || (walk && seen == NULL))) {
+        PyErr_NoMemory();
+        status = 0;
     }
-    int p[AUDIT_MAXN], r = 0;
+    int p[AUDIT_MAXN];
+    Py_UCS1 path[AUDIT_MAXN * (AUDIT_MAXN + 1)];
+    audit_prefix prefix = {0};
+    unsigned failed_so_far = 0;
     for (int i = 0; i < n; i++)
         p[i] = i + 1;
-    for (int c = 0; c < AUDIT_CHECKS; c++)
-        first[c] = -1;
-    for (Py_ssize_t k = 0; k < total && r != -2; k++) {
+    for (Py_ssize_t k = 0; status == 1 && k < total; k++) {
+        audit_advance(&prefix, p, (int)n, k > 0 ? next_perm(p, (int)n) : 0);
+        PyObject *image = walk ? NULL : items[k];
+        int kind = PyUnicode_1BYTE_KIND;
+        const void *data = path;
+        Py_ssize_t len;
+        if (walk) {
+            Py_ssize_t h[AUDIT_MAXN];
+            heights_312_c(p, (int)n, h);
+            if (is321)
+                heights_321_c(p, (int)n, h);
+            len = write_path(h, n, path);
+        } else {
+            kind = PyUnicode_KIND(image);
+            data = PyUnicode_DATA(image);
+            len = PyUnicode_GET_LENGTH(image);
+        }
         unsigned failed;
-        if (k > 0)
-            next_perm(p, (int)n);
-        PyObject *image = items[k];
-        r = audit_one(p, (int)n, is321, PyUnicode_KIND(image), PyUnicode_DATA(image),
-                      PyUnicode_GET_LENGTH(image), buf, &failed);
-        counts[k] = r == 0 || r == 1 ? r : 2;
-        for (int c = 0; r != -2 && c < AUDIT_CHECKS; c++)
-            if (failed >> c & 1 && first[c] < 0)
-                first[c] = k;
+        int r = audit_one(p, (int)n, is321, &prefix, kind, data, len, buf, &failed);
+        if (r == -2 || (walk && (r < 0 || failed & (1u << VALID_IMAGE | 1u << DESCENTS_AVAILABLE)))) {
+            status = -1;
+            break;
+        }
+        if (walk) {
+            /* the parsed heights, buf[0 .. n), as mixed-radix digits */
+            size_t index = 0;
+            for (int i = 0; i < n; i++)
+                index = index * (n - i) + buf[i];
+            if (seen[index / 8] >> (index % 8) & 1) {
+                status = -1;
+                break;
+            }
+            seen[index / 8] |= 1u << (index % 8);
+        }
+        unsigned fresh = failed & ~failed_so_far;
+        failed_so_far |= failed;
+        if ((fresh || r == 0 || r == 1) && !audit_record(p, (int)n, fresh, r, image, path, len, out))
+            status = 0;
     }
     PyMem_Free(buf);
-    if (r == -2) {
-        PyMem_Free(counts);
-        return hand_over("audit_images", args, nargs);
-    }
-
-    PyObject *fails = PyDict_New(), *avoiders = PyList_New(0), *singles = PyList_New(0), *result = NULL;
-    int ok = fails != NULL && avoiders != NULL && singles != NULL;
-    for (int c = 0; ok && c < AUDIT_CHECKS; c++) {
-        PyObject *rank = first[c] < 0 ? NULL : PyLong_FromSsize_t(first[c]);
-        ok = first[c] < 0 || (rank != NULL && PyDict_SetItemString(fails, audit_check_names[c], rank) == 0);
-        Py_XDECREF(rank);
-    }
-    for (Py_ssize_t k = 0; ok && k < total; k++) {
-        if (counts[k] > 1)
-            continue;
-        PyObject *rank = PyLong_FromSsize_t(k);
-        ok = rank != NULL && PyList_Append(counts[k] ? singles : avoiders, rank) == 0;
-        Py_XDECREF(rank);
-    }
-    PyMem_Free(counts);
-    if (ok)
-        result = PyTuple_Pack(3, fails, avoiders, singles);
-    Py_XDECREF(fails);
-    Py_XDECREF(avoiders);
-    Py_XDECREF(singles);
-    return result;
+    PyMem_Free(seen);
+    if (status == 1)
+        result = PyTuple_Pack(3, out[0], out[1], out[2]);
+    for (int i = 0; i < 3; i++)
+        Py_XDECREF(out[i]);
+    return status < 0 ? hand_over("audit_images", args, nargs) : result;
 }
 
 /* ---- the bounded census (permdyck.census) ------------------------------

@@ -29,7 +29,8 @@ builds its records from it, and ``predicted_triples``, their sorted union,
 is the oracle the compiled predictor is tested against.
 
 ``audit_images`` has no pure body: its None sends
-``audit.audit_bijections`` through ``audit._audit_loop``.
+``audit.audit_bijections`` down its next route, from the walk to the
+images route and from there to ``audit._audit_loop``.
 
 ``census_layers`` is the layered DP of the bounded census, which
 ``permdyck.census`` explains, and ``bounded_census`` reads its counts off
@@ -333,10 +334,11 @@ def predicted_triples(
     return tuple(sorted(out))
 
 
-def audit_images(n: int, key: str, images: Sequence[str]) -> None:
-    """None: ``audit.audit_bijections`` then runs its checks in
-    ``audit._audit_loop`` over S_n, the oracle the compiled
-    ``audit_images`` is tested against.  The compiled audit hands what it does not take here."""
+def audit_images(n: int, key: str, images: Optional[Sequence[str]] = None) -> None:
+    """None, with or without ``images``: ``audit.audit_bijections`` then
+    runs its checks in ``audit._audit_loop`` over S_n, the oracle the
+    compiled ``audit_images`` is tested against.  The compiled audit hands
+    what it does not take here, and so sends the audit down its next route."""
     return None
 
 

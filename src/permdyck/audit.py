@@ -5,8 +5,10 @@ the fast paths are tested against.
 - ``audit_bijections`` sweeps S_n and checks every structural claim about
   the encoder of (3,1,2) or (3,2,1), with ``CheckResult`` per check and
   ``AuditReport`` per sweep.  ``_image_checks`` holds the checks that read
-  one encoder image, and ``_audit_loop`` runs them on each permutation in
-  turn where the compiled audit (``kernels.audit_images``) does not run.
+  one encoder image.  The compiled kernel runs them over S_n in one call
+  (``kernels.audit_images``): on images it builds itself for the stock
+  encoder (the walk), or on the encoder's images (the images route).
+  ``_audit_loop`` runs them on each permutation in turn where neither runs.
 - ``oracle_distribution`` counts S_n by occurrences with the brute-force
   occurrence finder alone, the oracle of ``census.brute_distribution``.
 - ``enumerate_class`` lists the permutations of S_n with exactly r
@@ -211,18 +213,21 @@ def _image_checks(key: str) -> Callable[..., Optional[int]]:
 
 def _audit_loop(
     hosts: Sequence[Permutation], images: Sequence[str], check: Callable[..., Optional[int]]
-) -> tuple[dict[str, int], list[int], list[int]]:
+) -> tuple[dict[str, tuple[Permutation, str]], list[tuple[Permutation, str]], list[Permutation]]:
     """What ``kernels.audit_images`` answers, found by ``check`` (of
-    ``_image_checks``) run on each host and its image in turn: the rank of
-    the first host failing each check, and the ranks of the hosts with no
-    and with one occurrence whose image is a valid path."""
-    first: dict[str, int] = {}
-    counts: tuple[list[int], list[int]] = ([], [])
-    for rank, (rho, path) in enumerate(zip(hosts, images)):
-        r = check(rho, path, lambda name, _: first.setdefault(name, rank))
-        if r == 0 or r == 1:
-            counts[r].append(rank)
-    return first, *counts
+    ``_image_checks``) run on each host and its image in turn: the first
+    host failing each check, with its image; the hosts with no occurrence
+    whose image is a valid path, each with its image; the hosts with one."""
+    failed: dict[str, tuple[Permutation, str]] = {}
+    avoiders: list[tuple[Permutation, str]] = []
+    singles: list[Permutation] = []
+    for rho, path in zip(hosts, images):
+        r = check(rho, path, lambda name, _: failed.setdefault(name, (rho, path)))
+        if r == 0:
+            avoiders.append((rho, path))
+        elif r == 1:
+            singles.append(rho)
+    return failed, avoiders, singles
 
 
 def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
@@ -233,20 +238,28 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
     the predicted occurrence triples being genuine (with exact totals for
     hosts having one or two occurrences).
 
-    The encoder runs once per permutation.  The checks that read one image
-    (``_image_checks``) run in ``kernels.audit_images``, one compiled call
-    over all n! images, which names the first permutation failing each
-    check and the permutations with no and with one occurrence.  Where the
-    compiled audit does not run (the pure kernel, n > 12, an image that is
-    not a str) its None sends the audit through ``_audit_loop``, which
-    finds the same by running those checks on each permutation, the oracle
-    the compiled audit is tested against.  On either route the check's own
-    Python body, run again on each first failing permutation, writes the
-    counterexample, and a compiled verdict it does not repeat raises
-    ``RuntimeError``.  Python also checks injectivity, the avoiders
+    The checks that read one image (``_image_checks``) take one of three
+    routes, which give the same report.  For the stock encoder
+    (``bijections.psi312`` or ``psi321`` as written), the walk
+    (``kernels.audit_images(n, key)``) runs them in one compiled call that
+    builds each image itself and checks injectivity, so neither S_n nor
+    its images become Python objects.  For an encoder put in its place, or
+    where the walk answers None (the pure kernel, n > 12, a repeated or
+    invalid image), the encoder runs once per permutation, Python checks
+    injectivity on the set of images, and the images route
+    (``kernels.audit_images(n, key, images)``) runs those checks on them in
+    one compiled call.  Where that answers None too (the pure kernel,
+    n > 12, an image that is not a str), ``_audit_loop`` runs them on each
+    permutation in turn, the oracle both compiled routes are tested
+    against.  Each route names the first permutation failing each check
+    and its image, the avoiders with their images and the one-occurrence
+    hosts.  The check's own Python body, run again on each first failing
+    permutation, writes the counterexample, and a compiled verdict it does
+    not repeat raises ``RuntimeError``.  Python also checks the avoiders
     (against the staircase map and the avoider decoder), the one-occurrence
     bases (by the brute-force oracle) and the Dyck paths, walked in
-    ``paths.enumerate_paths`` order.
+    ``paths.enumerate_paths`` order: each decodes to an avoider whose image
+    is that path (the walk's image, or the encoder's, run again).
     """
     from permdyck import bijections, paths
 
@@ -261,54 +274,65 @@ def audit_bijections(n: int, tau, *, limit: int = DEFAULT_LIMIT) -> AuditReport:
     def fail(name: str, detail: str) -> None:
         failures.setdefault(name, detail)
 
-    hosts = list(all_permutations(n))
-    images = list(map(encode, hosts))
-    if len(set(images)) < len(images):
-        first: dict[str, Permutation] = {}
-        for rho, path in zip(hosts, images):
-            if path in first:
-                fail("injective", f"{first[path]} and {rho} share image {path}")
-                break
-            first[path] = rho
-
     check = _image_checks(key)
-    got = kernels.audit_images(n, key, images)
-    failed, avoiders, singles = _audit_loop(hosts, images, check) if got is None else got
+    got = kernels.audit_images(n, key) if encode is bijections._STOCK_ENCODERS[key] else None
+    walked = got is not None
+    if not walked:
+        hosts = list(all_permutations(n))
+        images = list(map(encode, hosts))
+        if len(set(images)) < len(images):
+            first: dict[str, Permutation] = {}
+            for rho, path in zip(hosts, images):
+                if path in first:
+                    fail("injective", f"{first[path]} and {rho} share image {path}")
+                    break
+                first[path] = rho
+        got = kernels.audit_images(n, key, images)
+        if got is None:
+            got = _audit_loop(hosts, images, check)
+    failed, avoiders, singles = got
     # the check's body, run again on the first failing host, writes the text
-    for name, rank in failed.items():
+    for name, (rho, path) in failed.items():
+        rho = Permutation._of(rho)
         texts: dict[str, str] = {}
-        check(hosts[rank], images[rank], texts.setdefault)
+        check(rho, path, texts.setdefault)
         if name not in texts:
-            raise RuntimeError(f"the compiled audit fails {name} on {hosts[rank]}, its Python body does not")
+            raise RuntimeError(f"the compiled audit fails {name} on {rho}, its Python body does not")
         fail(name, texts[name])
 
     # each Dyck path is decoded once, in enumeration order, for the avoider
     # round trip and for decode-covers-dyck; an avoider image outside D_n
     # is decoded on its own
     decoded = {path: decode(path) for path in paths.enumerate_paths(n, 0)}
-    for rank in avoiders:
-        rho, path = hosts[rank], images[rank]
+    for rho, path in avoiders:
+        rho = Permutation._of(rho)
         if path != bijections.psi_avoiding(rho):
             fail("avoider-staircase-agreement", f"{rho}")
         back = decoded[path] if path in decoded else decode(path)
         if back != rho:
             fail("decode-roundtrip", f"{rho} -> {path} -> {back}")
     # the brute-force oracle runs only where the whole occurrence set is read
-    for rank in singles:
-        rho = hosts[rank]
+    for rho in singles:
+        rho = Permutation._of(rho)
         if perms._base_of(rho, find_occurrences(rho, tau)) != tau:
             fail("single-occurrence-base", f"{rho}")
 
     cn = perms.catalan_number(n)
-    avoider_images = {images[rank] for rank in avoiders}
+    encoded = dict(avoiders)
+    avoider_images = set(encoded.values())
     if len(avoiders) != cn or len(avoider_images) != cn:
         fail("avoider-count", f"{len(avoiders)} avoiders, {len(avoider_images)} images, C_n={cn}")
     if avoider_images != decoded.keys():
         fail("avoider-image-is-all-dyck", f"missing {sorted(decoded.keys() - avoider_images)[:3]}")
 
-    # decoding every Dyck path yields an avoider that encodes back to it
+    # decoding every Dyck path yields an avoider that encodes back to it; the
+    # walk names every avoider of S_n with the stock encoder's image
     for path, rho in decoded.items():
-        if count_occurrences_fast(rho, tau) != 0 or encode(rho) != path:
+        if walked:
+            image = encoded.get(rho)
+        else:
+            image = encode(rho) if count_occurrences_fast(rho, tau) == 0 else None
+        if image != path:
             fail("decode-covers-dyck", f"{path} -> {rho}")
             break
 

@@ -147,6 +147,12 @@ def psi_tau(rho: Permutation, tau) -> str:
     return psi312(rho) if _pattern_key(tau) == "312" else psi321(rho)
 
 
+# the encoders as written here, by pattern key: ``audit.audit_bijections``
+# audits one of them by the compiled walk over S_n, which builds its images
+# itself; an encoder put in their place is audited on its own images
+_STOCK_ENCODERS = {"312": psi312, "321": psi321}
+
+
 # ---------------------------------------------------------------------------
 # decoders
 

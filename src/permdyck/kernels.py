@@ -46,15 +46,21 @@ the other:
   than ``limit`` states (None: no bound).  Both backends run the same DP
   and hold the same states, the compiled one with its own code, not the
   sweep's: 128-bit counts, exact for n_max <= 34 (34! < 2**128).
-- The bijection audit.  ``audit_images(n, key, images)`` runs the checks
-  of ``audit.audit_bijections`` that read one encoder image over S_n in
-  lexicographic order, ``images[k]`` being the image of the k-th
-  permutation: it returns a dict from the name of each failing check to
-  the rank of the first permutation that fails it, and the ranks of the
-  permutations with no and with one occurrence whose image is a valid
-  path.  The compiled one regenerates S_n in place and runs those checks
-  with the C bodies of the primitives above; the pure one returns None,
-  and the audit then finds the same with ``audit._audit_loop``, the
+- The bijection audit.  ``audit_images(n, key, images=None)`` runs the
+  checks of ``audit.audit_bijections`` that read one encoder image over
+  S_n in lexicographic order: on ``images``, ``images[k]`` being the image
+  of the k-th permutation (the images route), or, with ``images``
+  omitted, on the images of the stock encoder for ``key``, ``encode_path``
+  (the walk), which also checks that no two images are equal.  It returns
+  a dict from the name of each failing check to the first permutation that
+  fails it (a tuple) and that permutation's image, the permutations with no
+  occurrence whose image is a valid path, each with its image, and those
+  with one occurrence.  The compiled one regenerates S_n in place and runs
+  those checks with the C bodies of the primitives above; on the walk it
+  writes each image into a buffer, so S_n and its images become Python
+  objects only where the answer names them.  The pure one returns None
+  either way: the audit then takes the images route after the walk, and
+  after that ``audit._audit_loop``, which finds the same in Python, the
   oracle the compiled audit is tested against.
 
 One hand-over rule holds for the ten per-input functions, ``count_pair``,
@@ -79,10 +85,12 @@ each a tuple or list of five ints in 0..2**30 with 1 <= position < n,
 m <= position and position + l <= n; ``bounded_census`` an int n_max in
 0..34, a key "312" or "321", an int r_max in 0..14 and a limit that is
 None or an int; ``audit_images`` an int n in 0..12, a key "312" or "321"
-and a list or tuple of n! str, unless the audit would compare a
-prediction for an image's jump run outside the runs ``predicted_triples``
-takes (1 <= position < n, position + l <= n), which only a faulty encoder
-gives.  ``histogram_pair`` hands nothing over: both backends
+and a list or tuple of n! str or no images, unless the audit would compare
+a prediction for an image's jump run outside the runs ``predicted_triples``
+takes (1 <= position < n, position + l <= n), or, on the walk, an image is
+not a valid path of n down-steps, each of height h followed by at least h
+more (descents-available), or repeats an earlier one's heights; only a
+faulty encoder gives these.  ``histogram_pair`` hands nothing over: both backends
 sweep 0 <= n <= ``MAXN`` only (20! still fits the compiled 64-bit bins)
 and raise ``ValueError`` for any other n and for a bad prefix.  With the
 compiled kernel selected, the pure module is imported only when a first

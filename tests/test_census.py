@@ -284,9 +284,22 @@ def _drop_last(path, step):
 @pytest.fixture
 def loop_route(monkeypatch):
     """Pin ``audit_bijections`` to its loop over S_n, the route of the pure
-    kernel, by the swap ``on_each_backend`` makes of ``kernels``' names: for
-    tests that patch a Python helper the compiled audit does not call."""
+    kernel, by the swap ``on_each_backend`` makes of ``kernels``' names: the
+    pure ``audit_images`` answers None with and without images, so neither
+    the walk nor the images route runs.  For tests that patch a Python
+    helper the compiled audit does not call."""
     monkeypatch.setattr(kernels, "audit_images", _purecount.audit_images)
+
+
+def _routes(fastcount):
+    """``kernels.audit_images`` for each route of ``audit_bijections``: the
+    compiled walk, the compiled images route alone (None without images)
+    and the loop (None with or without)."""
+    return {
+        "walk": fastcount.audit_images,
+        "images": lambda n, key, images=None: None if images is None else fastcount.audit_images(n, key, images),
+        "loop": _purecount.audit_images,
+    }
 
 
 class TestAudit:
@@ -490,19 +503,51 @@ class TestAuditRoute:
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("tau", ["312", "321"])
-    @pytest.mark.parametrize("n", range(8))
+    @pytest.mark.parametrize("n", range(9))
     def test_routes_give_one_report(self, fastcount, monkeypatch, n, tau):
-        # the compiled audit and the loop, each on the same encoder images
+        # the walk, which builds the stock encoder's images itself, the
+        # compiled images route and the loop, each on the encoder's images;
+        # neither compiled route hands an input over
+        before = fastcount.hand_overs()
         reports = []
-        for impl in (fastcount, _purecount):
-            monkeypatch.setattr(kernels, "audit_images", impl.audit_images)
+        for impl in _routes(fastcount).values():
+            monkeypatch.setattr(kernels, "audit_images", impl)
             reports.append(repr(census.audit_bijections(n, tau)))
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
+        assert fastcount.hand_overs() == before
+
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    def test_stock_audit_builds_no_permutation_or_image(self, fastcount, monkeypatch, tau):
+        # the walk neither enumerates S_n in Python nor runs the encoder
+        def refused(*args):
+            raise AssertionError("S_n or an image was built in Python")
+
+        monkeypatch.setattr(kernels, "audit_images", fastcount.audit_images)
+        monkeypatch.setattr(audit, "all_permutations", refused)
+        monkeypatch.setattr(kernels, "encode_path", refused)
+        before = fastcount.hand_overs()
+        assert census.audit_bijections(7, tau).passed
+        assert fastcount.hand_overs() == before
+
+    @pytest.mark.usefixtures("loop_route")
+    @pytest.mark.parametrize("tau", ["312", "321"])
+    def test_loop_route_fixture_runs_the_loop(self, monkeypatch, tau):
+        original = audit._audit_loop
+        calls = []
+
+        def counted(hosts, images, check):
+            calls.append(len(hosts))
+            return original(hosts, images, check)
+
+        monkeypatch.setattr(audit, "_audit_loop", counted)
+        assert census.audit_bijections(5, tau).passed
+        assert calls == [math.factorial(5)]
 
     def test_compiled_verdict_the_loop_does_not_repeat_raises(self, monkeypatch):
         # the counterexample comes from the check's Python body; a failure
         # that body does not find there is a disagreement, not a report
-        monkeypatch.setattr(kernels, "audit_images", lambda n, key, images: ({"jump-sandwich": 0}, [], []))
+        answer = ({"jump-sandwich": ((1, 2, 3, 4), "UDUDUDUD")}, [], [])
+        monkeypatch.setattr(kernels, "audit_images", lambda n, key, images=None: answer)
         with pytest.raises(RuntimeError, match="jump-sandwich"):
             census.audit_bijections(4, "312")
 

@@ -443,8 +443,6 @@ def loaded_submodules(code: str) -> set[str]:
 class TestStartupImports:
     """Each command loads only the modules it runs."""
 
-    LATE = {"permdyck.series", "permdyck.bijections", "permdyck.paths"}
-
     def test_package_import_loads_no_submodule(self):
         assert loaded_submodules("import permdyck") == set()
 
@@ -489,19 +487,6 @@ class TestStartupImports:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["coeffs", "--tau", "321", "--r", "2"],
-            ["verify", "--formulas", "--n-max", "6"],
-            ["verify", "--conjectures", "--n-max", "6"],
-        ],
-    )
-    def test_recorded_rows_load_no_series(self, argv):
-        loaded = loaded_submodules(f"from permdyck import cli\ncli.main({argv!r})")
-        assert "permdyck.recorded" in loaded
-        assert not loaded & self.LATE
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
             ["table", "--tau", "321", "--n", "0..6", "--cache-dir", ""],
             ["verify", "--formulas", "--n-max", "6"],
             ["verify", "--conjectures", "--n-max", "6"],
@@ -516,10 +501,6 @@ class TestStartupImports:
         assert "numbers" not in loaded
         if argv[0] != "table":
             assert not loaded & {"fractions", "decimal"}
-
-    def test_assemblies_load_series(self):
-        code = "from permdyck import cli\ncli.main(['verify', '--assemblies', '--order', '8'])"
-        assert "permdyck.series" in loaded_submodules(code)
 
     @pytest.mark.parametrize(
         "argv",

@@ -712,8 +712,31 @@ def test_compiled_audit_names_the_loops_first_failures(fastcount, on_each_backen
         (13, "312", []),  # n above 12
         (3, "213", _images(3, "312")),  # no encoder for the key
         (2, "312", ["UUJDUD", "UUDD"]),  # a compared jump run at position 0
+        (13, "321"),  # the walk: n above 12
+        (3, "213"),  # the walk: no encoder for the key
     ],
 )
 def test_compiled_audit_hands_over(fastcount, args):
-    # None, the pure answer, sends the audit through its own loop
+    # None, the pure answer, sends the audit down its next route
     assert _compiled(fastcount, "audit_images", *args, handed_over=1) is None
+
+
+@pytest.mark.parametrize("key", ["312", "321"])
+def test_walk_answers_as_on_the_encoders_images(fastcount, key):
+    # the walk writes each image as ``encode_path`` does; its answer names
+    # hosts as tuples and images as str, in rank order
+    for n in range(8):
+        walked = _compiled(fastcount, "audit_images", n, key, handed_over=0)
+        assert walked == _compiled(fastcount, "audit_images", n, key, _images(n, key), handed_over=0)
+        failed, avoiders, singles = walked
+        assert failed == {}
+        assert len(avoiders) == perms.catalan_number(n)
+        assert all(type(rho) is tuple for rho, _ in avoiders)
+        assert [path for _, path in avoiders] == [bijections.psi_tau(rho, key) for rho, _ in avoiders]
+        assert list(singles) == [tuple(r) for r in all_permutations(n) if kernels.count_pair(r)[key == "321"] == 1]
+
+
+def test_audit_images_takes_two_or_three_arguments(fastcount):
+    for args in ((3,), (3, "312", [], None)):
+        with pytest.raises(TypeError, match="2 or 3 arguments"):
+            fastcount.audit_images(*args)
