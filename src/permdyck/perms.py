@@ -24,8 +24,9 @@ Conventions used throughout the package:
   ``__init__``, so that a command that needs no permutation does not load
   this module, and are re-exported here as the same objects.
 - ``_matcher`` states the one test of relative order: ``find_occurrences``
-  runs it on every subword, and the bijection audit on each predicted
-  triple.
+  runs it once per value subword and pattern, keeping the verdicts in the
+  pattern's bounded ``_Verdicts`` table, and the bijection audit runs it
+  on each predicted triple.
 """
 
 from __future__ import annotations
@@ -221,7 +222,9 @@ class OccurrenceSet(NamedTuple):
 def _matcher(tau: Permutation) -> Callable[[tuple[int, ...]], bool]:
     """The test that a subword of distinct values has the relative order of
     ``tau`` (length >= 2): picking the (tau_1, ..., tau_k)-th smallest of
-    its entries gives it back.
+    its entries gives it back.  ``find_occurrences`` runs it once per value
+    subword, through the pattern's ``_Verdicts`` table (at most 4,096
+    subwords, cleared when full).
 
     >>> matches = _matcher(Permutation((3, 1, 2)))
     >>> matches((5, 2, 4)), matches((2, 5, 4))
@@ -231,11 +234,47 @@ def _matcher(tau: Permutation) -> Callable[[tuple[int, ...]], bool]:
     return lambda sub: pick(sorted(sub)) == sub
 
 
+class _Verdicts(dict):
+    """One pattern's verdict table: value subword -> ``_matcher``'s verdict.
+
+    A subword it has not seen runs the test in ``__missing__`` and is
+    stored; a repeated one is a dict lookup, with no Python code run.  It
+    holds at most ``MAX_SUBWORDS`` = 4,096 subwords, enough for every
+    length-3 subword of the values 1..16 (3,360), and is cleared when full.
+
+    >>> verdicts = _Verdicts(Permutation((3, 1, 2)))
+    >>> verdicts[5, 2, 4], verdicts[2, 5, 4], len(verdicts)
+    (True, False, 2)
+    """
+
+    __slots__ = ("_matches",)
+    MAX_SUBWORDS = 4096
+
+    def __init__(self, tau: Permutation) -> None:
+        super().__init__()
+        self._matches = _matcher(tau)
+
+    def __missing__(self, sub: tuple[int, ...]) -> bool:
+        if len(self) >= self.MAX_SUBWORDS:
+            self.clear()
+        verdict = self[sub] = self._matches(sub)
+        return verdict
+
+
+# pattern -> its verdict table; at most _MAX_PATTERNS tables, cleared when full
+_VERDICTS: dict[Permutation, _Verdicts] = {}
+_MAX_PATTERNS = 64
+
+
 def find_occurrences(rho: Permutation, tau) -> OccurrenceSet:
     """Enumerate every occurrence of ``tau`` in ``rho`` by testing every
     position k-subset with ``_matcher``.  This is the slow, obviously-correct
     reference used as ground truth for the fast counters, so it uses nothing
     from ``kernels``.
+
+    Each pattern's verdicts are kept in a ``_Verdicts`` table (at most
+    4,096 value subwords per pattern, 64 patterns), so the test runs once
+    for each value subword and a repeated subword is a dict lookup.
 
     >>> find_occurrences((1, 5, 2, 4, 3), "312").positions
     ((2, 3, 4), (2, 3, 5))
@@ -249,9 +288,14 @@ def find_occurrences(rho: Permutation, tau) -> OccurrenceSet:
         # the first subword holding a repeat raises, as it would standardise
         for sub in itertools.combinations(vals, k):
             standardize(sub)
+    verdicts = _VERDICTS.get(tau)
+    if verdicts is None:
+        if len(_VERDICTS) >= _MAX_PATTERNS:
+            _VERDICTS.clear()
+        verdicts = _VERDICTS[tau] = _Verdicts(tau)
     hits = itertools.compress(
         itertools.combinations(range(1, len(vals) + 1), k),
-        map(_matcher(tau), itertools.combinations(vals, k)),
+        map(verdicts.__getitem__, itertools.combinations(vals, k)),
     )
     return OccurrenceSet(pattern=tau, positions=tuple(hits))
 
@@ -394,6 +438,7 @@ def reflect_anti_diag(rho: Permutation) -> Permutation:
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
-    """All of S_n in lexicographic order."""
-    for p in itertools.permutations(range(1, n + 1)):
-        yield Permutation._of(p)
+    """All of S_n in lexicographic order; ``ValueError`` for n < 0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return map(Permutation._of, itertools.permutations(range(1, n + 1)))

@@ -151,6 +151,37 @@ def _workflow_steps() -> list[tuple[str, str]]:
     return steps
 
 
+def _unquoted_run_faults(workflow: str) -> list[str]:
+    """The ``run:`` values of ``workflow`` that YAML would misread: in an
+    unquoted scalar, ``": "`` is a syntax error and ``" #"`` starts a comment."""
+    faults = []
+    for line in workflow.splitlines():
+        key, _, value = line.strip().removeprefix("- ").partition(": ")
+        if key == "run" and value[:1] not in "'\"" and (": " in value or " #" in value):
+            faults.append(value)
+    return faults
+
+
+def test_workflow_run_values_are_plain_scalars():
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert _unquoted_run_faults(workflow) == []
+
+
+@pytest.mark.parametrize(
+    "line,faulty",
+    [
+        ("run: python -c 'audit = lambda: [1]'", True),
+        ("run: python -c 'f = lambda n, i=None:None'", False),
+        ("      - run: echo 1 # a comment", True),
+        ("run: echo '#1' a#b", False),
+        ("run: \"python -c 'lambda: 1'\"", False),
+        ("name: \"Bijection audit: the walk\"", False),
+    ],
+)
+def test_unquoted_run_faults_examples(line, faulty):
+    assert bool(_unquoted_run_faults(line)) is faulty
+
+
 def test_readme_lists_every_ci_check():
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## Tests and the acceptance suite", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permdyck import bijections, census, recorded, series
+from permdyck import bijections, census, kernels, perms, recorded, series
 from permdyck.bijections import decode_psi312, psi312
 from permdyck.perms import (
     PATTERN_312,
@@ -158,6 +159,96 @@ class TestFindOccurrences:
     def test_short_pattern_rejected(self):
         with pytest.raises(PatternError):
             find_occurrences(Permutation((2, 1)), Permutation((1,)))
+
+
+class TestVerdictTable:
+    """``find_occurrences`` answers each value subword from its pattern's
+    ``_Verdicts`` table; the table changes no answer and stays bounded."""
+
+    @pytest.fixture
+    def fresh_tables(self, monkeypatch):
+        monkeypatch.setattr(perms, "_VERDICTS", {})
+        return perms._VERDICTS
+
+    @pytest.mark.parametrize("tau", S3)
+    def test_bounded_and_equal_to_the_plain_test(self, tau):
+        verdicts = perms._Verdicts(tau)
+        matches = perms._matcher(tau)
+        bound = perms._Verdicts.MAX_SUBWORDS
+        # every length-3 word of 1..18 (4,896), past the bound, then again
+        words = list(itertools.permutations(range(1, 19), 3))
+        assert len(words) > bound
+        for sub in words + words[::7]:
+            assert verdicts[sub] is matches(sub), sub
+            assert 0 < len(verdicts) <= bound
+
+    def test_oracle_tables_stay_bounded(self, fresh_tables):
+        # hosts of length 18, whose value subwords (816 each) together pass
+        # the bound: each table is cleared at least once on the way
+        rng = random.Random(18)
+        hosts = [Permutation(rng.sample(range(1, 19), 18)) for _ in range(12)]
+        subwords = {sub for rho in hosts for sub in itertools.combinations(rho, 3)}
+        assert len(subwords) > perms._Verdicts.MAX_SUBWORDS
+        for tau in S3:
+            sizes = []
+            for rho in hosts:
+                occ = find_occurrences(rho, tau)
+                assert occ.positions == tuple(_standardising_finder(rho, 3).get(tau, ())), (rho, tau)
+                sizes.append(len(fresh_tables[tau]))
+            assert max(sizes) <= perms._Verdicts.MAX_SUBWORDS
+            assert sizes != sorted(sizes), "the table was never cleared"
+
+    def test_pattern_count_bounded(self, fresh_tables):
+        for tau in all_permutations(5):
+            find_occurrences((1, 2, 3, 4, 5, 6), tau)
+            assert 0 < len(fresh_tables) <= perms._MAX_PATTERNS
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_answers_do_not_depend_on_call_order(self, fresh_tables, reverse):
+        # words of arbitrary distinct ints, between permutations that share
+        # their value subwords
+        hosts = [
+            (5, 2, 4),
+            Permutation((5, 2, 4, 1, 3)),
+            (-3, 10, 0, 7),
+            Permutation((2, 5, 4, 3, 1)),
+            (10, -3, 7, 0, 5, 2, 4),
+            Permutation((7, 4, 1, 6, 3, 5, 2)),
+            (4, 5, 2),
+            Permutation((4, 1, 5, 2, 3)),
+            (7, 0, 10, -3),
+        ]
+        patterns = [Permutation(p) for k in (2, 3, 4) for p in itertools.permutations(range(1, k + 1))]
+        for rho in hosts[::-1] if reverse else hosts:
+            for tau in patterns:
+                expected = _standardising_finder(rho, tau.n).get(tau, ())
+                assert find_occurrences(rho, tau).positions == tuple(expected), (rho, tau)
+
+    def test_uses_no_kernel(self, fresh_tables, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the occurrence oracle called the kernel")
+
+        for name, obj in list(vars(kernels).items()):
+            if callable(obj) and not isinstance(obj, type) and not name.startswith("__"):
+                monkeypatch.setattr(kernels, name, refused)
+        with pytest.raises(AssertionError, match="called the kernel"):
+            kernels.count_pair((1, 2))
+        for rho in all_permutations(6):
+            expected = _standardising_finder(rho, 3)
+            for tau in S3:
+                assert find_occurrences(rho, tau).positions == tuple(expected.get(tau, ())), (rho, tau)
+
+
+class TestAllPermutations:
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_n_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            all_permutations(n)
+
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_oracle_distribution_rejects_negative_n(self, n):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            census.oracle_distribution(n, "312")
 
 
 class TestFastCount:
